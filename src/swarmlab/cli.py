@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import platform
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from .regions import (
     GridSpec,
     gamma_sweep,
+    resolve_workers,
     scan_cs_flock,
     scan_flock,
     scan_mill,
@@ -58,16 +60,10 @@ from .sim import (
     integrate,
 )
 from .spectra import (
-    Classification,
-    _report,
     cs_flock_mode_matrix,
-    dense_eigvals,
     det_trace,
     eig4,
     flock_mode_matrix,
-    full_cs_jacobian,
-    full_flock_jacobian,
-    full_hessian,
     mill_mode_matrix,
     mode_envelope,
     mode_cross_coupling,
@@ -106,6 +102,11 @@ def _write_manifest(prefix, command, parameters, outputs, started, seed=None):
         "parameters": parameters,
         "seed": seed,
         "artifact_version": __version__,
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+        },
         "started": started,
         "finished": _now(),
         "outputs": outputs,
@@ -179,40 +180,17 @@ def cmd_radius(args):
 # ---------------------------------------------------------------------------
 
 
-def _single_mode_report(model, args, m):
-    if model == "flock":
-        mat = flock_mode_matrix(args.a, args.b, args.n, m, Propulsion(args.alpha, args.beta))
-    elif model == "flock-cs":
-        mat = cs_flock_mode_matrix(args.a, args.b, args.n, m, args.gamma)
-    else:
-        mat = mill_mode_matrix(args.a, args.b, args.n, m, args.alpha, args.speed)
-    return _report(mat)
-
-
-def _spectrum_rows(args):
-    if args.m is not None:
-        if args.m == 1:
-            return [_single_mode_report(args.model, args, 1)]
-        _, reports = mode_envelope(
-            args.model, args.a, args.b, args.n,
-            alpha=args.alpha, gamma=args.gamma, speed=args.speed,
-            m_min=args.m, m_max=args.m,
-        )
-        return reports
-    _, reports = mode_envelope(
-        args.model, args.a, args.b, args.n,
-        alpha=args.alpha, gamma=args.gamma, speed=args.speed,
-        m_max=args.m_max,
-    )
-    return reports
-
-
 def cmd_spectrum(args):
     started = _now()
     if args.m is None and args.m_max is None:
         args.m_max = (args.n - 1) // 2
+    m_min, m_max = (2, args.m_max) if args.m is None else (args.m, args.m)
     try:
-        rows = _spectrum_rows(args)
+        _, rows = mode_envelope(
+            args.model, args.a, args.b, args.n,
+            alpha=args.alpha, gamma=args.gamma, speed=args.speed,
+            m_min=m_min, m_max=m_max,
+        )
     except (ValueError, TypeError) as exc:
         return _fail(EXIT_USAGE, exc)
     except ArithmeticError as exc:
@@ -282,10 +260,11 @@ def cmd_region(args):
             fixed=fixed,
         )
         scan = _REGION_SCANS[args.model]
+        workers = resolve_workers(args.workers)
     except (ValueError, KeyError) as exc:
         return _fail(EXIT_USAGE, exc)
     try:
-        region = scan(spec, workers=args.workers)
+        region = scan(spec, workers=workers)
     except (ValueError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERICAL, exc)
     outputs = region.write(args.out)
@@ -333,6 +312,8 @@ def cmd_gamma_sweep(args):
         gammas = [float(v) for v in args.gamma_list.split(",") if v]
         if not gammas:
             raise ValueError("empty --gamma-list")
+        if args.m < 1:
+            raise ValueError("need --m >= 1")
     except ValueError as exc:
         return _fail(EXIT_USAGE, exc)
     try:
@@ -585,9 +566,7 @@ def _check_witness():
 
 
 def _check_coupling_zeros():
-    from .rings import flock_ring as _fr
-
-    ring = _fr(PowerLaw(4.5, 1.7), 23)
+    ring = flock_ring(PowerLaw(4.5, 1.7), 23)
     return (
         mode_cross_coupling(4.5, 1.7, ring.radius, 23, 1) == 0.0
         and mode_self_coupling(4.5, 1.7, ring.radius, 23, -1) == 0.0

@@ -26,11 +26,6 @@ __all__ = [
     "Morse",
     "Propulsion",
     "AlignmentKernel",
-    "potential_deriv",
-    "radial_force_factor",
-    "pairwise_force",
-    "propulsion_term",
-    "kernel_value",
 ]
 
 
@@ -103,10 +98,6 @@ class Morse:
         ) * np.exp(-r / self.l_A)
 
 
-#: the closed set of admissible pair interactions
-InteractionPotential = (PowerLaw, Morse)
-
-
 @dataclass(frozen=True)
 class Propulsion:
     """Self-propulsion / friction pair: acceleration (alpha - beta |v|^2) v.
@@ -142,48 +133,3 @@ class AlignmentKernel:
     def value(self, r):
         r = np.asarray(r, dtype=float)
         return (1.0 + r * r) ** (-self.gamma)
-
-
-def _check_potential(potential):
-    if not isinstance(potential, InteractionPotential):
-        raise TypeError(
-            f"unsupported potential type {type(potential).__name__}; "
-            "the admissible set is PowerLaw and Morse"
-        )
-
-
-def potential_deriv(potential, r):
-    """Radial derivative k'(r) of the pair potential, exact analytic form."""
-    _check_potential(potential)
-    return potential.deriv(r)
-
-
-def radial_force_factor(potential, r):
-    """Factor f(r) = -k'(r) / r, so the pairwise force is -f(|x|) x."""
-    _check_potential(potential)
-    r = np.asarray(r, dtype=float)
-    return -potential.deriv(r) / r
-
-
-def pairwise_force(potential, x):
-    """Force contribution grad W(x) = k'(|x|) x / |x| for offset(s) x.
-
-    Accepts a single offset of shape (2,) or a stack of shape (..., 2);
-    odd in x and equivariant under rotations.
-    """
-    _check_potential(potential)
-    x = np.asarray(x, dtype=float)
-    r = np.sqrt(np.sum(x * x, axis=-1))
-    return (potential.deriv(r) / r)[..., np.newaxis] * x
-
-
-def propulsion_term(prop, v):
-    """Acceleration (alpha - beta |v|^2) v for velocities of shape (..., 2)."""
-    v = np.asarray(v, dtype=float)
-    speed2 = np.sum(v * v, axis=-1)
-    return (prop.alpha - prop.beta * speed2)[..., np.newaxis] * v
-
-
-def kernel_value(kernel, r):
-    """Alignment rate g(r) = (1 + r^2)^(-gamma)."""
-    return kernel.value(r)

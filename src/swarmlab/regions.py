@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Classification, _shape_mu_envelope, mode_envelope
+from .spectra import Classification, _shape_mu_envelope, _verdict, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -138,7 +138,7 @@ class RegionMap:
         return [csv_path, json_path]
 
 
-def _metadata(model, spec, extra=None):
+def _metadata(model, spec):
     from . import __version__
 
     md = {
@@ -147,20 +147,21 @@ def _metadata(model, spec, extra=None):
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "m_max": spec.fixed.get("m_max"),
     }
-    if extra:
-        md.update(extra)
     return md
 
 
-def _scan(spec, model, cell_fn, workers):
-    points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
-    nworkers = resolve_workers(workers)
-    if nworkers == 1:
-        cells = [cell_fn(x, y) for x, y in points]
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            cells = list(pool.map(lambda p: cell_fn(*p), points))
-    return RegionMap(spec=spec, model=model, cells=cells, metadata=_metadata(model, spec))
+def _pool_size(workers, jobs, cpus):
+    """Threads for a pool: the requested count, capped by jobs and cores."""
+    return max(1, min(workers, jobs, cpus))
+
+
+def map_jobs(fn, jobs, workers):
+    """[fn(*job) for job in jobs], on a thread pool when more than one fits."""
+    size = _pool_size(resolve_workers(workers), len(jobs), os.cpu_count() or 1)
+    if size == 1:
+        return [fn(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(lambda job: fn(*job), jobs))
 
 
 def _invalid(x, y, msg):
@@ -170,40 +171,58 @@ def _invalid(x, y, msg):
     )
 
 
-def _mu_cell(x, y, a, b, n, m_max):
-    """Flock cell via the positions-only criterion (largest shape eigenvalue)."""
+def _cell(x, y, model, a, b, fixed):
+    """Worst mode and verdict of one grid cell at exponents (a, b).
+
+    Flock cells, and mill cells at speed 0 (the flock problem), take the
+    largest shape eigenvalue per mode, equivalent to the 4x4 verdict;
+    every other cell classifies the 4x4 spectra through mode_envelope.
+    """
     if b >= a:
         return _invalid(x, y, "requires b < a")
+    n, m_max, speed = fixed["n"], fixed["m_max"], fixed["speed"]
+    shape_route = model == "flock" or (model == "mill" and speed == 0.0)
     try:
-        ms, mu1, tol = _shape_mu_envelope(a, b, n, m_max=m_max)
+        if shape_route:
+            ms, mu1, tol = _shape_mu_envelope(a, b, n, m_max=m_max)
+        else:
+            summary, _ = mode_envelope(
+                model, a, b, n, alpha=fixed["alpha"], gamma=fixed["gamma"],
+                speed=speed, m_max=m_max,
+            )
     except (ValueError, ArithmeticError) as exc:
         return _invalid(x, y, str(exc))
+    if not shape_route:
+        return RegionCell(
+            x=x, y=y, classification=summary.classification,
+            max_real=summary.max_real, critical_mode=summary.m,
+        )
     worst = int(np.argmax(mu1))
-    if np.any(mu1 > tol):
-        cls = Classification.UNSTABLE
-    elif np.all(mu1 < -tol):
-        cls = Classification.STABLE
-    else:
-        cls = Classification.MARGINAL
     return RegionCell(
-        x=x, y=y, classification=cls,
+        x=x, y=y, classification=_verdict(np.any(mu1 > tol), np.all(mu1 < -tol)),
         max_real=float(mu1[worst]), critical_mode=int(ms[worst]),
     )
 
 
-def _envelope_cell(x, y, model, a, b, n, m_max, alpha, gamma, speed):
-    if b >= a:
-        return _invalid(x, y, "requires b < a")
-    try:
-        summary, _ = mode_envelope(
-            model, a, b, n, alpha=alpha, gamma=gamma, speed=speed, m_max=m_max
-        )
-    except (ValueError, ArithmeticError) as exc:
-        return _invalid(x, y, str(exc))
-    return RegionCell(
-        x=x, y=y, classification=summary.classification,
-        max_real=summary.max_real, critical_mode=summary.m,
-    )
+def _scan(spec, label, model, workers, a=None):
+    """Map _cell over the grid in x-major order.
+
+    The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
+    one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
+    """
+    f = spec.fixed
+    fixed = {
+        "n": int(f.get("n", 1000)), "m_max": f.get("m_max"),
+        "alpha": float(f.get("alpha", 1.0)), "gamma": float(f.get("gamma", 1.0)),
+        "speed": float(f.get("speed", 0.0)),
+    }
+    points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
+    if a is None:
+        jobs = [(x, y, model, x, y, fixed) for x, y in points]
+    else:
+        jobs = [(x, y, model, a, y, {**fixed, "speed": x}) for x, y in points]
+    cells = map_jobs(_cell, jobs, workers)
+    return RegionMap(spec=spec, model=label, cells=cells, metadata=_metadata(label, spec))
 
 
 def scan_flock(spec, workers=None):
@@ -213,28 +232,12 @@ def scan_flock(spec, workers=None):
     every mode (equivalent to the 4x4 classification), record the worst
     shape eigenvalue and its mode.
     """
-    n = int(spec.fixed.get("n", 1000))
-    m_max = spec.fixed.get("m_max")
-
-    def cell(x, y):
-        return _mu_cell(x, y, a=x, b=y, n=n, m_max=m_max)
-
-    return _scan(spec, "flock", cell, workers)
+    return _scan(spec, "flock", "flock", workers)
 
 
 def scan_cs_flock(spec, workers=None):
     """Stability map of the alignment flock; classifications match scan_flock."""
-    n = int(spec.fixed.get("n", 1000))
-    m_max = spec.fixed.get("m_max")
-    gamma = float(spec.fixed.get("gamma", 1.0))
-
-    def cell(x, y):
-        return _envelope_cell(
-            x, y, "flock-cs", a=x, b=y, n=n, m_max=m_max,
-            alpha=1.0, gamma=gamma, speed=0.0,
-        )
-
-    return _scan(spec, "flock-cs", cell, workers)
+    return _scan(spec, "flock-cs", "flock-cs", workers)
 
 
 def scan_mill(spec, workers=None):
@@ -243,39 +246,15 @@ def scan_mill(spec, workers=None):
     At speed 0 the mill problem degenerates to the flock one, so those
     cells take the flock criterion and the map equals scan_flock.
     """
-    n = int(spec.fixed.get("n", 1000))
-    m_max = spec.fixed.get("m_max")
-    alpha = float(spec.fixed.get("alpha", 1.0))
-    speed = float(spec.fixed.get("speed", 0.0))
-
-    def cell(x, y):
-        if speed == 0.0:
-            return _mu_cell(x, y, a=x, b=y, n=n, m_max=m_max)
-        return _envelope_cell(
-            x, y, "mill", a=x, b=y, n=n, m_max=m_max,
-            alpha=alpha, gamma=1.0, speed=speed,
-        )
-
-    return _scan(spec, "mill", cell, workers)
+    return _scan(spec, "mill", "mill", workers)
 
 
 def scan_speed_b(spec, workers=None):
-    """Mill stability over the (speed, b) plane at fixed exponent a."""
-    n = int(spec.fixed.get("n", 1000))
-    m_max = spec.fixed.get("m_max")
-    alpha = float(spec.fixed.get("alpha", 1.0))
-    a = float(spec.fixed["a"])
+    """Mill stability over the (speed, b) plane at fixed exponent a.
 
-    def cell(x, y):
-        if x == 0.0:
-            # degenerate speed column: the flock problem
-            return _mu_cell(x, y, a=a, b=y, n=n, m_max=m_max)
-        return _envelope_cell(
-            x, y, "mill", a=a, b=y, n=n, m_max=m_max,
-            alpha=alpha, gamma=1.0, speed=x,
-        )
-
-    return _scan(spec, "mill-speed-b", cell, workers)
+    The speed-0 column is the flock problem and takes the flock criterion.
+    """
+    return _scan(spec, "mill-speed-b", "mill", workers, a=float(spec.fixed["a"]))
 
 
 def _mode_range_stable(a, b, n, m_max):
@@ -325,11 +304,10 @@ def gamma_sweep(a, b, n, m, gamma_values):
 
     The magnitude varies with gamma; the sign never does.
     """
-    from .spectra import cs_flock_mode_matrix, eig4
-
     rows = []
     for gamma in gamma_values:
-        mat = cs_flock_mode_matrix(a, b, n, m, float(gamma))
-        vals = eig4(mat)
-        rows.append((float(gamma), float(np.max(vals.real))))
+        summary, _ = mode_envelope(
+            "flock-cs", a, b, n, gamma=float(gamma), m_min=m, m_max=m
+        )
+        rows.append((float(gamma), summary.max_real))
     return rows

@@ -126,10 +126,6 @@ def trig_moment(n, alpha):
     return math.fsum(math.sin(p * math.pi / n) ** alpha for p in range(n)) / n
 
 
-def _powerlaw_moments(potential, n):
-    return trig_moment(n, potential.a), trig_moment(n, potential.b)
-
-
 def _residual_fn(potential, n, speed):
     """Build a cheap scalar residual R -> balance defect.
 
@@ -138,7 +134,7 @@ def _residual_fn(potential, n, speed):
     """
     s2 = speed * speed
     if isinstance(potential, PowerLaw):
-        s_a, s_b = _powerlaw_moments(potential, n)
+        s_a, s_b = trig_moment(n, potential.a), trig_moment(n, potential.b)
         ea, eb = potential.a - 1.0, potential.b - 1.0
 
         def residual(R):
@@ -210,6 +206,26 @@ def _refine(residual, residual_deriv, lo, hi, f_lo, tol):
     return root
 
 
+def _expand_bracket(residual, what):
+    """Widen the default bracket by factors of 4 until it straddles the root.
+
+    Returns (lo, hi, residual(lo)) with residual(lo) < 0 < residual(hi);
+    ``what`` names the root in the error.
+    """
+    lo, hi = _DEFAULT_BRACKET
+    f_lo = residual(lo)
+    while f_lo >= 0 and lo > 1.0 / _MAX_EXPANSION:
+        lo /= 4.0
+        f_lo = residual(lo)
+    f_hi = residual(hi)
+    while f_hi <= 0 and hi < _MAX_EXPANSION:
+        hi *= 4.0
+        f_hi = residual(hi)
+    if f_lo >= 0 or f_hi <= 0:
+        raise ValueError(f"failed to bracket {what}")
+    return lo, hi, f_lo
+
+
 def _make_ring(problem, root):
     if problem.speed > 0:
         return RingSolution(
@@ -245,17 +261,7 @@ def solve_radius(problem):
                 "widen it or use solve_radius_all"
             )
     elif isinstance(problem.potential, PowerLaw):
-        lo, hi = _DEFAULT_BRACKET
-        f_lo = residual(lo)
-        while f_lo >= 0 and lo > 1.0 / _MAX_EXPANSION:
-            lo /= 4.0
-            f_lo = residual(lo)
-        f_hi = residual(hi)
-        while f_hi <= 0 and hi < _MAX_EXPANSION:
-            hi *= 4.0
-            f_hi = residual(hi)
-        if f_lo >= 0 or f_hi <= 0:
-            raise ValueError("failed to bracket a ring radius after expansion")
+        lo, hi, f_lo = _expand_bracket(residual, "a ring radius after expansion")
     else:
         raise ValueError("Morse problems need an explicit bracket")
     root = _refine(residual, residual_deriv, lo, hi, f_lo, problem.tolerance)
@@ -358,17 +364,7 @@ def continuum_radius(a, b, speed=0.0):
             + s2 / (R * R)
         )
 
-    lo, hi = _DEFAULT_BRACKET
-    f_lo = residual(lo)
-    while f_lo >= 0 and lo > 1.0 / _MAX_EXPANSION:
-        lo /= 4.0
-        f_lo = residual(lo)
-    f_hi = residual(hi)
-    while f_hi <= 0 and hi < _MAX_EXPANSION:
-        hi *= 4.0
-        f_hi = residual(hi)
-    if f_lo >= 0 or f_hi <= 0:
-        raise ValueError("failed to bracket the continuum radius")
+    lo, hi, f_lo = _expand_bracket(residual, "the continuum radius")
     return _refine(residual, residual_deriv, lo, hi, f_lo, 1e-12)
 
 

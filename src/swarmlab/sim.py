@@ -17,13 +17,13 @@ parameter value under a fixed seed policy.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
-from .rings import flock_ring, mill_ring, ring_positions
+from .regions import map_jobs
+from .rings import flock_ring, mill_ring
 
 __all__ = [
     "SimulationError",
@@ -655,10 +655,4 @@ def bifurcation_sweep(
         (config, parameter, float(v), i, ic_kind, metric, perturbation, ic_speed)
         for i, v in enumerate(values)
     ]
-    from .regions import resolve_workers
-
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(jobs) == 1:
-        return [_sweep_one(*j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        return list(pool.map(lambda j: _sweep_one(*j), jobs))
+    return map_jobs(_sweep_one, jobs, workers)

@@ -22,7 +22,7 @@ must agree in sign with the reduced criterion (theorem_witness).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -208,26 +208,25 @@ def _weight_vectors(a, b, radius, n):
     return w1, w2
 
 
-def _coupling_tables(a, b, radius, n):
-    """Cosine sums c[k] = sum_p w_p cos(2 pi p k / n) for both weights.
+def _ring_radius(potential, n, speed):
+    return solve_radius(RadiusProblem(potential=potential, n=n, speed=speed)).radius
 
-    I1(m) = c1[0] - c1[fold(m+1)]; I2(m) = c2[fold(m)] - c2[1].
-    Agrees with the direct-summation route to roundoff (tested).
+
+def _ring_couplings(a, b, n, speed, ms):
+    """Ring radius R and the couplings I1(m), I1(-m), I2(m) for modes ``ms``.
+
+    One rfft per weight vector gives the cosine sums
+    c[k] = sum_p w_p cos(2 pi p k / n); then I1(m) = c1[0] - c1[fold(m+1)]
+    and I2(m) = c2[fold(m)] - c2[1].  Agrees with the direct-summation
+    route to roundoff (tested).
     """
-    w1, w2 = _weight_vectors(a, b, radius, n)
-    return np.fft.rfft(w1).real, np.fft.rfft(w2).real
-
-
-def _couplings_from_tables(c1, c2, n, ms):
-    ms = np.asarray(ms)
+    R = _ring_radius(PowerLaw(a, b), n, speed)
+    w1, w2 = _weight_vectors(a, b, R, n)
+    c1, c2 = np.fft.rfft(w1).real, np.fft.rfft(w2).real
     i1_plus = c1[0] - c1[_fold(ms + 1, n)]
     i1_minus = c1[0] - c1[_fold(ms - 1, n)]
     i2 = c2[_fold(ms, n)] - c2[1]
-    return i1_plus, i1_minus, i2
-
-
-def _ring_radius(potential, n, speed):
-    return solve_radius(RadiusProblem(potential=potential, n=n, speed=speed)).radius
+    return R, i1_plus, i1_minus, i2
 
 
 def shape_matrix(a, b, n, m, speed=0.0):
@@ -237,9 +236,7 @@ def shape_matrix(a, b, n, m, speed=0.0):
     speed 0 gives the flock ring.
     """
     R = _ring_radius(PowerLaw(a, b), n, speed)
-    i1p = mode_self_coupling(a, b, R, n, m)
-    i1m = mode_self_coupling(a, b, R, n, -m)
-    i2 = mode_cross_coupling(a, b, R, n, m)
+    i1p, i1m, i2 = _direct_couplings(a, b, R, n, m)
     return ShapeMatrix(entries=np.array([[i1p, i2], [i2, i1m]]))
 
 
@@ -273,11 +270,54 @@ def alignment_damping(gamma, radius, n, m, sign):
     return _checked_real_sum(re, im, "alignment_damping") / n
 
 
-def _top_rows(dtype):
-    top = np.zeros((2, 4), dtype=dtype)
-    top[0, 2] = 1.0
-    top[1, 3] = 1.0
-    return top
+def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
+    """Stack of k mode matrices from coupling arrays of length k.
+
+    Rows 1-2 are [0 0 1 0], [0 0 0 1].  Rows 3-4 put the shape block
+    [[I1(m), I2(m)], [I2(m), I1(-m)]] beside the velocity block: flock
+    [[-alpha, -alpha], [-alpha, -alpha]], flock-cs diag(J+(m), J-(m)),
+    mill [[-alpha, alpha], [alpha, -alpha]].  At omega != 0 the mill stack
+    is complex: the rotating frame adds omega^2 to the shape diagonal,
+    -+ i omega alpha to shape rows 3/4 and -+ 2 i omega to the velocity
+    diagonal.
+    """
+    if model != "flock-cs" and not alpha > 0:
+        raise ValueError("need alpha > 0")
+    i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
+    spinning = model == "mill" and omega != 0.0
+    A = np.zeros((len(i1p), 4, 4), dtype=complex if spinning else float)
+    A[:, 0, 2] = A[:, 1, 3] = 1.0
+    A[:, 2, 0] = i1p
+    A[:, 2, 1] = A[:, 3, 0] = i2
+    A[:, 3, 1] = i1m
+    if model == "flock":
+        A[:, 2:, 2:] = -alpha
+    elif model == "flock-cs":
+        A[:, 2, 2] = jp
+        A[:, 3, 3] = jm
+    elif model == "mill":
+        A[:, 2, 2] = A[:, 3, 3] = -alpha
+        A[:, 2, 3] = A[:, 3, 2] = alpha
+        if spinning:
+            w = omega
+            A[:, 2, 0] = -1j * w * alpha + w * w + i1p
+            A[:, 2, 1] = -1j * w * alpha + i2
+            A[:, 3, 0] = 1j * w * alpha + i2
+            A[:, 3, 1] = 1j * w * alpha + w * w + i1m
+            A[:, 2, 2] = -alpha - 2j * w
+            A[:, 3, 3] = -alpha + 2j * w
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return A
+
+
+def _direct_couplings(a, b, R, n, m):
+    """I1(m), I1(-m), I2(m) by direct summation (the reference route)."""
+    return (
+        mode_self_coupling(a, b, R, n, m),
+        mode_self_coupling(a, b, R, n, -m),
+        mode_cross_coupling(a, b, R, n, m),
+    )
 
 
 def flock_mode_matrix(a, b, n, m, prop):
@@ -291,16 +331,8 @@ def flock_mode_matrix(a, b, n, m, prop):
     if not isinstance(prop, Propulsion):
         raise TypeError("prop must be a Propulsion")
     R = _ring_radius(PowerLaw(a, b), n, 0.0)
-    i1p = mode_self_coupling(a, b, R, n, m)
-    i1m = mode_self_coupling(a, b, R, n, -m)
-    i2 = mode_cross_coupling(a, b, R, n, m)
     al = prop.alpha
-    entries = np.vstack(
-        [
-            _top_rows(float),
-            np.array([[i1p, i2, -al, -al], [i2, i1m, -al, -al]]),
-        ]
-    )
+    entries = _assemble("flock", *_direct_couplings(a, b, R, n, m), alpha=al)[0]
     return ModeMatrix(
         entries=entries,
         model="flock",
@@ -317,17 +349,11 @@ def cs_flock_mode_matrix(a, b, n, m, gamma):
     if isinstance(gamma, AlignmentKernel):
         gamma = gamma.gamma
     R = _ring_radius(PowerLaw(a, b), n, 0.0)
-    i1p = mode_self_coupling(a, b, R, n, m)
-    i1m = mode_self_coupling(a, b, R, n, -m)
-    i2 = mode_cross_coupling(a, b, R, n, m)
     jp = alignment_damping(gamma, R, n, m, +1)
     jm = alignment_damping(gamma, R, n, m, -1)
-    entries = np.vstack(
-        [
-            _top_rows(float),
-            np.array([[i1p, i2, jp, 0.0], [i2, i1m, 0.0, jm]]),
-        ]
-    )
+    entries = _assemble(
+        "flock-cs", *_direct_couplings(a, b, R, n, m), jp=jp, jm=jm
+    )[0]
     return ModeMatrix(
         entries=entries,
         model="flock-cs",
@@ -344,39 +370,13 @@ def mill_mode_matrix(a, b, n, m, alpha, speed):
     Real at speed 0, where the velocity block degenerates to
     [[-alpha, alpha], [alpha, -alpha]].
     """
-    if not alpha > 0:
-        raise ValueError("need alpha > 0")
     if speed < 0:
         raise ValueError("speed must be nonnegative")
     R = _ring_radius(PowerLaw(a, b), n, speed)
     w = speed / R
-    i1p = mode_self_coupling(a, b, R, n, m)
-    i1m = mode_self_coupling(a, b, R, n, -m)
-    i2 = mode_cross_coupling(a, b, R, n, m)
-    if speed == 0.0:
-        rows = np.array(
-            [[i1p, i2, -alpha, alpha], [i2, i1m, alpha, -alpha]], dtype=float
-        )
-        entries = np.vstack([_top_rows(float), rows])
-    else:
-        rows = np.array(
-            [
-                [
-                    -1j * w * alpha + w * w + i1p,
-                    -1j * w * alpha + i2,
-                    -alpha - 2j * w,
-                    alpha,
-                ],
-                [
-                    1j * w * alpha + i2,
-                    1j * w * alpha + w * w + i1m,
-                    alpha,
-                    -alpha + 2j * w,
-                ],
-            ],
-            dtype=complex,
-        )
-        entries = np.vstack([_top_rows(complex), rows])
+    entries = _assemble(
+        "mill", *_direct_couplings(a, b, R, n, m), alpha=alpha, omega=w
+    )[0]
     return ModeMatrix(
         entries=entries,
         model="mill",
@@ -458,77 +458,20 @@ def _forced_modes(model, n, m, i1p, i2):
     return tuple(forced)
 
 
-def _report(mat):
-    vals = eig4(mat)
-    p = mat.params
-    tol = 1e-8 * max(1.0, mat.max_norm)
-    # the (3,1)/(3,2) entries are I1(m)/I2(m) for the flock variants,
-    # which is all _forced_modes needs (mill gets no forced list)
-    i1p = float(np.real(mat.entries[2, 0]))
-    i2 = float(np.real(mat.entries[2, 1]))
-    forced = _forced_modes(mat.model, p["n"], p["m"], i1p, i2)
-    return SpectralReport(
-        m=p["m"],
-        eigenvalues=tuple(vals),
-        max_real=float(np.max(vals.real)),
-        classification=classify(vals, tol=tol, forced=forced),
-    )
+def _alignment_tables(gamma, R, n, ms):
+    """J+(m), J-(m) for modes ``ms`` from one cosine transform of g(d_p)."""
+    p = np.arange(1, n)
+    gv = np.zeros(n)
+    gv[1:] = AlignmentKernel(gamma).value(2.0 * R * np.sin(p * np.pi / n))
+    gc = np.fft.rfft(gv).real / n
+    return gc[_fold(ms + 1, n)] - gc[0], gc[_fold(ms - 1, n)] - gc[0]
 
 
-def _stacked_mode_matrices(model, a, b, n, R, ms, alpha, gamma, omega):
-    """Assemble matrices for many modes at once from the cosine tables."""
-    c1, c2 = _coupling_tables(a, b, R, n)
-    i1p, i1m, i2 = _couplings_from_tables(c1, c2, n, ms)
-    k = len(ms)
-    if model == "mill" and omega != 0.0:
-        A = np.zeros((k, 4, 4), dtype=complex)
-    else:
-        A = np.zeros((k, 4, 4))
-    A[:, 0, 2] = 1.0
-    A[:, 1, 3] = 1.0
-    if model == "flock":
-        A[:, 2, 0] = i1p
-        A[:, 2, 1] = i2
-        A[:, 2, 2] = A[:, 2, 3] = -alpha
-        A[:, 3, 0] = i2
-        A[:, 3, 1] = i1m
-        A[:, 3, 2] = A[:, 3, 3] = -alpha
-    elif model == "flock-cs":
-        kernel = AlignmentKernel(gamma)
-        p = np.arange(1, n)
-        gv = np.zeros(n)
-        gv[1:] = kernel.value(2.0 * R * np.sin(p * np.pi / n))
-        gc = np.fft.rfft(gv).real / n
-        jp = gc[_fold(np.asarray(ms) + 1, n)] - gc[0]
-        jm = gc[_fold(np.asarray(ms) - 1, n)] - gc[0]
-        A[:, 2, 0] = i1p
-        A[:, 2, 1] = i2
-        A[:, 2, 2] = jp
-        A[:, 3, 0] = i2
-        A[:, 3, 1] = i1m
-        A[:, 3, 3] = jm
-    elif model == "mill" and omega == 0.0:
-        A[:, 2, 0] = i1p
-        A[:, 2, 1] = i2
-        A[:, 2, 2] = -alpha
-        A[:, 2, 3] = alpha
-        A[:, 3, 0] = i2
-        A[:, 3, 1] = i1m
-        A[:, 3, 2] = alpha
-        A[:, 3, 3] = -alpha
-    elif model == "mill":
-        w = omega
-        A[:, 2, 0] = -1j * w * alpha + w * w + i1p
-        A[:, 2, 1] = -1j * w * alpha + i2
-        A[:, 2, 2] = -alpha - 2j * w
-        A[:, 2, 3] = alpha
-        A[:, 3, 0] = 1j * w * alpha + i2
-        A[:, 3, 1] = 1j * w * alpha + w * w + i1m
-        A[:, 3, 2] = alpha
-        A[:, 3, 3] = -alpha + 2j * w
-    else:
-        raise ValueError(f"unknown model {model!r}")
-    return A, i1p, i1m, i2
+def _verdict(any_unstable, all_stable):
+    """Aggregate verdict over modes: unstable beats marginal beats stable."""
+    if any_unstable:
+        return Classification.UNSTABLE
+    return Classification.STABLE if all_stable else Classification.MARGINAL
 
 
 _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
@@ -544,24 +487,21 @@ def mode_envelope(
     stable; unstable if any is).  The default m_max is (n-1)//2, the
     largest mode below the self-conjugate wavelength, so the aggregate
     isn't polluted by the structurally neutral half-wavelength mode on
-    even n; pass m_max explicitly to include it.
+    even n; pass m_max explicitly to include it.  m_min = 1 takes in the
+    rotation/translation mode, whose structural zero I1(-1) = I2(1) = 0
+    the cosine tables give exactly.
     """
     if model not in _ENVELOPE_MODELS:
         raise ValueError(f"model must be one of {_ENVELOPE_MODELS}")
     if m_max is None:
         m_max = (n - 1) // 2
-    if not 2 <= m_min <= m_max:
-        raise ValueError("need 2 <= m_min <= m_max")
-    if model == "mill":
-        R = _ring_radius(PowerLaw(a, b), n, speed)
-        omega = speed / R
-    else:
-        R = _ring_radius(PowerLaw(a, b), n, 0.0)
-        omega = 0.0
+    if not 1 <= m_min <= m_max:
+        raise ValueError("need 1 <= m_min <= m_max")
     ms = np.arange(m_min, m_max + 1)
-    A, i1p, i1m, i2 = _stacked_mode_matrices(
-        model, a, b, n, R, ms, alpha, gamma, omega
-    )
+    speed = speed if model == "mill" else 0.0
+    R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
+    jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
+    A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
     vals = np.linalg.eigvals(A)
     max_re = vals.real.max(axis=1)
     norms = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
@@ -582,36 +522,24 @@ def mode_envelope(
         )
     worst_idx = int(np.argmax(max_re))
     kinds = [r.classification for r in reports]
-    if Classification.UNSTABLE in kinds:
-        overall = Classification.UNSTABLE
-    elif all(k == Classification.STABLE for k in kinds):
-        overall = Classification.STABLE
-    else:
-        overall = Classification.MARGINAL
-    worst = reports[worst_idx]
-    summary = SpectralReport(
-        m=worst.m,
-        eigenvalues=worst.eigenvalues,
-        max_real=worst.max_real,
-        classification=overall,
+    overall = _verdict(
+        Classification.UNSTABLE in kinds, all(k == Classification.STABLE for k in kinds)
     )
-    return summary, reports
+    return replace(reports[worst_idx], classification=overall), reports
 
 
-def _shape_mu_envelope(a, b, n, m_min=2, m_max=None, speed=0.0):
+def _shape_mu_envelope(a, b, n, m_max=None):
     """Largest shape-matrix eigenvalue per mode (the D/T criterion route).
 
-    Returns (ms, mu1, tol) arrays; mu1[m] > tol means the positions-only
-    criterion (det > 0 and trace < 0) fails for that mode.  Used by the
-    flock region scans and the separatrix bisection, where the full 4x4
-    spectrum adds nothing but cost.
+    Returns (ms, mu1, tol) arrays over modes 2..m_max; mu1[m] > tol means
+    the positions-only criterion (det > 0 and trace < 0) fails for that
+    mode.  Used by the flock region scans and the separatrix bisection,
+    where the full 4x4 spectrum adds nothing but cost.
     """
     if m_max is None:
         m_max = (n - 1) // 2
-    R = _ring_radius(PowerLaw(a, b), n, speed)
-    c1, c2 = _coupling_tables(a, b, R, n)
-    ms = np.arange(m_min, m_max + 1)
-    i1p, i1m, i2 = _couplings_from_tables(c1, c2, n, ms)
+    ms = np.arange(2, m_max + 1)
+    _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
     half_diff = 0.5 * (i1p - i1m)
     mu1 = 0.5 * (i1p + i1m) + np.sqrt(half_diff * half_diff + i2 * i2)
     norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
@@ -625,12 +553,10 @@ def det_asymptotics(a, b, n, m_values):
     decays like a power of m with exponent 1-b for b in (1,2), so there
     is no spectral gap at large mode numbers.
     """
-    R = _ring_radius(PowerLaw(a, b), n, 0.0)
-    c1, c2 = _coupling_tables(a, b, R, n)
     ms = np.asarray(sorted(int(m) for m in m_values))
     if np.any(ms < 2) or np.any(ms > n - 2):
         raise ValueError("modes must lie in [2, n-2]")
-    i1p, i1m, i2 = _couplings_from_tables(c1, c2, n, ms)
+    _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
     dets = i1p * i1m - i2 * i2
     slope = float(np.polyfit(np.log(ms), np.log(np.abs(dets)), 1)[0])
     return [(int(m), float(d)) for m, d in zip(ms, dets)], slope

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -54,6 +55,10 @@ class TestRadius:
         assert manifest["parameters"]["radius"] == pytest.approx(3 ** -0.5, abs=1e-10)
         assert manifest["outputs"] == []
         assert manifest["artifact_version"]
+        env = manifest["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["platform"] == platform.platform()
 
     def test_missing_potential_is_usage_error(self, capsys):
         assert main(["radius", "--n", "100"]) == 2
@@ -102,6 +107,12 @@ class TestSpectrum:
                      "--n", "10", "--m", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nonpositive_alpha_is_usage_error(self, capsys):
+        for model, m in (("flock", "1"), ("mill", "1"), ("mill", "3")):
+            assert main(["spectrum", "--model", model, "--a", "4", "--b", "1.5",
+                         "--n", "20", "--m", m, "--alpha", "-1", "--speed", "0.3"]) == 2
+            assert capsys.readouterr().err.startswith("error: need alpha > 0")
+
 
 class TestRegion:
     def test_map_and_sidecar(self, in_tmp):
@@ -134,6 +145,13 @@ class TestRegion:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_malformed_worker_env_is_usage_error(self, in_tmp, monkeypatch, capsys):
+        monkeypatch.setenv("SWARMLAB_WORKERS", "abc")
+        assert main(["region", "--model", "flock", "--grid", "a:3:7:3", "b:0.5:2.5:3",
+                     "--fixed", "n=50", "--out", "reg"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (in_tmp / "reg.csv").exists()
+
 
 class TestSeparatrixAndGamma:
     def test_separatrix_csv(self, in_tmp):
@@ -158,6 +176,11 @@ class TestSeparatrixAndGamma:
     def test_empty_list_is_usage_error(self, capsys):
         assert main(["gamma-sweep", "--a", "3", "--b", "2.5", "--n", "100",
                      "--m", "5", "--gamma-list", ","]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_mode_below_one_is_usage_error(self, capsys):
+        assert main(["gamma-sweep", "--a", "3", "--b", "2.5", "--n", "100",
+                     "--m", "0", "--gamma-list", "1"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from swarmlab.potentials import (
-    AlignmentKernel,
-    Morse,
-    PowerLaw,
-    Propulsion,
-    kernel_value,
-    pairwise_force,
-    potential_deriv,
-    propulsion_term,
-    radial_force_factor,
-)
+from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
+from swarmlab.sim import SimConfig, SwarmState, rhs
+
+
+def propulsion_dv(prop, positions, velocities, pot=PowerLaw(3.0, 1.5)):
+    """Accelerations rhs gives the propulsion model at one state."""
+    positions = np.asarray(positions, dtype=float)
+    cfg = SimConfig(model="propulsion", potential=pot, n=len(positions),
+                    t_final=1.0, propulsion=prop)
+    state = SwarmState(t=0.0, positions=positions,
+                       velocities=np.asarray(velocities, dtype=float))
+    return rhs(state, cfg)[1]
 
 
 class TestPowerLaw:
@@ -89,15 +90,16 @@ class TestPropulsion:
         assert Propulsion(1.0, 100.0).asymptotic_speed == pytest.approx(0.1)
 
     def test_term_vanishes_at_asymptotic_speed(self):
+        # a lone particle feels only propulsion
         prop = Propulsion(2.0, 8.0)
-        v = np.array([[0.5, 0.0], [0.0, -0.5], [0.3, 0.4]])
-        out = propulsion_term(prop, v)
-        assert np.allclose(out, 0.0, atol=1e-15)
+        for v in ([0.5, 0.0], [0.0, -0.5], [0.3, 0.4]):
+            out = propulsion_dv(prop, [[0.0, 0.0]], [v])
+            assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_term_accelerates_slow_brakes_fast(self):
         prop = Propulsion(1.0, 1.0)
-        slow = propulsion_term(prop, np.array([[0.5, 0.0]]))
-        fast = propulsion_term(prop, np.array([[2.0, 0.0]]))
+        slow = propulsion_dv(prop, [[0.0, 0.0]], [[0.5, 0.0]])
+        fast = propulsion_dv(prop, [[0.0, 0.0]], [[2.0, 0.0]])
         assert slow[0, 0] > 0
         assert fast[0, 0] < 0
 
@@ -111,10 +113,10 @@ class TestPropulsion:
 class TestAlignmentKernel:
     def test_value_and_monotonicity(self):
         k = AlignmentKernel(1.0)
-        assert kernel_value(k, 0.0) == 1.0
-        assert kernel_value(k, 1.0) == pytest.approx(0.5)
+        assert k.value(0.0) == 1.0
+        assert k.value(1.0) == pytest.approx(0.5)
         r = np.linspace(0.0, 10.0, 50)
-        g = kernel_value(k, r)
+        g = k.value(r)
         assert np.all(g > 0)
         assert np.all(np.diff(g) < 0)
 
@@ -126,30 +128,17 @@ class TestAlignmentKernel:
 
 
 class TestForceHelpers:
-    def test_potential_deriv_dispatch(self):
-        assert potential_deriv(PowerLaw(4.0, 2.0), 2.0) == pytest.approx(6.0)
-        with pytest.raises(TypeError):
-            potential_deriv(object(), 1.0)
-
-    def test_radial_force_factor_sign(self):
-        # attractive chord (k' > 0) gives a force -f(r) x pointing back, f > 0...
-        # convention: factor is -k'(r)/r
-        pot = PowerLaw(4.0, 2.0)
-        assert radial_force_factor(pot, 2.0) == pytest.approx(-3.0)
-        assert radial_force_factor(pot, 0.5) > 0
-
     def test_pairwise_force_oddness_and_rotation(self, rng):
-        pot = PowerLaw(3.0, 1.5)
+        # the pair force as rhs applies it: at rest, two particles pull on
+        # each other equally and oppositely, and rotating a whole state
+        # rotates its accelerations
+        prop = Propulsion(1.0, 1.0)
         x = rng.uniform(-2, 2, size=(6, 2)) + np.array([3.0, 0.0])
-        f = pairwise_force(pot, x)
-        assert np.allclose(pairwise_force(pot, -x), -f, atol=1e-12)
+        for offset in x:
+            dv = propulsion_dv(prop, [[0.0, 0.0], offset], np.zeros((2, 2)))
+            assert np.allclose(dv[0], -dv[1], atol=1e-12)
+        v = rng.uniform(-1, 1, size=(6, 2))
+        dv = propulsion_dv(prop, x, v)
         c, s = np.cos(0.7), np.sin(0.7)
         Q = np.array([[c, -s], [s, c]])
-        assert np.allclose(pairwise_force(pot, x @ Q.T), f @ Q.T, atol=1e-12)
-
-    def test_pairwise_force_single_offset(self):
-        pot = PowerLaw(4.0, 2.0)
-        f = pairwise_force(pot, np.array([2.0, 0.0]))
-        assert f.shape == (2,)
-        assert f[0] == pytest.approx(6.0)
-        assert f[1] == 0.0
+        assert np.allclose(propulsion_dv(prop, x @ Q.T, v @ Q.T), dv @ Q.T, atol=1e-12)

@@ -5,6 +5,7 @@ import pytest
 
 from swarmlab.regions import (
     GridSpec,
+    _pool_size,
     RegionMap,
     gamma_sweep,
     resolve_workers,
@@ -90,6 +91,14 @@ class TestScanFlock:
         monkeypatch.delenv("SWARMLAB_WORKERS")
         assert resolve_workers() == 1
         assert resolve_workers(7) == 7
+
+    def test_pool_size_capped_by_jobs_and_cores(self):
+        # pure arithmetic: no pool is built for these requests
+        assert _pool_size(10**6, 400, 2) == 2
+        assert _pool_size(10**6, 3, 64) == 3
+        assert _pool_size(4, 400, 8) == 4
+        assert _pool_size(8, 1, 8) == 1
+        assert _pool_size(8, 0, 8) == 1
 
     def test_subgrid_cells_match_full_grid(self):
         full = scan_flock(small_spec(n=100))

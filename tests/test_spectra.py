@@ -280,6 +280,20 @@ class TestClassify:
         assert classify(vals) == Classification.MARGINAL
 
 
+def assert_matches_direct(rep, mat):
+    """An envelope report against eig4 + classify of a direct-sum matrix.
+
+    The flock variants carry one structural zero eigenvalue at m = 1 (no
+    mode here has 2m = n, so no forced oscillation pair); mill matrices
+    get no forced list.
+    """
+    direct = eig4(mat)
+    assert np.allclose(np.array(rep.eigenvalues), direct, atol=1e-10)
+    forced = (0.0,) if mat.model != "mill" and rep.m == 1 else ()
+    tol = 1e-8 * max(1.0, mat.max_norm)
+    assert rep.classification == classify(direct, tol=tol, forced=forced)
+
+
 class TestEnvelope:
     def test_worst_mode_is_reported(self):
         summary, reports = mode_envelope("flock", 5, 0.5, 200)
@@ -310,22 +324,22 @@ class TestEnvelope:
 
     def test_envelope_agrees_with_single_mode_route(self):
         prop = Propulsion(1.0, 1.0)
-        _, reports = mode_envelope("flock", 4.5, 1.3, 24, alpha=1.0)
+        _, reports = mode_envelope("flock", 4.5, 1.3, 24, alpha=1.0, m_min=1)
+        assert [r.m for r in reports] == list(range(1, 12))
         for rep in reports:
-            direct = eig4(flock_mode_matrix(4.5, 1.3, 24, rep.m, prop))
-            assert np.allclose(np.array(rep.eigenvalues), direct, atol=1e-10)
+            assert_matches_direct(rep, flock_mode_matrix(4.5, 1.3, 24, rep.m, prop))
 
     def test_cs_envelope_agrees_with_single_mode_route(self):
-        _, reports = mode_envelope("flock-cs", 4.5, 1.3, 24, gamma=0.8)
+        _, reports = mode_envelope("flock-cs", 4.5, 1.3, 24, gamma=0.8, m_min=1)
+        assert reports[0].m == 1
         for rep in reports:
-            direct = eig4(cs_flock_mode_matrix(4.5, 1.3, 24, rep.m, 0.8))
-            assert np.allclose(np.array(rep.eigenvalues), direct, atol=1e-10)
+            assert_matches_direct(rep, cs_flock_mode_matrix(4.5, 1.3, 24, rep.m, 0.8))
 
     def test_mill_envelope_agrees_with_single_mode_route(self):
-        _, reports = mode_envelope("mill", 4.5, 1.3, 24, alpha=0.9, speed=0.4)
+        _, reports = mode_envelope("mill", 4.5, 1.3, 24, alpha=0.9, speed=0.4, m_min=1)
+        assert reports[0].m == 1
         for rep in reports:
-            direct = eig4(mill_mode_matrix(4.5, 1.3, 24, rep.m, 0.9, 0.4))
-            assert np.allclose(np.array(rep.eigenvalues), direct, atol=1e-10)
+            assert_matches_direct(rep, mill_mode_matrix(4.5, 1.3, 24, rep.m, 0.9, 0.4))
 
     def test_mode_range_nesting(self):
         # the stable set over modes {2..m'} contains the one over {2..m}
@@ -341,6 +355,8 @@ class TestEnvelope:
             mode_envelope("nope", 4, 2, 10)
         with pytest.raises(ValueError):
             mode_envelope("flock", 4, 2, 10, m_min=5, m_max=3)
+        with pytest.raises(ValueError):
+            mode_envelope("flock", 4, 2, 10, m_min=0, m_max=3)
 
 
 class TestDetAsymptotics:
