@@ -11,8 +11,11 @@ Subcommands map one-to-one to the package's experiment types::
     swarmlab bifurcate   metric-vs-parameter sweep of simulations
     swarmlab validate    fast built-in invariant suite
 
-Every command writes a JSON run manifest referencing its output files.
-Exit codes: 0 success, 2 usage error, 3 numerical failure, 4 validation
+Each ``cmd_*`` parses its arguments, computes, writes its data files and
+returns ``(parameters, outputs, seed)``; :func:`main` alone maps
+exceptions to exit codes and writes the JSON run manifest.  Exit codes:
+0 success, 2 usage error (ValueError, TypeError, KeyError, OSError),
+3 numerical failure (ArithmeticError, SimulationError), 4 validation
 failure.  Errors are a single ``error: ...`` line on stderr.  The
 SWARMLAB_WORKERS environment variable (or --workers) sets the worker
 count; results never depend on it.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import platform
 import sys
 
@@ -33,7 +37,6 @@ from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from .regions import (
     GridSpec,
     gamma_sweep,
-    resolve_workers,
     scan_cs_flock,
     scan_flock,
     scan_mill,
@@ -95,8 +98,7 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_manifest(prefix, command, parameters, outputs, started, seed=None):
-    path = f"{prefix}.manifest.json"
+def _write_manifest(prefix, command, parameters, outputs, started, seed):
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -106,21 +108,37 @@ def _write_manifest(prefix, command, parameters, outputs, started, seed=None):
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(),
+            "nproc": os.cpu_count(),
         },
         "started": started,
         "finished": _now(),
         "outputs": outputs,
     }
-    with open(path, "w", newline="\n") as fh:
+    with open(f"{prefix}.manifest.json", "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _write_text(path, text):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
     return path
+
+
+def _write_csv(path, header, lines):
+    return _write_text(path, "\n".join([header, *lines]) + "\n")
+
+
+def _flags(args):
+    """The parsed flags of a command, as its manifest records them."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+
+
+def _float_list(text, flag):
+    values = [float(v) for v in text.split(",") if v]
+    if not values:
+        raise ValueError(f"empty {flag}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +156,17 @@ def _potential_from_args(args):
 
 
 def cmd_radius(args):
-    started = _now()
-    try:
-        potential = _potential_from_args(args)
-        problem = RadiusProblem(
-            potential=potential,
-            n=args.n,
-            speed=args.speed,
-            bracket=tuple(args.bracket) if args.bracket else None,
-        )
-    except (ValueError, TypeError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        ring = solve_radius(problem)
-    except ValueError as exc:
-        return _fail(EXIT_NUMERICAL, exc)
+    problem = RadiusProblem(
+        potential=_potential_from_args(args),
+        n=args.n,
+        speed=args.speed,
+        bracket=tuple(args.bracket) if args.bracket else None,
+    )
+    ring = solve_radius(problem)
     residual = radius_residual(problem, ring.radius)
     print(f"R={ring.radius!r} omega={ring.omega!r} residual={residual!r} kind={ring.kind}")
-    _write_manifest(
-        args.out,
-        "radius",
-        {
-            "a": args.a,
-            "b": args.b,
-            "morse": args.morse,
-            "n": args.n,
-            "speed": args.speed,
-            "bracket": args.bracket,
-            "radius": ring.radius,
-            "omega": ring.omega,
-            "residual": residual,
-        },
-        [],
-        started,
-    )
-    return EXIT_OK
+    parameters = {**_flags(args), "radius": ring.radius, "omega": ring.omega, "residual": residual}
+    return parameters, [], None
 
 
 # ---------------------------------------------------------------------------
@@ -181,39 +175,23 @@ def cmd_radius(args):
 
 
 def cmd_spectrum(args):
-    started = _now()
     if args.m is None and args.m_max is None:
         args.m_max = (args.n - 1) // 2
     m_min, m_max = (2, args.m_max) if args.m is None else (args.m, args.m)
-    try:
-        _, rows = mode_envelope(
-            args.model, args.a, args.b, args.n,
-            alpha=args.alpha, gamma=args.gamma, speed=args.speed,
-            m_min=m_min, m_max=m_max,
-        )
-    except (ValueError, TypeError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    except ArithmeticError as exc:
-        return _fail(EXIT_NUMERICAL, exc)
-    lines = ["m,re1,re2,re3,re4,im1,im2,im3,im4,classification"]
+    _, rows = mode_envelope(
+        args.model, args.a, args.b, args.n,
+        alpha=args.alpha, gamma=args.gamma, speed=args.speed,
+        m_min=m_min, m_max=m_max,
+    )
+    lines = []
     for r in rows:
         res = ",".join(repr(float(v.real)) for v in r.eigenvalues)
         ims = ",".join(repr(float(v.imag)) for v in r.eigenvalues)
         lines.append(f"{r.m},{res},{ims},{r.classification.value}")
-    csv_path = _write_text(f"{args.out}.csv", "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
-    _write_manifest(
-        args.out,
-        "spectrum",
-        {
-            "model": args.model, "a": args.a, "b": args.b, "n": args.n,
-            "m": args.m, "m_max": args.m_max, "alpha": args.alpha,
-            "beta": args.beta, "gamma": args.gamma, "speed": args.speed,
-        },
-        [csv_path],
-        started,
+    csv_path = _write_csv(
+        f"{args.out}.csv", "m,re1,re2,re3,re4,im1,im2,im3,im4,classification", lines
     )
-    return EXIT_OK
+    return _flags(args), [csv_path], None
 
 
 # ---------------------------------------------------------------------------
@@ -249,90 +227,33 @@ _REGION_SCANS = {
 
 
 def cmd_region(args):
-    started = _now()
-    try:
-        x_axis = _parse_axis(args.grid[0])
-        y_axis = _parse_axis(args.grid[1])
-        fixed = _parse_fixed(args.fixed)
-        spec = GridSpec(
-            x_name=x_axis[0], x_min=x_axis[1], x_max=x_axis[2], x_count=x_axis[3],
-            y_name=y_axis[0], y_min=y_axis[1], y_max=y_axis[2], y_count=y_axis[3],
-            fixed=fixed,
-        )
-        scan = _REGION_SCANS[args.model]
-        workers = resolve_workers(args.workers)
-    except (ValueError, KeyError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        region = scan(spec, workers=workers)
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(EXIT_NUMERICAL, exc)
-    outputs = region.write(args.out)
-    print(f"wrote {outputs[0]} and {outputs[1]}")
-    _write_manifest(
-        args.out,
-        "region",
-        {"model": args.model, "grid": spec.to_dict(), "workers": args.workers},
-        outputs,
-        started,
+    spec = GridSpec(
+        *_parse_axis(args.grid[0]), *_parse_axis(args.grid[1]), fixed=_parse_fixed(args.fixed)
     )
-    return EXIT_OK
+    region = _REGION_SCANS[args.model](spec, workers=args.workers)
+    outputs = region.write(args.out)
+    parameters = {"model": args.model, "grid": spec.to_dict(), "workers": args.workers}
+    return parameters, outputs, None
 
 
 def cmd_separatrix(args):
-    started = _now()
-    try:
-        a_values = [float(v) for v in args.a_list.split(",") if v]
-        if not a_values:
-            raise ValueError("empty --a-list")
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        rows = separatrix_check(a_values, args.n, m_max=args.m_max, steps=args.steps)
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(EXIT_NUMERICAL, exc)
-    lines = ["a,b_boundary,a_over_a_minus_1,gap"]
-    for a, boundary, target, gap in rows:
-        lines.append(f"{a!r},{boundary!r},{target!r},{gap!r}")
-    csv_path = _write_text(f"{args.out}.csv", "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
-    _write_manifest(
-        args.out,
-        "separatrix",
-        {"a_list": a_values, "n": args.n, "m_max": args.m_max, "steps": args.steps},
-        [csv_path],
-        started,
+    a_values = _float_list(args.a_list, "--a-list")
+    rows = separatrix_check(a_values, args.n, m_max=args.m_max, steps=args.steps)
+    csv_path = _write_csv(
+        f"{args.out}.csv",
+        "a,b_boundary,a_over_a_minus_1,gap",
+        (f"{a!r},{boundary!r},{target!r},{gap!r}" for a, boundary, target, gap in rows),
     )
-    return EXIT_OK
+    return {**_flags(args), "a_list": a_values}, [csv_path], None
 
 
 def cmd_gamma_sweep(args):
-    started = _now()
-    try:
-        gammas = [float(v) for v in args.gamma_list.split(",") if v]
-        if not gammas:
-            raise ValueError("empty --gamma-list")
-        if args.m < 1:
-            raise ValueError("need --m >= 1")
-    except ValueError as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        rows = gamma_sweep(args.a, args.b, args.n, args.m, gammas)
-    except (ValueError, ArithmeticError) as exc:
-        return _fail(EXIT_NUMERICAL, exc)
-    lines = ["gamma,max_re"]
-    for gamma, max_re in rows:
-        lines.append(f"{gamma!r},{max_re!r}")
-    csv_path = _write_text(f"{args.out}.csv", "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
-    _write_manifest(
-        args.out,
-        "gamma-sweep",
-        {"a": args.a, "b": args.b, "n": args.n, "m": args.m, "gamma_list": gammas},
-        [csv_path],
-        started,
+    gammas = _float_list(args.gamma_list, "--gamma-list")
+    rows = gamma_sweep(args.a, args.b, args.n, args.m, gammas)
+    csv_path = _write_csv(
+        f"{args.out}.csv", "gamma,max_re", (f"{g!r},{max_re!r}" for g, max_re in rows)
     )
-    return EXIT_OK
+    return {**_flags(args), "gamma_list": gammas}, [csv_path], None
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +292,11 @@ _SIM_OVERRIDES = ("t_final", "seed", "n", "rtol", "atol", "sample_every")
 
 
 def _load_sim_config(args):
+    """The SimConfig of --config with flag overrides, and its resolved JSON."""
     with open(args.config) as fh:
         data = json.load(fh)
     for key in _SIM_OVERRIDES:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             data[key] = value
     config = SimConfig(
@@ -390,6 +312,7 @@ def _load_sim_config(args):
         sample_every=float(data.get("sample_every", 1.0)),
         min_distance_guard=data.get("min_distance_guard"),
     )
+    data.update({key: getattr(config, key) for key in _SIM_OVERRIDES})
     return config, data
 
 
@@ -415,89 +338,43 @@ def _ring_and_state(config, ic_data):
     return ring, state
 
 
-def _trajectory_csv(states):
-    lines = ["t,j,x,y,vx,vy"]
-    for st in states:
-        for j in range(st.n):
-            lines.append(
-                f"{st.t!r},{j},{st.positions[j,0]!r},{st.positions[j,1]!r},"
-                f"{st.velocities[j,0]!r},{st.velocities[j,1]!r}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args):
-    started = _now()
-    try:
-        config, data = _load_sim_config(args)
-        ring, state = _ring_and_state(config, data.get("ic", {}))
-    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        result = integrate(config, state, reference=ring)
-    except SimulationError as exc:
-        return _fail(EXIT_NUMERICAL, exc)
+    config, data = _load_sim_config(args)
+    ring, state = _ring_and_state(config, data.get("ic", {}))
+    result = integrate(config, state, reference=ring)
     outputs = [_write_text(f"{args.out}_metrics.csv", result.metrics.csv_text())]
     if args.traj:
-        outputs.append(_write_text(f"{args.out}_trajectory.csv", _trajectory_csv(result.states)))
-    print(f"wrote {', '.join(outputs)}")
-    data_resolved = dict(data)
-    data_resolved.update(
-        {"rtol": config.rtol, "atol": config.atol, "seed": config.seed,
-         "t_final": config.t_final, "n": config.n, "sample_every": config.sample_every}
-    )
-    _write_manifest(
-        args.out,
-        "simulate",
-        {"config": data_resolved, "ring_radius": ring.radius, "stats": result.stats},
-        outputs,
-        started,
-        seed=config.seed,
-    )
-    return EXIT_OK
+        lines = (
+            f"{st.t!r},{j},{st.positions[j,0]!r},{st.positions[j,1]!r},"
+            f"{st.velocities[j,0]!r},{st.velocities[j,1]!r}"
+            for st in result.states
+            for j in range(st.n)
+        )
+        outputs.append(_write_csv(f"{args.out}_trajectory.csv", "t,j,x,y,vx,vy", lines))
+    parameters = {"config": data, "ring_radius": ring.radius, "stats": result.stats}
+    return parameters, outputs, config.seed
 
 
 def cmd_bifurcate(args):
-    started = _now()
-    try:
-        config, data = _load_sim_config(args)
-        values = [float(v) for v in args.values.split(",") if v]
-        if not values:
-            raise ValueError("empty --values")
-        ic_data = data.get("ic", {})
-        perturbation = _perturbation_from_json(ic_data.get("perturbation"))
-    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    try:
-        rows = bifurcation_sweep(
-            config,
-            args.param,
-            values,
-            ic_kind=ic_data.get("kind", "flock"),
-            metric=args.metric,
-            perturbation=perturbation,
-            ic_speed=ic_data.get("speed"),
-            workers=args.workers,
-        )
-    except SimulationError as exc:
-        return _fail(EXIT_NUMERICAL, exc)
-    except (ValueError, TypeError) as exc:
-        return _fail(EXIT_USAGE, exc)
-    lines = ["value,metric"]
-    for value, metric in rows:
-        lines.append(f"{value!r},{metric!r}")
-    csv_path = _write_text(f"{args.out}.csv", "\n".join(lines) + "\n")
-    print(f"wrote {csv_path}")
-    _write_manifest(
-        args.out,
-        "bifurcate",
-        {"config": data, "param": args.param, "values": values, "metric": args.metric,
-         "seed_policy": "base_seed + value_index"},
-        [csv_path],
-        started,
-        seed=config.seed,
+    config, data = _load_sim_config(args)
+    values = _float_list(args.values, "--values")
+    ic_data = data.get("ic", {})
+    rows = bifurcation_sweep(
+        config,
+        args.param,
+        values,
+        ic_kind=ic_data.get("kind", "flock"),
+        metric=args.metric,
+        perturbation=_perturbation_from_json(ic_data.get("perturbation")),
+        ic_speed=ic_data.get("speed"),
+        workers=args.workers,
     )
-    return EXIT_OK
+    csv_path = _write_csv(
+        f"{args.out}.csv", "value,metric", (f"{value!r},{metric!r}" for value, metric in rows)
+    )
+    parameters = {"config": data, "param": args.param, "values": values, "metric": args.metric,
+                  "seed_policy": "base_seed + value_index"}
+    return parameters, [csv_path], config.seed
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +463,6 @@ _VALIDATIONS = [
 
 
 def cmd_validate(args):
-    started = _now()
     failures = 0
     results = {}
     for name, fn in _VALIDATIONS:
@@ -598,10 +474,7 @@ def cmd_validate(args):
         results.setdefault(name, "ok" if ok else "failed")
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
-    _write_manifest(
-        args.out, "validate", {"results": results, "failures": failures}, [], started
-    )
-    return EXIT_OK if failures == 0 else EXIT_VALIDATION
+    return {"results": results, "failures": failures}, [], None
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +505,6 @@ def build_parser():
     p.add_argument("--m", type=int)
     p.add_argument("--m-max", dest="m_max", type=int)
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--speed", type=float, default=0.0)
     p.add_argument("--out", default="swarmlab_spectrum")
@@ -664,31 +536,28 @@ def build_parser():
     p.add_argument("--out", default="swarmlab_gamma_sweep")
     p.set_defaults(func=cmd_gamma_sweep)
 
-    p = sub.add_parser("simulate", help="run one simulation from a JSON config")
-    p.add_argument("--config", required=True)
+    # --config and its overrides, shared by simulate and bifurcate
+    sim_flags = _Parser(add_help=False)
+    sim_flags.add_argument("--config", required=True)
+    sim_flags.add_argument("--t-final", dest="t_final", type=float)
+    sim_flags.add_argument("--seed", type=int)
+    sim_flags.add_argument("--n", type=int)
+    sim_flags.add_argument("--rtol", type=float)
+    sim_flags.add_argument("--atol", type=float)
+    sim_flags.add_argument("--sample-every", dest="sample_every", type=float)
+    p = sub.add_parser("simulate", parents=[sim_flags],
+                       help="run one simulation from a JSON config")
     p.add_argument("--out", default="swarmlab_sim")
     p.add_argument("--traj", action="store_true", help="also write the trajectory CSV")
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--sample-every", dest="sample_every", type=float)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("bifurcate", help="sweep a parameter over simulations")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("bifurcate", parents=[sim_flags],
+                       help="sweep a parameter over simulations")
     p.add_argument("--param", choices=("b", "speed"), required=True)
     p.add_argument("--values", required=True)
     p.add_argument("--metric", choices=("cluster", "fatten", "polarization", "angular_momentum"),
                    default="cluster")
     p.add_argument("--workers", type=int)
-    p.add_argument("--t-final", dest="t_final", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--sample-every", dest="sample_every", type=float)
     p.add_argument("--out", default="swarmlab_bifurcation")
     p.set_defaults(func=cmd_bifurcate)
 
@@ -700,9 +569,23 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand and return its exit code (see the module docstring)."""
+    args = build_parser().parse_args(argv)
+    started = _now()
+    try:
+        parameters, outputs, seed = args.func(args)
+    except (ArithmeticError, SimulationError) as exc:
+        return _fail(EXIT_NUMERICAL, exc)
+    except KeyError as exc:
+        return _fail(EXIT_USAGE, f"missing key {exc}")
+    except (ValueError, TypeError, OSError) as exc:
+        return _fail(EXIT_USAGE, exc)
+    if outputs:
+        print(f"wrote {', '.join(outputs)}")
+    _write_manifest(args.out, args.command, parameters, outputs, started, seed)
+    if args.command == "validate" and parameters["failures"]:
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

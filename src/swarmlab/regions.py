@@ -36,6 +36,9 @@ __all__ = [
     "gamma_sweep",
 ]
 
+# points of separatrix_check's coarse scan for the first stable b
+_COARSE = 9
+
 
 def resolve_workers(workers=None):
     """Worker-count knob: explicit argument, then SWARMLAB_WORKERS, then 1."""
@@ -204,6 +207,14 @@ def _cell(x, y, model, a, b, fixed):
     )
 
 
+def _resolve_m_max(n, m_max):
+    """The top mode of a scan, (n-1)//2 by default; modes start at 2."""
+    m_max = (n - 1) // 2 if m_max is None else m_max
+    if m_max < 2:
+        raise ValueError(f"need m_max >= 2, got m_max={m_max} for n={n}")
+    return m_max
+
+
 def _scan(spec, label, model, workers, a=None):
     """Map _cell over the grid in x-major order.
 
@@ -211,8 +222,9 @@ def _scan(spec, label, model, workers, a=None):
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
     """
     f = spec.fixed
+    n = int(f.get("n", 1000))
     fixed = {
-        "n": int(f.get("n", 1000)), "m_max": f.get("m_max"),
+        "n": n, "m_max": _resolve_m_max(n, f.get("m_max")),
         "alpha": float(f.get("alpha", 1.0)), "gamma": float(f.get("gamma", 1.0)),
         "speed": float(f.get("speed", 0.0)),
     }
@@ -262,21 +274,22 @@ def _mode_range_stable(a, b, n, m_max):
     return bool(np.all(mu1 < -tol))
 
 
-def separatrix_check(a_values, n, m_max=None, steps=40, coarse=9):
+def separatrix_check(a_values, n, m_max=None, steps=40):
     """Locate the lower stability boundary in b and compare to a/(a-1).
 
     For each a: coarse-scan b in (0.5, a - 0.05) for the first stable
     point, then bisect ``steps`` times on the stable/unstable transition
     below it.  Returns rows (a, b_boundary, a/(a-1), gap) with signed
     gap = b_boundary - a/(a-1); nan boundary when no stable b exists in
-    the window.
+    the window.  An m_max (default (n-1)//2) below 2 is a ValueError.
     """
+    m_max = _resolve_m_max(n, m_max)
     rows = []
     for a in a_values:
         a = float(a)
         target = a / (a - 1.0)
         lo_edge, hi_edge = 0.5, a - 0.05
-        grid = np.linspace(lo_edge, hi_edge, coarse)
+        grid = np.linspace(lo_edge, hi_edge, _COARSE)
         stable_b = None
         prev = lo_edge
         for bval in grid:

@@ -44,6 +44,10 @@ __all__ = [
 # default search interval for power-law roots; every known case has R = O(1)
 _DEFAULT_BRACKET = (1e-6, 1e3)
 _MAX_EXPANSION = 1e12
+# root bracket width at which bisection stops
+_TOLERANCE = 1e-12
+# uniform grid cells over which solve_radius_all looks for sign changes
+_SEGMENTS = 1024
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,6 @@ class RadiusProblem:
     n: int
     speed: float = 0.0
     bracket: tuple | None = None
-    tolerance: float = 1e-12
 
     def __post_init__(self):
         if not isinstance(self.potential, (PowerLaw, Morse)):
@@ -102,8 +105,6 @@ class RadiusProblem:
             lo, hi = self.bracket
             if not (0 < lo < hi):
                 raise ValueError("bracket needs 0 < lo < hi")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
 
 
 def trig_moment(n, alpha):
@@ -222,7 +223,7 @@ def _expand_bracket(residual, what):
         hi *= 4.0
         f_hi = residual(hi)
     if f_lo >= 0 or f_hi <= 0:
-        raise ValueError(f"failed to bracket {what}")
+        raise ArithmeticError(f"failed to bracket {what}")
     return lo, hi, f_lo
 
 
@@ -245,7 +246,8 @@ def solve_radius(problem):
     for large R, and the residual crosses once); the default bracket is
     expanded geometrically until it straddles the sign change.  Morse
     problems must carry an explicit bracket with a sign change inside.
-    Returns a mill ring when problem.speed > 0, a flock ring otherwise.
+    Returns a mill ring when problem.speed > 0, a flock ring otherwise;
+    raises ArithmeticError when no root is bracketed.
     """
     residual, residual_deriv = _residual_fn(problem.potential, problem.n, problem.speed)
     if problem.bracket is not None:
@@ -256,7 +258,7 @@ def solve_radius(problem):
         if f_hi == 0.0:
             return _make_ring(problem, hi)
         if (f_lo < 0) == (f_hi < 0):
-            raise ValueError(
+            raise ArithmeticError(
                 f"no sign change in bracket ({lo:g}, {hi:g}); "
                 "widen it or use solve_radius_all"
             )
@@ -264,11 +266,11 @@ def solve_radius(problem):
         lo, hi, f_lo = _expand_bracket(residual, "a ring radius after expansion")
     else:
         raise ValueError("Morse problems need an explicit bracket")
-    root = _refine(residual, residual_deriv, lo, hi, f_lo, problem.tolerance)
+    root = _refine(residual, residual_deriv, lo, hi, f_lo, _TOLERANCE)
     return _make_ring(problem, root)
 
 
-def solve_radius_all(problem, segments=1024):
+def solve_radius_all(problem):
     """All ring radii inside the problem's bracket, sorted ascending.
 
     Scans the bracket on a uniform grid, refines every sign change by
@@ -279,10 +281,10 @@ def solve_radius_all(problem, segments=1024):
         raise ValueError("solve_radius_all needs an explicit bracket")
     residual, residual_deriv = _residual_fn(problem.potential, problem.n, problem.speed)
     lo, hi = float(problem.bracket[0]), float(problem.bracket[1])
-    grid = np.linspace(lo, hi, segments + 1)
+    grid = np.linspace(lo, hi, _SEGMENTS + 1)
     values = [residual(float(x)) for x in grid]
     roots = []
-    for i in range(segments):
+    for i in range(_SEGMENTS):
         f0, f1 = values[i], values[i + 1]
         if f0 == 0.0:
             roots.append(float(grid[i]))
@@ -294,7 +296,7 @@ def solve_radius_all(problem, segments=1024):
                     float(grid[i]),
                     float(grid[i + 1]),
                     f0,
-                    problem.tolerance,
+                    _TOLERANCE,
                 )
             )
     if values[-1] == 0.0:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import platform
 
 import numpy as np
@@ -59,6 +60,7 @@ class TestRadius:
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["platform"] == platform.platform()
+        assert env["nproc"] == os.cpu_count()
 
     def test_missing_potential_is_usage_error(self, capsys):
         assert main(["radius", "--n", "100"]) == 2
@@ -69,7 +71,7 @@ class TestRadius:
     def test_no_root_is_numerical_error(self, capsys):
         # this well supports no rotating ring at speed 0.3
         code = main(["radius", "--morse", "0.5", "1.0", "2.0", "0.5",
-                     "--n", "60", "--speed", "0.3"])
+                     "--n", "60", "--speed", "0.3", "--bracket", "0.1", "10"])
         assert code == 3
         assert capsys.readouterr().err.startswith("error:")
 
@@ -301,3 +303,35 @@ class TestValidateAndGlobal:
         raw = (in_tmp / "gam.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+GRID = ["--grid", "a:3:7:3", "b:0.5:2.5:3"]
+SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
+
+
+# one bad input per row: exit 2, one ``error:`` line naming the fault, no files
+@pytest.mark.parametrize("argv, needle", [
+    pytest.param(["separatrix", "--a-list", "3", "--n", "2"], "m_max", id="separatrix-n2"),
+    pytest.param(["gamma-sweep", "--a", "3", "--b", "2.5", "--n", "2", "--m", "3",
+                  "--gamma-list", "1"], "n >= 3", id="gamma-sweep-n2"),
+    pytest.param(["region", "--model", "speed-b", *SPEED_GRID, "--fixed", "n=50"],
+                 "missing key 'a'", id="speed-b-without-a"),
+    pytest.param(["radius", "--morse", "0.5", "1.0", "2.0", "0.5", "--n", "60",
+                  "--speed", "0.3"], "explicit bracket", id="morse-without-bracket"),
+    pytest.param(["separatrix", "--a-list", "3", "--n", "50", "--m-max", "1"], "m_max",
+                 id="separatrix-m_max1"),
+    pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "m_max=1"],
+                 "m_max", id="flock-m_max1"),
+    pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "m_max=1"],
+                 "m_max", id="flock-cs-m_max1"),
+    pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=50", "m_max=1",
+                  "speed=0.5"], "m_max", id="mill-m_max1"),
+    pytest.param(["region", "--model", "speed-b", *SPEED_GRID, "--fixed", "n=50", "a=3",
+                  "m_max=1"], "m_max", id="speed-b-m_max1"),
+])
+def test_usage_error_exit_code(argv, needle, in_tmp, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert needle in err
+    assert list(in_tmp.iterdir()) == []

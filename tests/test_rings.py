@@ -131,7 +131,7 @@ class TestSolveRadius:
         prob = RadiusProblem(
             potential=CANONICAL_MORSE, n=100, speed=0.3, bracket=(0.01, 10.0)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ArithmeticError):
             solve_radius(prob)
         assert solve_radius_all(prob) == []
 
