@@ -147,7 +147,9 @@ def _float_list(text, flag):
 
 
 def _potential_from_args(args):
-    if getattr(args, "morse", None):
+    if args.morse:
+        if args.a is not None or args.b is not None:
+            raise ValueError("--morse excludes --a and --b")
         ca, cr, la, lr = args.morse
         return Morse(C_A=ca, C_R=cr, l_A=la, l_R=lr)
     if args.a is None or args.b is None:
@@ -175,6 +177,8 @@ def cmd_radius(args):
 
 
 def cmd_spectrum(args):
+    if args.m is not None and args.m_max is not None:
+        raise ValueError("--m excludes --m-max")
     if args.m is None and args.m_max is None:
         args.m_max = (args.n - 1) // 2
     m_min, m_max = (2, args.m_max) if args.m is None else (args.m, args.m)

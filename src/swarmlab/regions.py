@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Classification, _shape_mu_envelope, _verdict, mode_envelope
+from .spectra import Classification, _shape_envelope, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -39,6 +39,9 @@ __all__ = [
 # points of separatrix_check's coarse scan for the first stable b
 _COARSE = 9
 
+# the GridSpec.fixed keys a scan reads
+_FIXED_KEYS = ("n", "m_max", "alpha", "gamma", "speed", "a")
+
 
 def resolve_workers(workers=None):
     """Worker-count knob: explicit argument, then SWARMLAB_WORKERS, then 1."""
@@ -54,8 +57,8 @@ def resolve_workers(workers=None):
 class GridSpec:
     """Axes and fixed parameters of a scan.
 
-    ``fixed`` holds whatever the model needs beyond the two axes
-    (n, alpha, gamma, speed, m_max, ...).
+    ``fixed`` holds whatever the model needs beyond the two axes, from
+    n, m_max, alpha, gamma, speed and (for the speed-b scan) a.
     """
 
     x_name: str
@@ -141,16 +144,15 @@ class RegionMap:
         return [csv_path, json_path]
 
 
-def _metadata(model, spec):
+def _metadata(model, m_max):
     from . import __version__
 
-    md = {
+    return {
         "model": model,
         "artifact_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "m_max": spec.fixed.get("m_max"),
+        "m_max": m_max,
     }
-    return md
 
 
 def _pool_size(workers, jobs, cpus):
@@ -187,7 +189,7 @@ def _cell(x, y, model, a, b, fixed):
     shape_route = model == "flock" or (model == "mill" and speed == 0.0)
     try:
         if shape_route:
-            ms, mu1, tol = _shape_mu_envelope(a, b, n, m_max=m_max)
+            summary = _shape_envelope(a, b, n, m_max=m_max)
         else:
             summary, _ = mode_envelope(
                 model, a, b, n, alpha=fixed["alpha"], gamma=fixed["gamma"],
@@ -195,15 +197,9 @@ def _cell(x, y, model, a, b, fixed):
             )
     except (ValueError, ArithmeticError) as exc:
         return _invalid(x, y, str(exc))
-    if not shape_route:
-        return RegionCell(
-            x=x, y=y, classification=summary.classification,
-            max_real=summary.max_real, critical_mode=summary.m,
-        )
-    worst = int(np.argmax(mu1))
     return RegionCell(
-        x=x, y=y, classification=_verdict(np.any(mu1 > tol), np.all(mu1 < -tol)),
-        max_real=float(mu1[worst]), critical_mode=int(ms[worst]),
+        x=x, y=y, classification=summary.classification,
+        max_real=summary.max_real, critical_mode=summary.m,
     )
 
 
@@ -220,8 +216,12 @@ def _scan(spec, label, model, workers, a=None):
 
     The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
+    A fixed key outside _FIXED_KEYS is a ValueError.
     """
     f = spec.fixed
+    unknown = sorted(set(f) - set(_FIXED_KEYS))
+    if unknown:
+        raise ValueError(f"unknown fixed keys {unknown}; allowed: {', '.join(_FIXED_KEYS)}")
     n = int(f.get("n", 1000))
     fixed = {
         "n": n, "m_max": _resolve_m_max(n, f.get("m_max")),
@@ -234,7 +234,9 @@ def _scan(spec, label, model, workers, a=None):
     else:
         jobs = [(x, y, model, a, y, {**fixed, "speed": x}) for x, y in points]
     cells = map_jobs(_cell, jobs, workers)
-    return RegionMap(spec=spec, model=label, cells=cells, metadata=_metadata(label, spec))
+    return RegionMap(
+        spec=spec, model=label, cells=cells, metadata=_metadata(label, fixed["m_max"])
+    )
 
 
 def scan_flock(spec, workers=None):
@@ -270,8 +272,7 @@ def scan_speed_b(spec, workers=None):
 
 
 def _mode_range_stable(a, b, n, m_max):
-    ms, mu1, tol = _shape_mu_envelope(a, b, n, m_max=m_max)
-    return bool(np.all(mu1 < -tol))
+    return _shape_envelope(a, b, n, m_max=m_max).classification is Classification.STABLE
 
 
 def separatrix_check(a_values, n, m_max=None, steps=40):

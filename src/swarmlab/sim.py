@@ -141,7 +141,7 @@ class RandomNoise:
 
 @dataclass(frozen=True)
 class MetricSeries:
-    """Per-sample order parameters; cluster/fatten are nan without a reference ring."""
+    """Per-sample order parameters; fatten is nan without a reference ring."""
 
     t: np.ndarray
     mu_rel: np.ndarray
@@ -594,6 +594,11 @@ def metric_angular_momentum(state):
 # ---------------------------------------------------------------------------
 
 
+# bifurcation_sweep metric name -> MetricSeries column
+_SWEEP_METRICS = {"cluster": "mu_rel", "fatten": "eta_rel",
+                  "polarization": "polarization", "angular_momentum": "angular_momentum"}
+
+
 def _sweep_one(config, parameter, value, index, ic_kind, metric, perturbation, ic_speed):
     pot = config.potential
     prop = config.propulsion
@@ -601,12 +606,10 @@ def _sweep_one(config, parameter, value, index, ic_kind, metric, perturbation, i
         if not isinstance(pot, PowerLaw):
             raise TypeError("b sweeps need a PowerLaw potential")
         pot = replace(pot, b=float(value))
-    elif parameter == "speed":
+    else:
         if prop is None:
             raise ValueError("speed sweeps need the propulsion model")
         prop = replace(prop, alpha=float(value) ** 2 * prop.beta)
-    else:
-        raise ValueError("parameter must be 'b' or 'speed'")
     cfg = replace(config, potential=pot, propulsion=prop, seed=config.seed + index)
     if ic_speed is not None:
         speed = float(ic_speed) if parameter != "speed" else float(value)
@@ -619,19 +622,12 @@ def _sweep_one(config, parameter, value, index, ic_kind, metric, perturbation, i
         ring = flock_ring(pot, cfg.n, speed)
         pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
         state = ic_flock_ring(ring, perturbation=pert, rng=rng)
-    elif ic_kind == "mill":
+    else:
         ring = mill_ring(pot, cfg.n, speed)
         pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
         state = ic_mill_ring(ring, perturbation=pert, rng=rng)
-    else:
-        raise ValueError("ic_kind must be 'flock' or 'mill'")
     result = integrate(cfg, state, reference=ring)
-    series = {
-        "cluster": result.metrics.mu_rel,
-        "fatten": result.metrics.eta_rel,
-        "polarization": result.metrics.polarization,
-        "angular_momentum": result.metrics.angular_momentum,
-    }[metric]
+    series = getattr(result.metrics, _SWEEP_METRICS[metric])
     return float(value), float(series[-1])
 
 
@@ -649,8 +645,16 @@ def bifurcation_sweep(
 
     Runs are independent and seeded base_seed + index, so the table is
     reproducible and insensitive to the worker count.  The default
-    perturbation is small centered noise scaled to the ring.
+    perturbation is small centered noise scaled to the ring.  A bad
+    ``parameter``, ``ic_kind`` or ``metric`` is a ValueError before any
+    member runs.
     """
+    if parameter not in ("b", "speed"):
+        raise ValueError("parameter must be 'b' or 'speed'")
+    if ic_kind not in ("flock", "mill"):
+        raise ValueError("ic_kind must be 'flock' or 'mill'")
+    if metric not in _SWEEP_METRICS:
+        raise ValueError(f"metric must be one of {', '.join(_SWEEP_METRICS)}")
     jobs = [
         (config, parameter, float(v), i, ic_kind, metric, perturbation, ic_speed)
         for i, v in enumerate(values)

@@ -410,8 +410,22 @@ def eig4(mat):
         vals = np.linalg.eigvals(entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy converges here
         raise ArithmeticError(f"eigenvalue iteration failed: {exc}") from exc
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
+    return _sorted_eigs(vals)
+
+
+def _sorted_eigs(vals):
+    """Eigenvalues along the last axis by descending real, then imaginary part."""
+    order = np.lexsort((-vals.imag, -vals.real), axis=-1)
+    return np.take_along_axis(vals, order, axis=-1)
+
+
+# verdict per severity band; over several modes the worst band wins
+_VERDICTS = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
+
+
+def _severity(max_re, tol):
+    """Band of each largest real part: 0 below -tol, 2 above tol, else 1 (nan too)."""
+    return np.where(max_re > tol, 2, np.where(max_re < -tol, 0, 1))
 
 
 def classify(eigenvalues, tol=1e-8, forced=()):
@@ -423,18 +437,13 @@ def classify(eigenvalues, tol=1e-8, forced=()):
     oscillation pairs known analytically); otherwise marginal.
     """
     vals = np.asarray(eigenvalues, dtype=complex)
-    max_re = float(np.max(vals.real))
-    if max_re > tol:
-        return Classification.UNSTABLE
-    if max_re < -tol:
-        return Classification.STABLE
-    if len(forced):
+    verdict = _VERDICTS[_severity(np.max(vals.real), tol)]
+    if verdict is Classification.MARGINAL and len(forced):
         banded = vals[vals.real >= -tol]
-        match_tol = 100.0 * tol
-        targets = np.asarray(forced, dtype=complex)
-        if all(np.min(np.abs(targets - lam)) <= match_tol for lam in banded):
+        gaps = np.abs(banded[:, None] - np.asarray(forced, dtype=complex))
+        if np.all(gaps.min(axis=1) <= 100.0 * tol):
             return Classification.STABLE
-    return Classification.MARGINAL
+    return verdict
 
 
 def _forced_modes(model, n, m, i1p, i2):
@@ -467,13 +476,6 @@ def _alignment_tables(gamma, R, n, ms):
     return gc[_fold(ms + 1, n)] - gc[0], gc[_fold(ms - 1, n)] - gc[0]
 
 
-def _verdict(any_unstable, all_stable):
-    """Aggregate verdict over modes: unstable beats marginal beats stable."""
-    if any_unstable:
-        return Classification.UNSTABLE
-    return Classification.STABLE if all_stable else Classification.MARGINAL
-
-
 _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
 
 
@@ -502,48 +504,43 @@ def mode_envelope(
     R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
     jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
     A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
-    vals = np.linalg.eigvals(A)
-    max_re = vals.real.max(axis=1)
-    norms = np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    reports = []
-    for idx, m in enumerate(ms):
-        forced = _forced_modes(model, n, int(m), float(i1p[idx]), float(i2[idx]))
-        row = vals[idx]
-        row = row[np.lexsort((-row.imag, -row.real))]
-        reports.append(
-            SpectralReport(
-                m=int(m),
-                eigenvalues=tuple(row),
-                max_real=float(max_re[idx]),
-                classification=classify(
-                    row, tol=1e-8 * norms[idx], forced=forced
-                ),
-            )
+    vals = _sorted_eigs(np.linalg.eigvals(A))
+    max_re = vals[:, 0].real
+    tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    severity = _severity(max_re, tol)
+    # forced neutral values can only lift a marginal mode to stable
+    for idx in np.flatnonzero(severity == 1):
+        forced = _forced_modes(model, n, int(ms[idx]), float(i1p[idx]), float(i2[idx]))
+        if forced and classify(vals[idx], tol[idx], forced) is Classification.STABLE:
+            severity[idx] = 0
+    reports = [
+        SpectralReport(
+            m=int(m), eigenvalues=tuple(row), max_real=float(mr), classification=_VERDICTS[band]
         )
-    worst_idx = int(np.argmax(max_re))
-    kinds = [r.classification for r in reports]
-    overall = _verdict(
-        Classification.UNSTABLE in kinds, all(k == Classification.STABLE for k in kinds)
-    )
-    return replace(reports[worst_idx], classification=overall), reports
+        for m, row, mr, band in zip(ms, vals, max_re, severity)
+    ]
+    worst = reports[int(np.argmax(max_re))]
+    return replace(worst, classification=_VERDICTS[severity.max()]), reports
 
 
-def _shape_mu_envelope(a, b, n, m_max=None):
-    """Largest shape-matrix eigenvalue per mode (the D/T criterion route).
+def _shape_envelope(a, b, n, m_max):
+    """mode_envelope's summary for modes 2..m_max by the shape-matrix route.
 
-    Returns (ms, mu1, tol) arrays over modes 2..m_max; mu1[m] > tol means
-    the positions-only criterion (det > 0 and trace < 0) fails for that
-    mode.  Used by the flock region scans and the separatrix bisection,
+    The largest shape eigenvalue mu1 of each mode stands in for its largest
+    real part (mu1 > tol: the det > 0 and trace < 0 criterion fails); the
+    report carries no eigenvalues.  Flock scans and the separatrix use it,
     where the full 4x4 spectrum adds nothing but cost.
     """
-    if m_max is None:
-        m_max = (n - 1) // 2
     ms = np.arange(2, m_max + 1)
     _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
     half_diff = 0.5 * (i1p - i1m)
     mu1 = 0.5 * (i1p + i1m) + np.sqrt(half_diff * half_diff + i2 * i2)
     norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
-    return ms, mu1, 1e-8 * norms
+    worst = int(np.argmax(mu1))
+    return SpectralReport(
+        m=int(ms[worst]), eigenvalues=(), max_real=float(mu1[worst]),
+        classification=_VERDICTS[_severity(mu1, 1e-8 * norms).max()],
+    )
 
 
 def det_asymptotics(a, b, n, m_values):
@@ -660,12 +657,8 @@ def dense_eigvals(matrix):
     if A.shape[0] > 128:
         raise ValueError("dense_eigvals is capped at 128 x 128")
     scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(A - A.T)) <= 1e-12 * scale:
-        vals = np.linalg.eigvalsh(A)
-        return vals[::-1]
-    vals = np.linalg.eigvals(A)
-    order = np.lexsort((-vals.imag, -vals.real))
-    return vals[order]
+    symmetric = np.max(np.abs(A - A.T)) <= 1e-12 * scale
+    return _sorted_eigs(np.linalg.eigvalsh(A) if symmetric else np.linalg.eigvals(A))
 
 
 def theorem_witness(a, b, n, coupling):

@@ -328,6 +328,12 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                   "speed=0.5"], "m_max", id="mill-m_max1"),
     pytest.param(["region", "--model", "speed-b", *SPEED_GRID, "--fixed", "n=50", "a=3",
                   "m_max=1"], "m_max", id="speed-b-m_max1"),
+    pytest.param(["spectrum", "--model", "flock", "--a", "4", "--b", "2", "--n", "50",
+                  "--m", "3", "--m-max", "7"], "--m-max", id="spectrum-m-and-m_max"),
+    pytest.param(["radius", "--a", "4", "--b", "2", "--morse", "0.5", "1.0", "2.0", "0.5",
+                  "--n", "60", "--bracket", "0.1", "10"], "--morse", id="radius-powerlaw-and-morse"),
+    pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "speeed=0.5"],
+                 "speeed", id="region-unknown-fixed-key"),
 ])
 def test_usage_error_exit_code(argv, needle, in_tmp, capsys):
     assert main(argv) == 2

@@ -179,6 +179,7 @@ class TestSerialization:
         assert sidecar["model"] == "flock"
         assert sidecar["grid"]["x"]["count"] == 2
         assert sidecar["metadata"]["artifact_version"]
+        assert sidecar["metadata"]["m_max"] == 24  # the default (n-1)//2
         assert (tmp_path / "map.csv").read_text() == result.csv_text()
 
     def test_classification_grid_shape(self):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import swarmlab.sim as sim_module
 from swarmlab.potentials import AlignmentKernel, PowerLaw, Propulsion
 from swarmlab.rings import flock_ring, mill_ring, ring_positions
 from swarmlab.sim import (
@@ -412,12 +413,20 @@ class TestBifurcationSweep:
         assert [v for v, _ in rows] == [0.3, 0.6]
         assert all(0.0 <= m <= 1.0 for _, m in rows)
 
-    def test_parameter_validation(self):
+    def test_parameter_validation(self, monkeypatch):
         cfg = propulsion_config(PowerLaw(5, 1.5), 10, 1.0)
         with pytest.raises(ValueError):
             bifurcation_sweep(cfg, "gamma", [1.0])
         with pytest.raises(ValueError):
             bifurcation_sweep(cfg, "b", [1.0], ic_kind="blob")
+
+        # a bad metric is rejected before any member is integrated
+        def no_integrate(*args, **kwargs):
+            raise AssertionError("integrate ran before the metric was checked")
+
+        monkeypatch.setattr(sim_module, "integrate", no_integrate)
+        with pytest.raises(ValueError, match="angular_momentum"):
+            bifurcation_sweep(cfg, "b", [1.0, 1.2], metric="pol")
 
     def test_threshold_crossings(self):
         # either stability boundary shows up as a jump in its end metric:
