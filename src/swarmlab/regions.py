@@ -179,9 +179,11 @@ def _invalid(x, y, msg):
 def _cell(x, y, model, a, b, fixed):
     """Worst mode and verdict of one grid cell at exponents (a, b).
 
-    Flock cells, and mill cells at speed 0 (the flock problem), take the
-    largest shape eigenvalue per mode, equivalent to the 4x4 verdict;
-    every other cell classifies the 4x4 spectra through mode_envelope.
+    Flock cells, and mill cells at speed 0 (the flock problem), go through
+    _shape_envelope: max_real is the largest shape eigenvalue.  Other
+    cells go through mode_envelope: max_real is the largest 4x4 real part.
+    Both take a non-rotating ring's verdict from _shape_severity, so only
+    the spinning mill is classified from its 4x4 spectra.
     """
     if b >= a:
         return _invalid(x, y, "requires b < a")
@@ -243,14 +245,15 @@ def scan_flock(spec, workers=None):
     """Stability map of the propulsion flock over the (a, b) plane.
 
     Per cell: solve the flock radius, apply the det/trace criterion to
-    every mode (equivalent to the 4x4 classification), record the worst
-    shape eigenvalue and its mode.
+    every mode (the verdict spectrum --model flock reports too), record
+    the worst shape eigenvalue and its mode.
     """
     return _scan(spec, "flock", "flock", workers)
 
 
 def scan_cs_flock(spec, workers=None):
-    """Stability map of the alignment flock; classifications match scan_flock."""
+    """Stability map of the alignment flock: scan_flock's verdicts, with
+    max_real the largest 4x4 real part (which, unlike them, varies with gamma)."""
     return _scan(spec, "flock-cs", "flock-cs", workers)
 
 
@@ -258,7 +261,8 @@ def scan_mill(spec, workers=None):
     """Stability map of the mill ring over (a, b) at fixed speed.
 
     At speed 0 the mill problem degenerates to the flock one, so those
-    cells take the flock criterion and the map equals scan_flock.
+    cells take the flock criterion and the map equals scan_flock; at
+    speed > 0 the verdict bands the 4x4 eigenvalues (classify's rule).
     """
     return _scan(spec, "mill", "mill", workers)
 

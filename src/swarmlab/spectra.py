@@ -147,12 +147,15 @@ def pair_weights(a, b, radius, n, p):
     return w1, w2
 
 
-def _checked_real_sum(re_terms, im_terms, label):
+def _checked_real_sum(weights, re_terms, im_terms, label):
+    """Real part of a phase sum whose imaginary part must cancel to
+    roundoff of sum |w_p|; the real part itself can be 0 (mode n - 1)."""
     re = math.fsum(re_terms)
     im = math.fsum(im_terms)
-    if not abs(im) < 1e-10 * abs(re) + 1e-14:
+    scale = math.fsum(abs(w) for w in weights)
+    if not abs(im) <= 1e-10 * scale:
         raise ArithmeticError(
-            f"{label}: imaginary part {im:.3e} not negligible against {re:.3e}"
+            f"{label}: imaginary part {im:.3e} not negligible against weights {scale:.3e}"
         )
     return re
 
@@ -168,7 +171,7 @@ def mode_self_coupling(a, b, radius, n, m):
     ang = [2.0 * math.pi * p * (m + 1) / n for p in range(1, n)]
     re = [w * (1.0 - math.cos(t)) for w, t in zip(w1, ang)]
     im = [-w * math.sin(t) for w, t in zip(w1, ang)]
-    return _checked_real_sum(re, im, "mode_self_coupling")
+    return _checked_real_sum(w1, re, im, "mode_self_coupling")
 
 
 def mode_cross_coupling(a, b, radius, n, m):
@@ -182,7 +185,7 @@ def mode_cross_coupling(a, b, radius, n, m):
         t1 = 2.0 * math.pi * p / n
         re.append(w * (math.cos(tm) - math.cos(t1)))
         im.append(w * (math.sin(tm) - math.sin(t1)))
-    return _checked_real_sum(re, im, "mode_cross_coupling")
+    return _checked_real_sum(w2, re, im, "mode_cross_coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +262,11 @@ def alignment_damping(gamma, radius, n, m, sign):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     kernel = AlignmentKernel(gamma)
-    re = []
-    im = []
-    for p in range(1, n):
-        d = 2.0 * radius * math.sin(p * math.pi / n)
-        g = float(kernel.value(d))
-        t = 2.0 * math.pi * p * (m + sign) / n
-        re.append(g * (math.cos(t) - 1.0))
-        im.append(g * math.sin(t))
-    return _checked_real_sum(re, im, "alignment_damping") / n
+    g = [float(kernel.value(2.0 * radius * math.sin(p * math.pi / n))) for p in range(1, n)]
+    ang = [2.0 * math.pi * p * (m + sign) / n for p in range(1, n)]
+    re = [gp * (math.cos(t) - 1.0) for gp, t in zip(g, ang)]
+    im = [gp * math.sin(t) for gp, t in zip(g, ang)]
+    return _checked_real_sum(g, re, im, "alignment_damping") / n
 
 
 def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
@@ -428,43 +427,34 @@ def _severity(max_re, tol):
     return np.where(max_re > tol, 2, np.where(max_re < -tol, 0, 1))
 
 
-def classify(eigenvalues, tol=1e-8, forced=()):
+def classify(eigenvalues, tol=1e-8):
     """Stability verdict from eigenvalue real parts.
 
-    Unstable if some real part exceeds tol; stable if all lie below
-    -tol, or if every eigenvalue inside the band matches one of the
-    ``forced`` structurally-required values (zero modes and undamped
-    oscillation pairs known analytically); otherwise marginal.
+    Unstable if some real part exceeds tol, stable if all lie below -tol,
+    marginal otherwise.  This is the rule for the spinning mill, the one
+    ring without a shape-matrix reduction (see _shape_severity).
     """
     vals = np.asarray(eigenvalues, dtype=complex)
-    verdict = _VERDICTS[_severity(np.max(vals.real), tol)]
-    if verdict is Classification.MARGINAL and len(forced):
-        banded = vals[vals.real >= -tol]
-        gaps = np.abs(banded[:, None] - np.asarray(forced, dtype=complex))
-        if np.all(gaps.min(axis=1) <= 100.0 * tol):
-            return Classification.STABLE
-    return verdict
+    return _VERDICTS[_severity(np.max(vals.real), tol)]
 
 
-def _forced_modes(model, n, m, i1p, i2):
-    """Structurally-required neutral eigenvalues for the flock variants.
+def _shape_severity(ms, n, i1p, i1m, i2):
+    """Largest shape eigenvalue mu1 and severity band of each mode in ``ms``.
 
-    m = 1 carries the rotation/translation zero mode; the self-conjugate
-    mode 2m = 0 (mod n) of the propulsion flock decouples an undamped
-    oscillation pair +- i sqrt(-(I1 - I2)).  Mill matrices never get a
-    forced list: their near-zero modes are reported marginal.
+    A ring at rest is stable in mode m exactly when its shape matrix is
+    negative definite (det > 0, trace < 0: mu1 < 0); mu1 is banded at
+    1e-8 max(1, |I1(m)|, |I1(-m)|, |I2(m)|).  Mode +-1 (mod n) holds the
+    translation as a structural zero (I1(-1) = I2(1) = 0), so its mu1 is
+    the other diagonal entry, the trace.  The self-conjugate mode needs no
+    special case: its undamped 4x4 pair +- i sqrt(-(I1 - I2)) is stable
+    exactly when the shape matrix is negative definite.
     """
-    if model == "mill":
-        return ()
-    forced = []
-    if m % n in (1, n - 1):
-        forced.append(0.0)
-    if model == "flock" and (2 * m) % n == 0:
-        mu_anti = i1p - i2
-        if mu_anti < 0:
-            s = math.sqrt(-mu_anti)
-            forced.extend([1j * s, -1j * s])
-    return tuple(forced)
+    half_diff = 0.5 * (i1p - i1m)
+    mu1 = 0.5 * (i1p + i1m) + np.sqrt(half_diff * half_diff + i2 * i2)
+    k = np.asarray(ms) % n
+    mu1 = np.where((k == 1) | (k == n - 1), i1p + i1m, mu1)
+    norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
+    return mu1, _severity(mu1, 1e-8 * norms)
 
 
 def _alignment_tables(gamma, R, n, ms):
@@ -482,16 +472,16 @@ _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
 def mode_envelope(
     model, a, b, n, *, alpha=1.0, gamma=1.0, speed=0.0, m_min=2, m_max=None
 ):
-    """Classify every mode in [m_min, m_max] and summarize the worst one.
+    """Sorted 4x4 eigenvalues and verdict of every mode in [m_min, m_max].
 
-    Returns (summary, reports): ``summary`` carries the argmax mode, its
-    eigenvalues, and the aggregate verdict (stable only if every mode is
-    stable; unstable if any is).  The default m_max is (n-1)//2, the
-    largest mode below the self-conjugate wavelength, so the aggregate
-    isn't polluted by the structurally neutral half-wavelength mode on
-    even n; pass m_max explicitly to include it.  m_min = 1 takes in the
-    rotation/translation mode, whose structural zero I1(-1) = I2(1) = 0
-    the cosine tables give exactly.
+    Returns (summary, reports); ``summary`` is the report with the largest
+    real part, carrying the aggregate verdict (stable only if every mode
+    is; unstable if any is).  Rings at rest (flock, flock-cs, mill at speed
+    0) take their verdicts from _shape_severity, as the region scans do;
+    the spinning mill bands its eigenvalues with classify's rule.  Mode
+    n - m mirrors mode m, so the default m_max = (n-1)//2 leaves out only
+    the self-conjugate mode n/2 of an even ring.  m_min = 1 takes in the
+    translation mode, whose structural zero the cosine tables give exactly.
     """
     if model not in _ENVELOPE_MODELS:
         raise ValueError(f"model must be one of {_ENVELOPE_MODELS}")
@@ -506,13 +496,10 @@ def mode_envelope(
     A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
     vals = _sorted_eigs(np.linalg.eigvals(A))
     max_re = vals[:, 0].real
-    tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-    severity = _severity(max_re, tol)
-    # forced neutral values can only lift a marginal mode to stable
-    for idx in np.flatnonzero(severity == 1):
-        forced = _forced_modes(model, n, int(ms[idx]), float(i1p[idx]), float(i2[idx]))
-        if forced and classify(vals[idx], tol[idx], forced) is Classification.STABLE:
-            severity[idx] = 0
+    if speed == 0.0:
+        _, severity = _shape_severity(ms, n, i1p, i1m, i2)
+    else:
+        severity = _severity(max_re, 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2))))
     reports = [
         SpectralReport(
             m=int(m), eigenvalues=tuple(row), max_real=float(mr), classification=_VERDICTS[band]
@@ -524,22 +511,20 @@ def mode_envelope(
 
 
 def _shape_envelope(a, b, n, m_max):
-    """mode_envelope's summary for modes 2..m_max by the shape-matrix route.
+    """mode_envelope's summary for modes 2..m_max of a non-rotating ring.
 
-    The largest shape eigenvalue mu1 of each mode stands in for its largest
-    real part (mu1 > tol: the det > 0 and trace < 0 criterion fails); the
-    report carries no eigenvalues.  Flock scans and the separatrix use it,
-    where the full 4x4 spectrum adds nothing but cost.
+    Takes the same per-mode verdicts (_shape_severity) but skips the 4x4
+    eigensolve: the worst mode is the one with the largest mu1, which is
+    reported as max_real, and the report carries no eigenvalues.  Flock
+    scans and the separatrix use it, where the 4x4 spectrum adds only cost.
     """
     ms = np.arange(2, m_max + 1)
     _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
-    half_diff = 0.5 * (i1p - i1m)
-    mu1 = 0.5 * (i1p + i1m) + np.sqrt(half_diff * half_diff + i2 * i2)
-    norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
+    mu1, severity = _shape_severity(ms, n, i1p, i1m, i2)
     worst = int(np.argmax(mu1))
     return SpectralReport(
         m=int(ms[worst]), eigenvalues=(), max_real=float(mu1[worst]),
-        classification=_VERDICTS[_severity(mu1, 1e-8 * norms).max()],
+        classification=_VERDICTS[severity.max()],
     )
 
 
@@ -668,7 +653,7 @@ def theorem_witness(a, b, n, coupling):
     for the given coupling (Propulsion or AlignmentKernel).  ``agree``
     states that the Hessian has a positive eigenvalue exactly when the
     Jacobian has an eigenvalue with positive real part, with tolerance
-    bands wide enough to absorb the forced zero modes (translations and
+    bands wide enough to absorb the structural zero modes (translations and
     rotation, whose defective zeros split by roughly sqrt(eps) under
     finite-precision eigensolvers; hence the wider 1e-6 band on L).
     """

@@ -104,6 +104,17 @@ class TestSpectrum:
         assert len(rows) == 500
         assert all(r[-1] == "stable" for r in rows[1:])
 
+    def test_degenerate_flock_agrees_with_region(self, in_tmp):
+        # (4, 2) has det S = 0 in every mode m >= 3: marginal on both routes
+        assert main(["spectrum", "--model", "flock", "--a", "4", "--b", "2",
+                     "--n", "64", "--out", "spec"]) == 0
+        verdicts = {r[-1] for r in read_csv(in_tmp / "spec.csv")[1:]}
+        assert "unstable" not in verdicts
+        assert main(["region", "--model", "flock", "--grid", "a:4:5:2", "b:2:2.5:2",
+                     "--fixed", "n=64", "--out", "reg"]) == 0
+        x, y, verdict = read_csv(in_tmp / "reg.csv")[1][:3]
+        assert (float(x), float(y), verdict) == (4.0, 2.0, "marginal")
+
     def test_bad_mode_is_usage_error(self, capsys):
         assert main(["spectrum", "--model", "flock", "--a", "4", "--b", "2",
                      "--n", "10", "--m", "0"]) == 2

@@ -15,7 +15,7 @@ from swarmlab.regions import (
     scan_speed_b,
     separatrix_check,
 )
-from swarmlab.spectra import Classification
+from swarmlab.spectra import Classification, mode_envelope
 
 
 def small_spec(**fixed):
@@ -154,6 +154,33 @@ class TestScanVariants:
         spec = GridSpec("speed", 0.1, 0.5, 2, "b", 0.8, 1.4, 2, fixed={"n": 100})
         with pytest.raises(KeyError):
             scan_speed_b(spec)
+
+
+class TestSpectrumAgreement:
+    """mode_envelope (spectrum) and scan_flock (region) give one verdict."""
+
+    def test_flock_grid_verdicts_agree(self):
+        spec = GridSpec("a", 2.6, 6.8, 20, "b", 0.3, 2.4, 20, fixed={"n": 1000})
+        region = scan_flock(spec)
+        differ = []
+        for cell in region.cells:
+            if cell.classification is Classification.INVALID:
+                continue
+            summary, _ = mode_envelope("flock", cell.x, cell.y, 1000)
+            if summary.classification != cell.classification:
+                differ.append((cell.x, cell.y))
+        assert differ == []
+
+    @pytest.mark.parametrize("a, b, n, want", [
+        (4, 2, 64, Classification.MARGINAL),  # det S = 0 in every mode m >= 3
+        (5, 1.25, 1000, Classification.STABLE),
+        (3, 1.5, 1000, Classification.STABLE),
+    ])
+    def test_pinned_verdicts(self, a, b, n, want):
+        summary, _ = mode_envelope("flock", a, b, n)
+        cell = scan_flock(GridSpec("a", a, a + 1, 2, "b", b, b + 0.1, 2, fixed={"n": n})).cells[0]
+        assert (cell.x, cell.y) == (a, b)
+        assert summary.classification == cell.classification == want
 
 
 class TestSerialization:

@@ -209,6 +209,19 @@ class TestModeMatrices:
             vals = eig4(mat)
             assert float(np.min(np.abs(vals - 1j * w))) < 1e-12 * max(1.0, w)
 
+    def test_mode_n_minus_one_mirrors_mode_one(self):
+        # I1(m) sums to exactly 0 at m = n - 1, so the imaginary-part guard
+        # must be scaled by the weights, not by the real part
+        cases = [
+            (lambda m: flock_mode_matrix(5, 1.25, 100, m, Propulsion(1, 1)), 100),
+            (lambda m: mill_mode_matrix(6, 2.5, 24, m, 1.0, 1.0), 24),
+            (lambda m: cs_flock_mode_matrix(5, 1.25, 100, m, 1.0), 100),
+        ]
+        for build, n in cases:
+            hi, lo = build(n - 1).entries, build(1).entries
+            # mode n - 1 is mode -1: the shape block with its diagonal swapped
+            assert np.allclose(hi[2:, :2].real, lo[2:, :2].real[::-1, ::-1], atol=1e-12)
+
     def test_mode_matrix_validation(self):
         with pytest.raises(ValueError):
             ModeMatrix(entries=np.zeros((4, 4)), model="flock", params={})
@@ -269,29 +282,30 @@ class TestClassify:
         assert classify([1e-4, -1, -1, -2]) == Classification.UNSTABLE
         assert classify([0.0, -1, -2, -3]) == Classification.MARGINAL
 
-    def test_forced_zero_rescues_stable(self):
-        assert classify([0.0, -1, -2, -3], forced=(0.0,)) == Classification.STABLE
-        # a near-zero eigenvalue that matches no forced value stays marginal
-        assert classify([5e-9, -1, -2, -3], tol=1e-8, forced=(1j,)) == Classification.MARGINAL
-
-    def test_forced_oscillation_pair(self):
-        vals = [0.5j, -0.5j, -1.0, -2.0]
-        assert classify(vals, forced=(0.5j, -0.5j)) == Classification.STABLE
-        assert classify(vals) == Classification.MARGINAL
-
 
 def assert_matches_direct(rep, mat):
-    """An envelope report against eig4 + classify of a direct-sum matrix.
+    """An envelope report against the direct-sum matrix of the same mode.
 
-    The flock variants carry one structural zero eigenvalue at m = 1 (no
-    mode here has 2m = n, so no forced oscillation pair); mill matrices
-    get no forced list.
+    The eigenvalues must match eig4.  A non-rotating ring's verdict must
+    match det/trace of the direct-sum shape matrix; mode 1 judges only
+    I1(1), beside the structural zero I1(-1) = I2(1) = 0.  A spinning
+    mill's verdict must match classify of the eig4 spectrum.
     """
     direct = eig4(mat)
     assert np.allclose(np.array(rep.eigenvalues), direct, atol=1e-10)
-    forced = (0.0,) if mat.model != "mill" and rep.m == 1 else ()
-    tol = 1e-8 * max(1.0, mat.max_norm)
-    assert rep.classification == classify(direct, tol=tol, forced=forced)
+    p = mat.params
+    if p.get("omega", 0.0) != 0.0:
+        tol = 1e-8 * max(1.0, mat.max_norm)
+        assert rep.classification == classify(direct, tol=tol)
+        return
+    sm = shape_matrix(p["a"], p["b"], p["n"], rep.m)
+    if rep.m == 1:
+        stable = sm.entries[0, 0] < 0
+    else:
+        D, T = det_trace(sm)
+        stable = D > 0 and T < 0
+    # the cases below are decisive: no mode sits inside the tolerance band
+    assert rep.classification == (Classification.STABLE if stable else Classification.UNSTABLE)
 
 
 class TestEnvelope:
@@ -304,12 +318,11 @@ class TestEnvelope:
 
     def test_stable_parameters_never_flagged_unstable(self):
         # rank-1 propulsion damping leaves the shortest wavelengths barely
-        # damped, so a few modes sit inside the tolerance band and the
-        # aggregate is Marginal rather than Stable; no mode may be Unstable
-        # and every real part stays strictly negative
+        # damped, so some 4x4 real parts lie inside a 1e-8 band; the verdict
+        # comes from the shape matrices, which are clearly negative definite
         summary, reports = mode_envelope("flock", 5, 1.5, 100)
-        assert summary.classification in (Classification.STABLE, Classification.MARGINAL)
-        assert all(r.classification != Classification.UNSTABLE for r in reports)
+        assert summary.classification == Classification.STABLE
+        assert all(r.classification == Classification.STABLE for r in reports)
         assert all(r.max_real < 0 for r in reports)
         # the positions-only criterion is clean at the same parameters
         for m in (2, 10, 30, 49):
@@ -317,7 +330,7 @@ class TestEnvelope:
             assert D > 1e-8 and T < -1e-8
 
     def test_degenerate_family_reports_marginal(self):
-        # the quartic/quadratic pair has det = 0 in every mode
+        # the quartic/quadratic pair has det = 0 in every mode m >= 3
         summary, _ = mode_envelope("flock", 4, 2, 200)
         assert summary.classification == Classification.MARGINAL
         assert abs(summary.max_real) < 1e-7
@@ -357,6 +370,27 @@ class TestEnvelope:
             mode_envelope("flock", 4, 2, 10, m_min=5, m_max=3)
         with pytest.raises(ValueError):
             mode_envelope("flock", 4, 2, 10, m_min=0, m_max=3)
+
+
+class TestCsReduction:
+    def test_cs_4x4_sign_matches_det_trace(self, rng):
+        # flock-cs verdicts come from the shape matrix, so its 4x4 matrix is
+        # checked against det/trace here, independently of the envelope
+        decisive = mismatches = 0
+        for _ in range(100):
+            a = rng.uniform(2.5, 7.0)
+            b = rng.uniform(0.3, 0.8 * a)
+            n = int(rng.integers(8, 401))
+            m = int(rng.integers(2, n // 2 + 1))
+            mat = cs_flock_mode_matrix(a, b, n, m, rng.uniform(0.3, 3.0))
+            max_re = float(np.max(eig4(mat).real))
+            if abs(max_re) <= 1e-8 * max(1.0, mat.max_norm):
+                continue  # inside the tolerance band: no sign to compare
+            decisive += 1
+            D, T = det_trace(shape_matrix(a, b, n, m))
+            mismatches += (max_re < 0) != (D > 0 and T < 0)
+        assert mismatches == 0
+        assert decisive >= 60
 
 
 class TestDetAsymptotics:
