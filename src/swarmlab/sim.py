@@ -8,6 +8,10 @@ with PI step-size control and a quartic continuous extension, so
 trajectories are sampled on an exact uniform time grid independent of
 the adaptive steps.
 
+Each particle's pair terms are added left to right in particle index, so
+a run is reproducible bit for bit given the elementwise hypot, pow and
+exp of the numpy build (which the CLI manifest records).
+
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
 normalized angular momentum; bifurcation sweeps run one simulation per
@@ -186,41 +190,40 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
-def _pair_geometry(x, guard):
-    """Offsets x_l - x_j and distances with the contact guard applied."""
-    diff = x[None, :, :] - x[:, None, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    n = x.shape[0]
-    if n > 1:
-        idx = np.arange(n)
-        dist_off = dist.copy()
-        dist_off[idx, idx] = np.inf
-        dmin = dist_off.min()
-        if dmin < guard:
-            j, l = np.unravel_index(np.argmin(dist_off), dist_off.shape)
-            raise SimulationError(
-                f"particles {j} and {l} at distance {dmin:.3e} "
-                f"below the guard {guard:.3e}"
-            )
-    np.fill_diagonal(dist, 1.0)  # placeholder; diagonal terms are zeroed below
-    return diff, dist
+def _pair_sum(w, ox, oy):
+    """sum_l w[l, j] * o[l, j] for each particle j, added left to right in l."""
+    return np.column_stack([(w * ox).sum(axis=0), (w * oy).sum(axis=0)])
 
 
 def _accelerations(x, v, model, potential, propulsion, alignment, guard):
+    """Accelerations and the closest pair distance (inf for one particle).
+
+    Offsets are stored transposed, dx[l, j] = x_l - x_j, so the sums over
+    the contiguous axis 0 add each particle's pair terms in index order.
+    """
     n = x.shape[0]
-    diff, dist = _pair_geometry(x, guard)
-    factor = potential.deriv(dist) / dist
-    np.fill_diagonal(factor, 0.0)
-    dv = np.einsum("jl,jld->jd", factor, diff) / n
+    dx = x[:, 0, None] - x[:, 0]
+    dy = x[:, 1, None] - x[:, 1]
+    dist = np.hypot(dx, dy)
+    np.fill_diagonal(dist, np.inf)
+    k = int(np.argmin(dist))
+    dmin = float(dist.flat[k])
+    if dmin < guard:
+        j, l = divmod(k, n)
+        raise SimulationError(
+            f"particles {j} and {l} at distance {dmin:.3e} below the guard {guard:.3e}"
+        )
+    np.fill_diagonal(dist, 1.0)  # placeholder; the diagonal offsets are zero
+    f = potential.deriv(dist)
+    f /= dist
+    dv = _pair_sum(f, dx, dy) / n
     if model == "propulsion":
         speed2 = np.sum(v * v, axis=1)
         dv += (propulsion.alpha - propulsion.beta * speed2)[:, None] * v
     else:
         g = alignment.value(dist)
-        np.fill_diagonal(g, 0.0)
-        vdiff = v[None, :, :] - v[:, None, :]
-        dv += np.einsum("jl,jld->jd", g, vdiff) / n
-    return dv
+        dv += _pair_sum(g, v[:, 0, None] - v[:, 0], v[:, 1, None] - v[:, 1]) / n
+    return dv, dmin
 
 
 def _default_guard(config, x0):
@@ -234,7 +237,7 @@ def _default_guard(config, x0):
 def rhs(state, config):
     """Time derivatives (dx, dv) of the chosen model at the given state."""
     guard = _default_guard(config, state.positions)
-    dv = _accelerations(
+    dv, _ = _accelerations(
         state.positions,
         state.velocities,
         config.model,
@@ -335,7 +338,8 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
     t = t0
     y = y0.copy()
     k1 = f(t, y)
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2}
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2,
+             "h_min": math.inf, "h_max": 0.0}
     h = _initial_step(f, t0, y0, k1, rtol, atol, tf - t0)
     err_prev = 1.0
     si = 0
@@ -368,6 +372,8 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
                 on_sample(ts, y_new if ts >= t_new else seg(ts))
                 si += 1
             stats["steps_accepted"] += 1
+            stats["h_min"] = min(stats["h_min"], h)
+            stats["h_max"] = max(stats["h_max"], h)
             t, y, k1 = t_new, y_new, K[6]
             if err == 0.0:
                 factor = _FAC_MAX
@@ -390,6 +396,13 @@ def _speed_reference(config, initial):
         return config.propulsion.asymptotic_speed
     speeds = np.hypot(*initial.velocities.T)
     return float(np.mean(speeds))
+
+
+def _momentum_drift(v0, v1):
+    """|sum v1 - sum v0| / sum |v0|; absolute when the swarm starts at rest."""
+    drift = float(np.linalg.norm(v1.sum(axis=0) - v0.sum(axis=0)))
+    scale = float(np.sum(np.hypot(v0[:, 0], v0[:, 1])))
+    return drift / scale if scale > 0 else drift
 
 
 def _metric_row(state, reference, s_ref):
@@ -421,14 +434,17 @@ def integrate(config, initial, reference=None):
         raise ValueError(f"initial state has n={n}, config says n={config.n}")
     guard = _default_guard(config, x0)
     y0 = np.concatenate([x0.ravel(), v0.ravel()])
+    closest = math.inf
 
     def f(t, y):
+        nonlocal closest
         x = y[: 2 * n].reshape(n, 2)
         v = y[2 * n :].reshape(n, 2)
-        dv = _accelerations(
+        dv, dmin = _accelerations(
             x, v, config.model, config.potential,
             config.propulsion, config.alignment, guard,
         )
+        closest = min(closest, dmin)
         return np.concatenate([v.ravel(), dv.ravel()])
 
     t0 = initial.t
@@ -452,9 +468,12 @@ def integrate(config, initial, reference=None):
         states.append(st)
         rows.append(_metric_row(st, reference, s_ref))
 
-    _, stats = _integrate_adaptive(
+    y_final, stats = _integrate_adaptive(
         f, t0, tf, y0, config.rtol, config.atol, sample_times, on_sample
     )
+    stats["min_pair_distance"] = closest if n > 1 else None
+    if config.model == "cucker-smale":
+        stats["momentum_drift"] = _momentum_drift(v0, y_final[2 * n :].reshape(n, 2))
     cols = np.array(rows, dtype=float).T if rows else np.zeros((5, 0))
     metrics = MetricSeries(
         t=np.array([s.t for s in states]),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import swarmlab.sim as sim_module
-from swarmlab.potentials import AlignmentKernel, PowerLaw, Propulsion
+from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from swarmlab.rings import flock_ring, mill_ring, ring_positions
 from swarmlab.sim import (
     MetricSeries,
@@ -31,6 +31,30 @@ def propulsion_config(pot, n, t_final, alpha=1.0, beta=1.0, **kw):
         model="propulsion", potential=pot, n=n, t_final=t_final,
         propulsion=Propulsion(alpha, beta), **kw,
     )
+
+
+def left_to_right_dv(x, v, cfg):
+    """dv from a Python loop adding each particle's pair terms in index order."""
+    n = x.shape[0]
+    dist = np.hypot(x[:, 0, None] - x[:, 0], x[:, 1, None] - x[:, 1])
+    np.fill_diagonal(dist, 1.0)
+
+    def pair_sum(w, u):
+        acc = np.zeros((n, 2))
+        for j in range(n):
+            for l in range(n):
+                if l != j:
+                    acc[j] += w[j, l] * (u[l] - u[j])
+        return acc / n
+
+    dv = pair_sum(cfg.potential.deriv(dist) / dist, x)
+    if cfg.model == "propulsion":
+        for j in range(n):
+            speed2 = v[j, 0] * v[j, 0] + v[j, 1] * v[j, 1]
+            dv[j] += (cfg.propulsion.alpha - cfg.propulsion.beta * speed2) * v[j]
+    else:
+        dv += pair_sum(cfg.alignment.value(dist), v)
+    return dv
 
 
 class TestRhs:
@@ -75,6 +99,34 @@ class TestRhs:
                         velocities=np.zeros((3, 2)))
         with pytest.raises(SimulationError, match="particles 0 and 1"):
             rhs(st, cfg)
+
+    def test_guard_names_closest_pair_in_row_order(self):
+        cfg = propulsion_config(PowerLaw(2, 1), 4, 1.0, min_distance_guard=1.0)
+        x = np.array([[0.0, 0.0], [10.0, 0.0], [10.5, 0.0], [30.0, 0.0]])
+        st = SwarmState(t=0.0, positions=x, velocities=np.zeros((4, 2)))
+        with pytest.raises(SimulationError, match="particles 1 and 2 at distance 5.000e-01"):
+            rhs(st, cfg)
+
+    @pytest.mark.parametrize("model, pot", [
+        ("propulsion", PowerLaw(5, 1.25)),
+        ("propulsion", Morse(C_A=1.0, C_R=2.0, l_A=2.0, l_R=0.5)),
+        ("cucker-smale", PowerLaw(5, 1.25)),
+    ])
+    def test_pair_terms_summed_left_to_right(self, model, pot):
+        # the reproducibility contract: bit-equal to an in-order Python sum
+        n = 24
+        rng = np.random.default_rng(11)
+        theta = 2 * np.pi * np.arange(n) / n
+        x = 0.6 * np.column_stack([np.cos(theta), np.sin(theta)])
+        x += np.array([40.0, -30.0]) + 1e-2 * rng.standard_normal((n, 2))
+        v = 0.5 * rng.standard_normal((n, 2))
+        if model == "propulsion":
+            cfg = propulsion_config(pot, n, 1.0, alpha=1.0, beta=4.0)
+        else:
+            cfg = SimConfig(model=model, potential=pot, n=n, t_final=1.0,
+                            alignment=AlignmentKernel(1.0))
+        _, dv = rhs(SwarmState(t=0.0, positions=x, velocities=v), cfg)
+        assert np.array_equal(dv, left_to_right_dv(x, v, cfg))
 
     def test_cs_rhs_matches_direct_sum(self):
         pot = PowerLaw(3, 1.5)
@@ -128,6 +180,28 @@ class TestIntegrate:
         assert np.allclose(res.metrics.t, [0.0, 1.0, 2.0, 2.5])
         assert res.stats["steps_accepted"] > 0
         assert res.stats["rhs_evals"] > 6 * res.stats["steps_accepted"]
+        assert 0 < res.stats["h_min"] <= res.stats["h_max"] <= 2.5
+        assert res.stats["min_pair_distance"] is None  # one particle has no pairs
+        assert "momentum_drift" not in res.stats
+
+    def test_pair_distance_and_momentum_stats(self):
+        pot = PowerLaw(4, 2)
+        ring = flock_ring(pot, 12, speed=1.0)
+        st = ic_flock_ring(ring, perturbation=RandomNoise(1e-2, 1e-2),
+                           rng=np.random.default_rng(3))
+        cfg = SimConfig(model="cucker-smale", potential=pot, n=12, t_final=5.0,
+                        alignment=AlignmentKernel(1.0))
+        res = integrate(cfg, st, reference=ring)
+
+        def closest_pair(s):
+            d = np.hypot(*(s.positions[:, None] - s.positions).T)
+            return float(np.min(d[~np.eye(12, dtype=bool)]))
+
+        # the initial state is one of the RHS evaluations; the other samples
+        # are interpolated, so they bound the minimum only loosely
+        assert res.stats["min_pair_distance"] <= closest_pair(st)
+        assert res.stats["min_pair_distance"] > 0.9 * min(map(closest_pair, res.states))
+        assert res.stats["momentum_drift"] < 1e-12
 
     def test_n_mismatch_rejected(self):
         cfg = propulsion_config(PowerLaw(4, 2), 3, 1.0)
