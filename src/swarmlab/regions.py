@@ -286,12 +286,17 @@ def separatrix_check(a_values, n, m_max=None, steps=40):
     point, then bisect ``steps`` times on the stable/unstable transition
     below it.  Returns rows (a, b_boundary, a/(a-1), gap) with signed
     gap = b_boundary - a/(a-1); nan boundary when no stable b exists in
-    the window.  An m_max (default (n-1)//2) below 2 is a ValueError.
+    the window.  An m_max (default (n-1)//2) below 2, any a <= 1 (no
+    limit curve) or steps < 0 is a ValueError, raised before any solve.
     """
     m_max = _resolve_m_max(n, m_max)
+    a_values = [float(a) for a in a_values]
+    if not all(a > 1.0 for a in a_values):
+        raise ValueError(f"separatrix needs every a > 1, got {a_values}")
+    if steps < 0:
+        raise ValueError(f"need steps >= 0, got steps={steps}")
     rows = []
     for a in a_values:
-        a = float(a)
         target = a / (a - 1.0)
         lo_edge, hi_edge = 0.5, a - 0.05
         grid = np.linspace(lo_edge, hi_edge, _COARSE)

@@ -15,12 +15,22 @@ the shape).  For the power-law potential the left side collapses to
 
 As N grows, S_alpha tends to an integral expressible through the Beta
 function, giving closed continuum radii (:func:`continuum_radius`).
+
+Reproducibility: every radius rests on libm ``sin``, ``pow`` and ``exp``
+and on ``math.fsum``, never on numpy, so two machines with the same C
+library give the same bits.  One table of sines per n serves every
+moment and every Morse chord sum.  The coupling weights that
+:mod:`swarmlab.spectra` builds from the radius use ``np.sin`` and
+``np.power`` instead, and so depend on the numpy build.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -107,6 +117,15 @@ class RadiusProblem:
                 raise ValueError("bracket needs 0 < lo < hi")
 
 
+@functools.lru_cache(maxsize=2)
+def _sines(n):
+    """sin(p pi / n) for p = 0..n-1 from libm, one table per recent n.
+
+    The cached array is shared: callers read or copy it, never write it.
+    """
+    return array("d", (math.sin(p * math.pi / n) for p in range(n)))
+
+
 def trig_moment(n, alpha):
     """Moment S_alpha = (1/n) sum_{p=0}^{n-1} sin(p pi / n)^alpha.
 
@@ -116,6 +135,9 @@ def trig_moment(n, alpha):
     S_2 = 1/2 and S_4 = 3/8 bit-exactly.  Other exponents fall back to
     compensated summation.  2^(alpha-1) S_alpha tends to
     :func:`sine_moment_limit` as n grows.
+
+    The sum is ``math.fsum`` (correctly rounded) of libm ``sin`` and
+    ``pow`` values, so the result depends on the C library, not on numpy.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -124,7 +146,12 @@ def trig_moment(n, alpha):
     if alpha == int(alpha) and int(alpha) % 2 == 0 and n > alpha // 2:
         k = int(alpha) // 2
         return math.comb(2 * k, k) / 4**k
-    return math.fsum(math.sin(p * math.pi / n) ** alpha for p in range(n)) / n
+    return math.fsum(map(pow, _sines(n), repeat(alpha))) / n
+
+
+# moments for the radius solves: a scan at fixed a reuses S_a, while the
+# ~45 distinct S_b of one separatrix pass evict everything older
+_moment = functools.lru_cache(maxsize=8)(trig_moment)
 
 
 def _residual_fn(potential, n, speed):
@@ -135,7 +162,7 @@ def _residual_fn(potential, n, speed):
     """
     s2 = speed * speed
     if isinstance(potential, PowerLaw):
-        s_a, s_b = trig_moment(n, potential.a), trig_moment(n, potential.b)
+        s_a, s_b = _moment(n, potential.a), _moment(n, potential.b)
         ea, eb = potential.a - 1.0, potential.b - 1.0
 
         def residual(R):
@@ -148,7 +175,7 @@ def _residual_fn(potential, n, speed):
 
         return residual, residual_deriv
 
-    sines = [math.sin(p * math.pi / n) for p in range(1, n)]
+    sines = _sines(n)[1:].tolist()
 
     def residual(R):
         om2 = s2 / (R * R)

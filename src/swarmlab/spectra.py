@@ -200,6 +200,7 @@ def _fold(k, n):
 
 
 def _weight_vectors(a, b, radius, n):
+    # np.sin and np.power, unlike the libm radius solve, follow the numpy build
     p = np.arange(1, n)
     d = 2.0 * radius * np.sin(p * np.pi / n)
     da = d ** (a - 2.0)

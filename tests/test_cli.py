@@ -331,6 +331,10 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                   "--speed", "0.3"], "explicit bracket", id="morse-without-bracket"),
     pytest.param(["separatrix", "--a-list", "3", "--n", "50", "--m-max", "1"], "m_max",
                  id="separatrix-m_max1"),
+    pytest.param(["separatrix", "--a-list", "3,1.0", "--n", "50"], "a > 1",
+                 id="separatrix-a1"),
+    pytest.param(["separatrix", "--a-list", "3", "--n", "50", "--steps", "-5"], "steps >= 0",
+                 id="separatrix-negative-steps"),
     pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "m_max=1"],
                  "m_max", id="flock-m_max1"),
     pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "m_max=1"],

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from swarmlab import rings
 from swarmlab.potentials import Morse, PowerLaw
+from swarmlab.regions import separatrix_check
 from swarmlab.rings import (
     RadiusProblem,
     RingSolution,
@@ -54,10 +56,40 @@ class TestTrigMoment:
             assert val == pytest.approx(sine_moment_limit(alpha), abs=1e-6)
 
     def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            trig_moment(2, 2)
-        with pytest.raises(ValueError):
-            trig_moment(5, -1)
+        # twice each: the solver's memo must not store a raised error as a value
+        for moment in (trig_moment, rings._moment):
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    moment(2, 2)
+                with pytest.raises(ValueError):
+                    moment(5, -1)
+
+    def test_equals_generator_sum_bit_for_bit(self):
+        # the table route sums the same libm sin/pow values with fsum, so it
+        # reproduces the per-term generator exactly; the a values are those
+        # of the separatrix benchmark at seeds 0-3
+        bench_a = [
+            float(np.random.default_rng(seed).uniform(lo, hi))
+            for seed in range(4)
+            for lo, hi in ((3.0, 4.0), (4.0, 5.0))
+        ]
+        for n in (3, 7, 1000, 100000):
+            alphas = (0.0, 0.5, 1.25, 3.3, 5.0) + (tuple(bench_a) if n == 100000 else ())
+            for alpha in alphas:
+                ref = math.fsum(math.sin(p * math.pi / n) ** alpha for p in range(n)) / n
+                assert trig_moment(n, alpha) == ref, (n, alpha)
+
+    def test_caches_are_bounded(self):
+        for cached in (rings._sines, rings._moment):
+            maxsize = cached.cache_info().maxsize
+            assert maxsize is not None and maxsize <= 8
+
+    def test_solves_at_fixed_a_reuse_s_a(self):
+        rings._moment.cache_clear()
+        for b in (1.1, 1.2, 1.3):
+            flock_ring(PowerLaw(3.5, b), 2000)
+        info = rings._moment.cache_info()
+        assert (info.hits, info.misses) == (2, 4)
 
 
 class TestBetaAndLimits:
@@ -195,6 +227,12 @@ class TestRingConstructors:
             RadiusProblem(potential=PowerLaw(4, 2), n=10, bracket=(2.0, 1.0))
         with pytest.raises(ValueError):
             RadiusProblem(potential=PowerLaw(4, 2), n=10, speed=-0.5)
+
+
+def test_repeated_separatrix_rows_identical():
+    # memoized moments must not change a second pass in the same process
+    first = separatrix_check([3.0], n=500, steps=30)
+    assert separatrix_check([3.0], n=500, steps=30) == first
 
 
 class TestContinuum:
