@@ -50,14 +50,28 @@ class PowerLaw:
     def value(self, r):
         return np.asarray(r) ** self.a / self.a - np.asarray(r) ** self.b / self.b
 
-    def deriv(self, r):
-        """k'(r) = r^(a-1) - r^(b-1), exact analytic form."""
+    def deriv(self, r, out=None, work=None):
+        """k'(r) = r^(a-1) - r^(b-1), exact analytic form.
+
+        ``out`` takes the result and ``work`` (same shape) the second power;
+        with both given, no temporary array is made.
+        """
         r = np.asarray(r, dtype=float)
-        return r ** (self.a - 1.0) - r ** (self.b - 1.0)
+        return np.subtract(
+            np.power(r, self.a - 1.0, out=out),
+            np.power(r, self.b - 1.0, out=work),
+            out=out,
+        )
 
     def second_deriv(self, r):
         r = np.asarray(r, dtype=float)
         return (self.a - 1.0) * r ** (self.a - 2.0) - (self.b - 1.0) * r ** (self.b - 2.0)
+
+
+def _scaled_exp(r, c, length, out=None):
+    """c exp(-r / length), computed in ``out`` when it is given."""
+    e = np.divide(np.negative(r, out=out), length, out=out)
+    return np.multiply(c, np.exp(e, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -84,12 +98,17 @@ class Morse:
         r = np.asarray(r, dtype=float)
         return self.C_R * np.exp(-r / self.l_R) - self.C_A * np.exp(-r / self.l_A)
 
-    def deriv(self, r):
-        """k'(r) = (C_A/l_A) exp(-r/l_A) - (C_R/l_R) exp(-r/l_R)."""
+    def deriv(self, r, out=None, work=None):
+        """k'(r) = (C_A/l_A) exp(-r/l_A) - (C_R/l_R) exp(-r/l_R).
+
+        ``out`` and ``work`` as in :meth:`PowerLaw.deriv`.
+        """
         r = np.asarray(r, dtype=float)
-        return (self.C_A / self.l_A) * np.exp(-r / self.l_A) - (
-            self.C_R / self.l_R
-        ) * np.exp(-r / self.l_R)
+        return np.subtract(
+            _scaled_exp(r, self.C_A / self.l_A, self.l_A, out),
+            _scaled_exp(r, self.C_R / self.l_R, self.l_R, work),
+            out=out,
+        )
 
     def second_deriv(self, r):
         r = np.asarray(r, dtype=float)
@@ -130,6 +149,8 @@ class AlignmentKernel:
         if not self.gamma > 0:
             raise ValueError("alignment kernel needs gamma > 0")
 
-    def value(self, r):
+    def value(self, r, out=None):
+        """g(r); with ``out`` given, the result is written there in place."""
         r = np.asarray(r, dtype=float)
-        return (1.0 + r * r) ** (-self.gamma)
+        s = np.add(1.0, np.multiply(r, r, out=out), out=out)
+        return np.power(s, -self.gamma, out=out)

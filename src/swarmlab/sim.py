@@ -10,7 +10,10 @@ the adaptive steps.
 
 Each particle's pair terms are added left to right in particle index, so
 a run is reproducible bit for bit given the elementwise hypot, pow and
-exp of the numpy build (which the CLI manifest records).
+exp of the numpy build (which the CLI manifest records).  The pair
+kernel writes into five (n, n) buffers that one ``integrate`` call
+allocates for all its RHS evaluations (``rhs`` allocates its own); every
+entry is written before it is read, so results do not depend on them.
 
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
@@ -190,21 +193,35 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
-def _pair_sum(w, ox, oy):
-    """sum_l w[l, j] * o[l, j] for each particle j, added left to right in l."""
-    return np.column_stack([(w * ox).sum(axis=0), (w * oy).sum(axis=0)])
+def _kernel_buffers(n):
+    """Scratch for the RHS: dx, dy, dist, f and a product array, each (n, n)."""
+    return np.empty((5, n, n))
 
 
-def _accelerations(x, v, model, potential, propulsion, alignment, guard):
+def _pair_sum(w, ox, oy, prod):
+    """sum_l w[l, j] * o[l, j] for each particle j, added left to right in l.
+
+    ``prod`` is (n, n) scratch for the products.
+    """
+    acc = np.empty((w.shape[1], 2))
+    for k, o in enumerate((ox, oy)):
+        np.multiply(w, o, out=prod).sum(axis=0, out=acc[:, k])
+    return acc
+
+
+def _accelerations(x, v, model, potential, propulsion, alignment, guard, buffers):
     """Accelerations and the closest pair distance (inf for one particle).
 
     Offsets are stored transposed, dx[l, j] = x_l - x_j, so the sums over
     the contiguous axis 0 add each particle's pair terms in index order.
+    Every (n, n) array lives in ``buffers`` (see _kernel_buffers) and is
+    overwritten before it is read, so no result depends on earlier calls.
     """
     n = x.shape[0]
-    dx = x[:, 0, None] - x[:, 0]
-    dy = x[:, 1, None] - x[:, 1]
-    dist = np.hypot(dx, dy)
+    dx, dy, dist, f, prod = buffers
+    np.subtract(x[:, 0, None], x[:, 0], out=dx)
+    np.subtract(x[:, 1, None], x[:, 1], out=dy)
+    np.hypot(dx, dy, out=dist)
     np.fill_diagonal(dist, np.inf)
     k = int(np.argmin(dist))
     dmin = float(dist.flat[k])
@@ -214,15 +231,17 @@ def _accelerations(x, v, model, potential, propulsion, alignment, guard):
             f"particles {j} and {l} at distance {dmin:.3e} below the guard {guard:.3e}"
         )
     np.fill_diagonal(dist, 1.0)  # placeholder; the diagonal offsets are zero
-    f = potential.deriv(dist)
+    potential.deriv(dist, out=f, work=prod)
     f /= dist
-    dv = _pair_sum(f, dx, dy) / n
+    dv = _pair_sum(f, dx, dy, prod) / n
     if model == "propulsion":
         speed2 = np.sum(v * v, axis=1)
         dv += (propulsion.alpha - propulsion.beta * speed2)[:, None] * v
     else:
-        g = alignment.value(dist)
-        dv += _pair_sum(g, v[:, 0, None] - v[:, 0], v[:, 1, None] - v[:, 1]) / n
+        alignment.value(dist, out=f)
+        np.subtract(v[:, 0, None], v[:, 0], out=dx)
+        np.subtract(v[:, 1, None], v[:, 1], out=dy)
+        dv += _pair_sum(f, dx, dy, prod) / n
     return dv, dmin
 
 
@@ -245,6 +264,7 @@ def rhs(state, config):
         config.propulsion,
         config.alignment,
         guard,
+        _kernel_buffers(state.n),
     )
     return state.velocities.copy(), dv
 
@@ -338,8 +358,8 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
     t = t0
     y = y0.copy()
     k1 = f(t, y)
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2,
-             "h_min": math.inf, "h_max": 0.0}
+    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2}
+    accepted_h = []
     h = _initial_step(f, t0, y0, k1, rtol, atol, tf - t0)
     err_prev = 1.0
     si = 0
@@ -371,9 +391,7 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
                 ts = sample_times[si]
                 on_sample(ts, y_new if ts >= t_new else seg(ts))
                 si += 1
-            stats["steps_accepted"] += 1
-            stats["h_min"] = min(stats["h_min"], h)
-            stats["h_max"] = max(stats["h_max"], h)
+            accepted_h.append(h)
             t, y, k1 = t_new, y_new, K[6]
             if err == 0.0:
                 factor = _FAC_MAX
@@ -388,6 +406,8 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
     while si < len(sample_times):
         on_sample(sample_times[si], y)
         si += 1
+    stats.update(steps_accepted=len(accepted_h), h_min=min(accepted_h),
+                 h_max=max(accepted_h), h_median=float(np.median(accepted_h)))
     return y, stats
 
 
@@ -434,6 +454,7 @@ def integrate(config, initial, reference=None):
         raise ValueError(f"initial state has n={n}, config says n={config.n}")
     guard = _default_guard(config, x0)
     y0 = np.concatenate([x0.ravel(), v0.ravel()])
+    buffers = _kernel_buffers(n)
     closest = math.inf
 
     def f(t, y):
@@ -442,7 +463,7 @@ def integrate(config, initial, reference=None):
         v = y[2 * n :].reshape(n, 2)
         dv, dmin = _accelerations(
             x, v, config.model, config.potential,
-            config.propulsion, config.alignment, guard,
+            config.propulsion, config.alignment, guard, buffers,
         )
         closest = min(closest, dmin)
         return np.concatenate([v.ravel(), dv.ravel()])

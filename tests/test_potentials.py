@@ -142,3 +142,46 @@ class TestForceHelpers:
         c, s = np.cos(0.7), np.sin(0.7)
         Q = np.array([[c, -s], [s, c]])
         assert np.allclose(propulsion_dv(prop, x @ Q.T, v @ Q.T), dv @ Q.T, atol=1e-12)
+
+
+def pair_distances(n, rng):
+    """An (n, n) table of positive distances, as the pair kernel passes it."""
+    return rng.uniform(0.05, 4.0, size=(n, n))
+
+
+class TestOutArrays:
+    # the kernel's in-place path must give exactly what the plain expressions
+    # give; exponents 2.0, 0.5 and 1.0 are where numpy's ** has fast paths
+    @pytest.mark.parametrize("a, b", [(3.0, 1.5), (2.0, 1.5), (3.0, 2.0),
+                                      (5.0, 1.25), (4, 0.0005)])
+    def test_power_law_deriv(self, a, b, rng):
+        pot = PowerLaw(a, b)
+        r = pair_distances(60, rng)
+        expect = r ** (a - 1.0) - r ** (b - 1.0)
+        out, work = np.full((2, 60, 60), np.nan)
+        assert pot.deriv(r, out=out, work=work) is out
+        assert np.array_equal(out, expect)
+        assert np.array_equal(pot.deriv(r, out=np.empty_like(r)), expect)
+        assert np.array_equal(pot.deriv(r), expect)
+
+    @pytest.mark.parametrize("pot", [Morse(C_A=1.0, C_R=2.0, l_A=2.0, l_R=0.5),
+                                     Morse(C_A=0.5, C_R=1.0, l_A=1.0, l_R=0.25)])
+    def test_morse_deriv(self, pot, rng):
+        r = pair_distances(60, rng)
+        expect = (pot.C_A / pot.l_A) * np.exp(-r / pot.l_A) - (
+            pot.C_R / pot.l_R
+        ) * np.exp(-r / pot.l_R)
+        out, work = np.full((2, 60, 60), np.nan)
+        assert pot.deriv(r, out=out, work=work) is out
+        assert np.array_equal(out, expect)
+        assert np.array_equal(pot.deriv(r), expect)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.5, 2.0, 1.3])
+    def test_alignment_value(self, gamma, rng):
+        kernel = AlignmentKernel(gamma)
+        r = pair_distances(60, rng)
+        expect = (1.0 + r * r) ** (-gamma)
+        out = np.full_like(r, np.nan)
+        assert kernel.value(r, out=out) is out
+        assert np.array_equal(out, expect)
+        assert np.array_equal(kernel.value(r), expect)

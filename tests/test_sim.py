@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +129,19 @@ class TestRhs:
                             alignment=AlignmentKernel(1.0))
         _, dv = rhs(SwarmState(t=0.0, positions=x, velocities=v), cfg)
         assert np.array_equal(dv, left_to_right_dv(x, v, cfg))
+        # two states back to back through one set of buffers that starts as
+        # NaN: nothing of the earlier contents reaches either result
+        buffers = sim_module._kernel_buffers(n)
+        buffers.fill(np.nan)
+        x2, v2 = 1.3 * x[::-1], -v
+        for xs, vs in ((x, v), (x2, v2)):
+            dv_reused, _ = sim_module._accelerations(
+                xs, vs, cfg.model, cfg.potential, cfg.propulsion, cfg.alignment,
+                0.0, buffers,
+            )
+            _, dv_fresh = rhs(SwarmState(t=0.0, positions=xs, velocities=vs), cfg)
+            assert np.array_equal(dv_reused, dv_fresh)
+        assert np.array_equal(dv_reused, left_to_right_dv(x2, v2, cfg))
 
     def test_cs_rhs_matches_direct_sum(self):
         pot = PowerLaw(3, 1.5)
@@ -180,7 +195,7 @@ class TestIntegrate:
         assert np.allclose(res.metrics.t, [0.0, 1.0, 2.0, 2.5])
         assert res.stats["steps_accepted"] > 0
         assert res.stats["rhs_evals"] > 6 * res.stats["steps_accepted"]
-        assert 0 < res.stats["h_min"] <= res.stats["h_max"] <= 2.5
+        assert 0 < res.stats["h_min"] <= res.stats["h_median"] <= res.stats["h_max"] <= 2.5
         assert res.stats["min_pair_distance"] is None  # one particle has no pairs
         assert "momentum_drift" not in res.stats
 
@@ -202,6 +217,37 @@ class TestIntegrate:
         assert res.stats["min_pair_distance"] <= closest_pair(st)
         assert res.stats["min_pair_distance"] > 0.9 * min(map(closest_pair, res.states))
         assert res.stats["momentum_drift"] < 1e-12
+
+    def test_steps_reuse_the_kernel_buffers(self, monkeypatch):
+        # once the run's buffers exist, one whole step (its six RHS
+        # evaluations and the stepper's own arrays) never holds one more
+        # (n, n) array; tracemalloc sees numpy's data allocations
+        n = 200
+        pot = PowerLaw(5, 1.25)
+        ring = mill_ring(pot, n, 0.5)
+        st = ic_mill_ring(ring, perturbation=RandomNoise(1e-2 * ring.radius, 5e-3),
+                          rng=np.random.default_rng(1))
+        cfg = propulsion_config(pot, n, 0.2, alpha=1.0, beta=4.0, sample_every=0.2)
+        kernel = sim_module._accelerations
+        calls = itertools.count(1)
+        window = {}
+
+        def traced(*args):
+            k = next(calls)
+            if k == 3:  # first stage of the first step; evaluations 1-2 start the run
+                tracemalloc.reset_peak()
+                window["start"] = tracemalloc.get_traced_memory()[0]
+            elif k == 9:  # first stage of the second step
+                window["peak"] = tracemalloc.get_traced_memory()[1]
+            return kernel(*args)
+
+        monkeypatch.setattr(sim_module, "_accelerations", traced)
+        tracemalloc.start()
+        try:
+            integrate(cfg, st)
+        finally:
+            tracemalloc.stop()
+        assert window["peak"] - window["start"] < n * n * 8
 
     def test_n_mismatch_rejected(self):
         cfg = propulsion_config(PowerLaw(4, 2), 3, 1.0)
@@ -472,12 +518,15 @@ class TestBifurcationSweep:
         assert rows[0] == (1.5, pytest.approx(res.metrics.mu_rel[-1], rel=1e-12))
 
     def test_worker_count_invariance(self):
+        # each member integrates with its own kernel buffers, so members that
+        # run at once on the thread pool cannot disturb each other
         pot = PowerLaw(5, 1.5)
-        cfg = propulsion_config(pot, 20, 2.0, alpha=1.0, beta=4.0, seed=9,
-                                sample_every=2.0)
-        one = bifurcation_sweep(cfg, "b", [1.2, 1.5], metric="fatten", workers=1)
-        two = bifurcation_sweep(cfg, "b", [1.2, 1.5], metric="fatten", workers=2)
-        assert one == two
+        for n, t_final in ((20, 2.0), (120, 1.0)):
+            cfg = propulsion_config(pot, n, t_final, alpha=1.0, beta=4.0, seed=9,
+                                    sample_every=t_final)
+            one = bifurcation_sweep(cfg, "b", [1.2, 1.5], metric="fatten", workers=1)
+            two = bifurcation_sweep(cfg, "b", [1.2, 1.5], metric="fatten", workers=2)
+            assert one == two
 
     def test_speed_parameter_rebuilds_propulsion(self):
         pot = PowerLaw(5, 1.25)
