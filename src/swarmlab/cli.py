@@ -16,9 +16,9 @@ returns ``(parameters, outputs, seed)``; :func:`main` alone maps
 exceptions to exit codes and writes the JSON run manifest.  Exit codes:
 0 success, 2 usage error (ValueError, TypeError, KeyError, OSError),
 3 numerical failure (ArithmeticError, SimulationError), 4 validation
-failure.  Errors are a single ``error: ...`` line on stderr.  The
-SWARMLAB_WORKERS environment variable (or --workers) sets the worker
-count; results never depend on it.
+failure.  Errors are a single ``error: ...`` line on stderr.  ``--workers``
+(default 1) sets the worker count of ``region`` and ``bifurcate``; results
+never depend on it.
 """
 
 from __future__ import annotations
@@ -363,6 +363,9 @@ def cmd_bifurcate(args):
     config, data = _load_sim_config(args)
     values = _float_list(args.values, "--values")
     ic_data = data.get("ic", {})
+    for key in ("direction", "orientation"):
+        if key in ic_data:
+            raise ValueError(f"bifurcate does not take ic.{key}; its members start from the default")
     rows = bifurcation_sweep(
         config,
         args.param,
@@ -519,7 +522,7 @@ def build_parser():
     p.add_argument("--grid", nargs=2, required=True, metavar=("X", "Y"),
                    help="axis specs name:min:max:count (x then y)")
     p.add_argument("--fixed", nargs="*", metavar="K=V")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="swarmlab_region")
     p.set_defaults(func=cmd_region)
 
@@ -561,7 +564,7 @@ def build_parser():
     p.add_argument("--values", required=True)
     p.add_argument("--metric", choices=("cluster", "fatten", "polarization", "angular_momentum"),
                    default="cluster")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="swarmlab_bifurcation")
     p.set_defaults(func=cmd_bifurcate)
 

@@ -43,16 +43,6 @@ _COARSE = 9
 _FIXED_KEYS = ("n", "m_max", "alpha", "gamma", "speed", "a")
 
 
-def resolve_workers(workers=None):
-    """Worker-count knob: explicit argument, then SWARMLAB_WORKERS, then 1."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SWARMLAB_WORKERS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Axes and fixed parameters of a scan.
@@ -162,7 +152,7 @@ def _pool_size(workers, jobs, cpus):
 
 def map_jobs(fn, jobs, workers):
     """[fn(*job) for job in jobs], on a thread pool when more than one fits."""
-    size = _pool_size(resolve_workers(workers), len(jobs), os.cpu_count() or 1)
+    size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
     if size == 1:
         return [fn(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=size) as pool:
@@ -241,7 +231,7 @@ def _scan(spec, label, model, workers, a=None):
     )
 
 
-def scan_flock(spec, workers=None):
+def scan_flock(spec, workers=1):
     """Stability map of the propulsion flock over the (a, b) plane.
 
     Per cell: solve the flock radius, apply the det/trace criterion to
@@ -251,13 +241,13 @@ def scan_flock(spec, workers=None):
     return _scan(spec, "flock", "flock", workers)
 
 
-def scan_cs_flock(spec, workers=None):
+def scan_cs_flock(spec, workers=1):
     """Stability map of the alignment flock: scan_flock's verdicts, with
     max_real the largest 4x4 real part (which, unlike them, varies with gamma)."""
     return _scan(spec, "flock-cs", "flock-cs", workers)
 
 
-def scan_mill(spec, workers=None):
+def scan_mill(spec, workers=1):
     """Stability map of the mill ring over (a, b) at fixed speed.
 
     At speed 0 the mill problem degenerates to the flock one, so those
@@ -267,7 +257,7 @@ def scan_mill(spec, workers=None):
     return _scan(spec, "mill", "mill", workers)
 
 
-def scan_speed_b(spec, workers=None):
+def scan_speed_b(spec, workers=1):
     """Mill stability over the (speed, b) plane at fixed exponent a.
 
     The speed-0 column is the flock problem and takes the flock criterion.

@@ -19,9 +19,9 @@ function, giving closed continuum radii (:func:`continuum_radius`).
 Reproducibility: every radius rests on libm ``sin``, ``pow`` and ``exp``
 and on ``math.fsum``, never on numpy, so two machines with the same C
 library give the same bits.  One table of sines per n serves every
-moment and every Morse chord sum.  The coupling weights that
-:mod:`swarmlab.spectra` builds from the radius use ``np.sin`` and
-``np.power`` instead, and so depend on the numpy build.
+moment, every Morse chord sum and every chord of the coupling weights
+that :mod:`swarmlab.spectra` builds from the radius; those weights take
+their powers from ``np.power``, so they also depend on the numpy build.
 """
 
 from __future__ import annotations

@@ -385,7 +385,8 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         err = _error_norm(err_vec, scale)
         if err <= 1.0:
-            t_new = t + h
+            # the step cut to end at tf lands there exactly, not an ulp short
+            t_new = tf if h == tf - t else t + h
             seg = _DenseSegment(t, h, y, y_new, K)
             while si < len(sample_times) and sample_times[si] <= t_new + 1e-10 * h:
                 ts = sample_times[si]
@@ -403,9 +404,6 @@ def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
             stats["steps_rejected"] += 1
             factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
             h *= min(1.0, max(_FAC_MIN, factor))
-    while si < len(sample_times):
-        on_sample(sample_times[si], y)
-        si += 1
     stats.update(steps_accepted=len(accepted_h), h_min=min(accepted_h),
                  h_max=max(accepted_h), h_median=float(np.median(accepted_h)))
     return y, stats
@@ -679,7 +677,7 @@ def bifurcation_sweep(
     metric="cluster",
     perturbation=None,
     ic_speed=None,
-    workers=None,
+    workers=1,
 ):
     """One simulation per parameter value; returns rows (value, final metric).
 

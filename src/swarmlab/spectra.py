@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
-from .rings import RadiusProblem, ring_positions, solve_radius
+from .rings import RadiusProblem, _sines, ring_positions, solve_radius
 
 __all__ = [
     "Classification",
@@ -147,45 +147,40 @@ def pair_weights(a, b, radius, n, p):
     return w1, w2
 
 
-def _checked_real_sum(weights, re_terms, im_terms, label):
-    """Real part of a phase sum whose imaginary part must cancel to
-    roundoff of sum |w_p|; the real part itself can be 0 (mode n - 1)."""
-    re = math.fsum(re_terms)
-    im = math.fsum(im_terms)
-    scale = math.fsum(abs(w) for w in weights)
+def _phase_sum(w, n, j, k, label):
+    """Re sum_p w_p (e^{2 pi i p j / n} - e^{2 pi i p k / n}) over p = 1..n-1.
+
+    The imaginary part cancels by the p <-> n-p symmetry; it must stay
+    within roundoff of sum |w_p|, then is discarded.  The real part
+    itself can be 0 (mode n - 1).
+    """
+    re, im = [], []
+    for p, wp in zip(range(1, n), w):
+        tj, tk = 2.0 * math.pi * p * j / n, 2.0 * math.pi * p * k / n
+        re.append(wp * (math.cos(tj) - math.cos(tk)))
+        im.append(wp * (math.sin(tj) - math.sin(tk)))
+    im, scale = math.fsum(im), math.fsum(map(abs, w))
     if not abs(im) <= 1e-10 * scale:
         raise ArithmeticError(
             f"{label}: imaginary part {im:.3e} not negligible against weights {scale:.3e}"
         )
-    return re
+    return math.fsum(re)
 
 
 def mode_self_coupling(a, b, radius, n, m):
-    """Diagonal entry I1(m) of the shape matrix (I1(-m) for negated m).
-
-    Defined through a complex phase sum whose imaginary part cancels by
-    the p <-> n-p symmetry; the cancellation is asserted, then discarded.
-    """
+    """Diagonal entry I1(m) of the shape matrix (I1(-m) for negated m):
+    the phase sum of the w1 weights at j = 0, k = m + 1."""
     _require_powerlaw(a, b)
     w1 = [pair_weights(a, b, radius, n, p)[0] for p in range(1, n)]
-    ang = [2.0 * math.pi * p * (m + 1) / n for p in range(1, n)]
-    re = [w * (1.0 - math.cos(t)) for w, t in zip(w1, ang)]
-    im = [-w * math.sin(t) for w, t in zip(w1, ang)]
-    return _checked_real_sum(w1, re, im, "mode_self_coupling")
+    return _phase_sum(w1, n, 0, m + 1, "mode_self_coupling")
 
 
 def mode_cross_coupling(a, b, radius, n, m):
-    """Off-diagonal entry I2(m) of the shape matrix; even in m, zero at m=1."""
+    """Off-diagonal entry I2(m) of the shape matrix, even in m and zero at
+    m = 1: the phase sum of the w2 weights at j = m, k = 1."""
     _require_powerlaw(a, b)
     w2 = [pair_weights(a, b, radius, n, p)[1] for p in range(1, n)]
-    re = []
-    im = []
-    for p, w in zip(range(1, n), w2):
-        tm = 2.0 * math.pi * p * m / n
-        t1 = 2.0 * math.pi * p / n
-        re.append(w * (math.cos(tm) - math.cos(t1)))
-        im.append(w * (math.sin(tm) - math.sin(t1)))
-    return _checked_real_sum(w2, re, im, "mode_cross_coupling")
+    return _phase_sum(w2, n, m, 1, "mode_cross_coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +194,15 @@ def _fold(k, n):
     return np.minimum(k, n - k)
 
 
+def _chords(R, n):
+    """Chord lengths 2R sin(p pi / n), p = 1..n-1, from the radius solve's
+    libm sine table (read, never written)."""
+    return 2.0 * R * np.frombuffer(_sines(n))[1:]
+
+
 def _weight_vectors(a, b, radius, n):
-    # np.sin and np.power, unlike the libm radius solve, follow the numpy build
-    p = np.arange(1, n)
-    d = 2.0 * radius * np.sin(p * np.pi / n)
+    # libm chord sines; np.power, unlike the radius solve's pow, follows the numpy build
+    d = _chords(radius, n)
     da = d ** (a - 2.0)
     db = d ** (b - 2.0)
     w1 = np.zeros(n)
@@ -264,10 +264,7 @@ def alignment_damping(gamma, radius, n, m, sign):
         raise ValueError("sign must be +1 or -1")
     kernel = AlignmentKernel(gamma)
     g = [float(kernel.value(2.0 * radius * math.sin(p * math.pi / n))) for p in range(1, n)]
-    ang = [2.0 * math.pi * p * (m + sign) / n for p in range(1, n)]
-    re = [gp * (math.cos(t) - 1.0) for gp, t in zip(g, ang)]
-    im = [gp * math.sin(t) for gp, t in zip(g, ang)]
-    return _checked_real_sum(g, re, im, "alignment_damping") / n
+    return _phase_sum(g, n, m + sign, 0, "alignment_damping") / n
 
 
 def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
@@ -460,9 +457,8 @@ def _shape_severity(ms, n, i1p, i1m, i2):
 
 def _alignment_tables(gamma, R, n, ms):
     """J+(m), J-(m) for modes ``ms`` from one cosine transform of g(d_p)."""
-    p = np.arange(1, n)
     gv = np.zeros(n)
-    gv[1:] = AlignmentKernel(gamma).value(2.0 * R * np.sin(p * np.pi / n))
+    gv[1:] = AlignmentKernel(gamma).value(_chords(R, n))
     gc = np.fft.rfft(gv).real / n
     return gc[_fold(ms + 1, n)] - gc[0], gc[_fold(ms - 1, n)] - gc[0]
 

@@ -138,6 +138,7 @@ class TestRegion:
         assert sidecar["grid"]["x"]["name"] == "a"
         manifest = json.loads((in_tmp / "reg.manifest.json").read_text())
         assert sorted(manifest["outputs"]) == ["reg.csv", "reg.json"]
+        assert manifest["parameters"]["workers"] == 1  # --workers is the only source
 
     def test_invalid_cells_reported_not_fatal(self, in_tmp):
         # b >= a cells are invalid rows, not errors
@@ -158,12 +159,6 @@ class TestRegion:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_malformed_worker_env_is_usage_error(self, in_tmp, monkeypatch, capsys):
-        monkeypatch.setenv("SWARMLAB_WORKERS", "abc")
-        assert main(["region", "--model", "flock", "--grid", "a:3:7:3", "b:0.5:2.5:3",
-                     "--fixed", "n=50", "--out", "reg"]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (in_tmp / "reg.csv").exists()
 
 
 class TestSeparatrixAndGamma:
@@ -253,6 +248,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "guard" in err
 
+    def test_morse_config_needs_a_bracket(self, in_tmp, capsys):
+        # the Morse potential is built from the config, but its initial ring
+        # needs an explicit radius bracket, which a config cannot give
+        morse = {"kind": "morse", "C_A": 0.5, "C_R": 1.0, "l_A": 2.0, "l_R": 0.5}
+        cfg = sim_config(in_tmp, potential=morse)
+        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "explicit bracket" in err
+        cfg = sim_config(in_tmp, potential={**morse, "C_A": -0.5})
+        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
+        assert "positive" in capsys.readouterr().err
+        assert not (in_tmp / "run_metrics.csv").exists()
+
     def test_deterministic_metrics_bytes(self, in_tmp):
         cfg = sim_config(in_tmp, ic={"kind": "mill",
                                      "perturbation": {"kind": "noise",
@@ -283,6 +291,16 @@ class TestBifurcate:
             main(["bifurcate", "--config", str(cfg), "--param", "gamma",
                   "--values", "1.0"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("key, value", [("orientation", -1), ("direction", [0.0, 1.0])])
+    def test_ic_keys_the_sweep_cannot_honour_rejected(self, key, value, in_tmp, capsys):
+        cfg = sim_config(in_tmp, ic={"kind": "mill", key: value})
+        assert main(["bifurcate", "--config", str(cfg), "--param", "b",
+                     "--values", "1.25", "--out", "bif"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"ic.{key}" in err
+        assert not (in_tmp / "bif.csv").exists()
 
 
 class TestValidateAndGlobal:

@@ -8,7 +8,6 @@ from swarmlab.regions import (
     _pool_size,
     RegionMap,
     gamma_sweep,
-    resolve_workers,
     scan_cs_flock,
     scan_flock,
     scan_mill,
@@ -84,13 +83,6 @@ class TestScanFlock:
         one = scan_flock(spec, workers=1)
         four = scan_flock(spec, workers=4)
         assert one.csv_text() == four.csv_text()
-
-    def test_env_worker_default(self, monkeypatch):
-        monkeypatch.setenv("SWARMLAB_WORKERS", "3")
-        assert resolve_workers() == 3
-        monkeypatch.delenv("SWARMLAB_WORKERS")
-        assert resolve_workers() == 1
-        assert resolve_workers(7) == 7
 
     def test_pool_size_capped_by_jobs_and_cores(self):
         # pure arithmetic: no pool is built for these requests

@@ -132,9 +132,15 @@ class TestSolveRadius:
         assert radius_residual(prob, 2.0 * R) > 0
 
     def test_auto_bracket_expansion(self):
-        sol = solve_radius(RadiusProblem(potential=PowerLaw(1.2, 0.2), n=30))
-        prob = RadiusProblem(potential=PowerLaw(1.2, 0.2), n=30)
+        # a fast mill's root lies above the default bracket's top (1e3), so
+        # the top widens by factors of 4 (to 16,000) before the bisection
+        prob = RadiusProblem(potential=PowerLaw(1.5, 0.5), n=30, speed=1e3)
+        sol = solve_radius(prob)
+        assert sol.radius > 1e3
         assert abs(radius_residual(prob, sol.radius)) < 1e-10
+        assert radius_residual(prob, sol.radius * (1 - 1e-9)) < 0 < radius_residual(
+            prob, sol.radius * (1 + 1e-9)
+        )
 
     def test_mill_radius_grows_with_speed(self):
         pot = PowerLaw(4, 2)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,17 @@ class TestIntegrate:
         finally:
             tracemalloc.stop()
         assert window["peak"] - window["start"] < n * n * 8
+
+    def test_last_step_ends_exactly_at_t_final(self):
+        # here the step cut to end at t_final starts below t_final / 2, where
+        # t + (t_final - t) can round one ulp short of t_final; the run then
+        # needed a further step below the underflow guard and raised
+        tf = 2.83822632013108
+        cfg = propulsion_config(PowerLaw(4, 2), 1, tf, sample_every=tf)
+        st = SwarmState(t=0.0, positions=np.zeros((1, 2)), velocities=np.array([[1.0, 0.0]]))
+        res = integrate(cfg, st)
+        assert list(res.metrics.t) == [0.0, tf]
+        assert res.stats["h_max"] > 0.5 * tf
 
     def test_n_mismatch_rejected(self):
         cfg = propulsion_config(PowerLaw(4, 2), 3, 1.0)
@@ -535,6 +547,36 @@ class TestBifurcationSweep:
                                  metric="angular_momentum")
         assert [v for v, _ in rows] == [0.3, 0.6]
         assert all(0.0 <= m <= 1.0 for _, m in rows)
+
+    def test_cs_members_start_at_ic_speed(self):
+        # member k is the direct run at its b and seed base + k, from a flock
+        # ring drifting at ic_speed (a CS config has no speed of its own)
+        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(5, 1.25), n=20,
+                        t_final=2.0, alignment=AlignmentKernel(1.0), seed=11,
+                        sample_every=2.0)
+        rows = bifurcation_sweep(cfg, "b", [1.25, 1.5], metric="polarization", ic_speed=0.7)
+        for k, (b, pol) in enumerate(rows):
+            pot = PowerLaw(5, b)
+            ring = flock_ring(pot, 20, 0.7)
+            st = ic_flock_ring(ring, perturbation=RandomNoise(1e-3 * ring.radius, 1e-3 * 0.7),
+                               rng=np.random.default_rng(11 + k))
+            member = replace(cfg, potential=pot, seed=11 + k)
+            assert pol == integrate(member, st, reference=ring).metrics.polarization[-1]
+        with pytest.raises(ValueError, match="ic_speed"):
+            bifurcation_sweep(cfg, "b", [1.25])
+
+    def test_speed_sweep_overrides_ic_speed(self):
+        # on a speed sweep each member starts at its own value; ic_speed is unused
+        pot = PowerLaw(5, 1.25)
+        cfg = propulsion_config(pot, 20, 2.0, alpha=1.0, beta=4.0, seed=2, sample_every=2.0)
+        rows = bifurcation_sweep(cfg, "speed", [0.3, 0.6], ic_kind="mill",
+                                 metric="angular_momentum", ic_speed=5.0)
+        for k, (speed, am) in enumerate(rows):
+            ring = mill_ring(pot, 20, speed)
+            st = ic_mill_ring(ring, perturbation=RandomNoise(1e-3 * ring.radius, 1e-3 * speed),
+                              rng=np.random.default_rng(2 + k))
+            member = replace(cfg, propulsion=Propulsion(speed**2 * 4.0, 4.0), seed=2 + k)
+            assert am == integrate(member, st, reference=ring).metrics.angular_momentum[-1]
 
     def test_parameter_validation(self, monkeypatch):
         cfg = propulsion_config(PowerLaw(5, 1.5), 10, 1.0)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
-from swarmlab.rings import RadiusProblem, flock_ring, ring_positions, solve_radius
+from swarmlab.rings import RadiusProblem, _sines, flock_ring, ring_positions, solve_radius
 from swarmlab.spectra import (
     Classification,
     ModeMatrix,
     ShapeMatrix,
+    _shape_envelope,
     alignment_damping,
     classify,
     cs_flock_mode_matrix,
@@ -353,6 +354,28 @@ class TestEnvelope:
         assert reports[0].m == 1
         for rep in reports:
             assert_matches_direct(rep, mill_mode_matrix(4.5, 1.3, 24, rep.m, 0.9, 0.4))
+
+    def test_chords_come_from_the_libm_sine_table(self, monkeypatch):
+        # the FFT route reads its chord sines from the radius solve's table,
+        # so no spectral number depends on numpy's sin, and it never writes
+        # into the shared table
+        def cases():
+            return [
+                repr(mode_envelope("flock", 5, 1.25, 201)),
+                repr(mode_envelope("flock-cs", 5, 1.25, 201, gamma=0.7)),
+                repr(mode_envelope("mill", 5, 1.25, 201, speed=0.5)),
+                repr(_shape_envelope(5, 1.25, 201, 100)),
+            ]
+
+        expected = cases()
+        table = _sines(201).tolist()
+
+        def no_sin(*args, **kwargs):
+            raise AssertionError("numpy sin called")
+
+        monkeypatch.setattr(np, "sin", no_sin)
+        assert cases() == expected
+        assert _sines(201).tolist() == table
 
     def test_mode_range_nesting(self):
         # the stable set over modes {2..m'} contains the one over {2..m}
