@@ -269,8 +269,6 @@ def _potential_from_json(data):
     kind = data.get("kind", "power-law")
     if kind == "power-law":
         return PowerLaw(data["a"], data["b"])
-    if kind == "morse":
-        return Morse(C_A=data["C_A"], C_R=data["C_R"], l_A=data["l_A"], l_R=data["l_R"])
     raise ValueError(f"unknown potential kind {kind!r}")
 
 

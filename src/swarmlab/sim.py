@@ -11,9 +11,15 @@ the adaptive steps.
 Each particle's pair terms are added left to right in particle index, so
 a run is reproducible bit for bit given the elementwise hypot, pow and
 exp of the numpy build (which the CLI manifest records).  The pair
-kernel writes into five (n, n) buffers that one ``integrate`` call
-allocates for all its RHS evaluations (``rhs`` allocates its own); every
-entry is written before it is read, so results do not depend on them.
+kernel evaluates hypot, k'(r)/r and g(r) once per unordered pair and
+mirrors the weights into a symmetric (n, n) matrix.  That this matches
+an evaluation over all n^2 entries bit for bit rests on the exact
+antisymmetry of IEEE subtraction (x_l - x_j = -(x_j - x_l)), on hypot
+being even, and on elementwise ufunc results that do not depend on an
+element's position in the array.  The kernel writes into buffers that
+one ``integrate`` call allocates for all its RHS evaluations (``rhs``
+allocates its own); every entry is written before it is read, so results
+do not depend on them.
 
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
@@ -23,6 +29,7 @@ parameter value under a fixed seed policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -194,8 +201,59 @@ class SimResult:
 
 
 def _kernel_buffers(n):
-    """Scratch for the RHS: dx, dy, dist, f and a product array, each (n, n)."""
-    return np.empty((5, n, n))
+    """Scratch for the RHS of n particles, as the pair (full, packed).
+
+    ``full`` is (4, n, n): the offsets dx and dy, the weight matrix f and a
+    product array.  ``packed`` holds 3m + 1 entries, m = n(n - 1)/2: the
+    two offsets of each pair l < j in row order (later the pair weights
+    and a work row), then the m distances and an inf slot, so that the
+    argmin for one particle finds no pair.  Every entry is written before
+    it is read, so results do not depend on earlier contents.
+
+    Weights are evaluated once per pair and mirrored, so bit identity with
+    an evaluation over all n^2 entries rests on three facts: x_l - x_j is
+    exactly -(x_j - x_l) in IEEE arithmetic, hypot is even in each
+    argument, and an elementwise ufunc's result does not depend on the
+    element's position in its array.
+    """
+    m = n * (n - 1) // 2
+    return np.empty((4, n, n)), np.empty(3 * m + 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _triangle(n):
+    """Read-only flat (n, n) indices (upper, lower) of the pairs l < j.
+
+    ``upper`` holds l*n + j in row order and ``lower`` the mirrored j*n + l.
+    They are shared by every run of n particles.  np.take copies a
+    read-only index array on each call; fancy assignment reads it in
+    place, which is why _mirror assigns.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_weight(kernel):
+    """k'(1)/1 of a potential or g(1) of an alignment kernel.
+
+    This is the weight on the diagonal of f, where the offsets are zero.
+    It comes from the same ufuncs as the pair weights, so each diagonal
+    product is the same signed zero as in a full (n, n) evaluation.
+    """
+    one = np.ones(1)
+    w = kernel.value(one) if isinstance(kernel, AlignmentKernel) else kernel.deriv(one) / one
+    return float(w[0])
+
+
+def _mirror(w, f, upper, lower, unit):
+    """Write the packed pair weights w into both triangles of f, unit on its diagonal."""
+    flat = f.reshape(-1)
+    flat[upper] = w
+    flat[lower] = w
+    flat[:: f.shape[0] + 1] = unit
 
 
 def _pair_sum(w, ox, oy, prod):
@@ -214,31 +272,41 @@ def _accelerations(x, v, model, potential, propulsion, alignment, guard, buffers
 
     Offsets are stored transposed, dx[l, j] = x_l - x_j, so the sums over
     the contiguous axis 0 add each particle's pair terms in index order.
-    Every (n, n) array lives in ``buffers`` (see _kernel_buffers) and is
-    overwritten before it is read, so no result depends on earlier calls.
+    Distances and weights are evaluated once per pair l < j and mirrored
+    into the symmetric f.  Every array lives in ``buffers`` (see
+    _kernel_buffers) and is overwritten before it is read, so no result
+    depends on earlier calls.
     """
     n = x.shape[0]
-    dx, dy, dist, f, prod = buffers
+    full, packed = buffers
+    dx, dy, f, prod = full
+    upper, lower = _triangle(n)
+    m = upper.size
+    offsets, dist = packed[: 2 * m].reshape(2, m), packed[2 * m :]
+    w, work = offsets
+    d = dist[:m]
     np.subtract(x[:, 0, None], x[:, 0], out=dx)
     np.subtract(x[:, 1, None], x[:, 1], out=dy)
-    np.hypot(dx, dy, out=dist)
-    np.fill_diagonal(dist, np.inf)
-    k = int(np.argmin(dist))
-    dmin = float(dist.flat[k])
+    # mode="clip" (the indices are in range) lets take write straight into out
+    full[:2].reshape(2, -1).take(upper, axis=1, out=offsets, mode="clip")
+    np.hypot(w, work, out=d)
+    dist[m] = np.inf
+    k = int(dist.argmin())
+    dmin = float(dist[k])
     if dmin < guard:
-        j, l = divmod(k, n)
+        j, l = divmod(int(upper[k]), n)
         raise SimulationError(
             f"particles {j} and {l} at distance {dmin:.3e} below the guard {guard:.3e}"
         )
-    np.fill_diagonal(dist, 1.0)  # placeholder; the diagonal offsets are zero
-    potential.deriv(dist, out=f, work=prod)
-    f /= dist
+    potential.deriv(d, out=w, work=work)
+    w /= d
+    _mirror(w, f, upper, lower, _unit_weight(potential))
     dv = _pair_sum(f, dx, dy, prod) / n
     if model == "propulsion":
         speed2 = np.sum(v * v, axis=1)
         dv += (propulsion.alpha - propulsion.beta * speed2)[:, None] * v
     else:
-        alignment.value(dist, out=f)
+        _mirror(alignment.value(d, out=w), f, upper, lower, _unit_weight(alignment))
         np.subtract(v[:, 0, None], v[:, 0], out=dx)
         np.subtract(v[:, 1, None], v[:, 1], out=dy)
         dv += _pair_sum(f, dx, dy, prod) / n

@@ -324,6 +324,12 @@ def flock_mode_matrix(a, b, n, m, prop):
     -alpha].  The velocity block is the rank-1 propulsion damping
     projected onto the mode amplitudes; its trace -2 alpha matches
     -2 beta |u0|^2, so only alpha enters.
+
+    The eigenvalues give a sign, not a rate.  The damping acts along the
+    fixed drift direction, which couples lab-frame modes k and -k, so no
+    exact per-mode 4x4 exists: the largest real part agrees in sign with
+    the shape-rule verdict, but it is not a growth rate (0.2441 here
+    against 0.0817 from the full Jacobian at (5, 1.9, 64, alpha = 1)).
     """
     if not isinstance(prop, Propulsion):
         raise TypeError("prop must be a Propulsion")

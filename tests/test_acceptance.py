@@ -346,11 +346,13 @@ def test_criterion_12_pattern_switching():
     # ring blows up into a chaotic fat annulus, transiently re-organizes
     # into rotation, and the rotation gives way to full alignment (a fat
     # flock, eta_rel 0.28) by t=300.  The competing attractor is a fat
-    # mill, and it is the usual outcome: seeds 200-209 at this sigma gave
-    # 1 flock and 9 fat mills at t=2000.  Seed 4 is a pinned minority
+    # mill, and it is the usual outcome: at this sigma, seeds 200-209 gave
+    # 1 flock in 10 and seeds 300-319 and 400-419 gave 4 in 40, so 5 of 50
+    # seeded runs (0.10) end as flocks.  Seed 4 is a pinned minority
     # realization, so this half shows that the switch exists, not how
-    # often it happens.  An ensemble of this half waits on a batched
-    # integrator, since a run that ends as a mill costs about 40-60 s.
+    # often it happens.  Which attractor seed 4 reaches depends on the
+    # numpy build and on the in-order pair summation that
+    # tests/test_sim.py::TestRhs::test_pair_terms_summed_left_to_right pins.
     pot_a = PowerLaw(4, 0.0005)
     ring_a = mill_ring(pot_a, 100, 0.01)
     cfg_a = SimConfig(model="propulsion", potential=pot_a, n=100, t_final=2000.0,

@@ -249,17 +249,18 @@ class TestSimulate:
         assert err.startswith("error:") and "guard" in err
 
     def test_morse_config_needs_a_bracket(self, in_tmp, capsys):
-        # the Morse potential is built from the config, but its initial ring
-        # needs an explicit radius bracket, which a config cannot give
+        # a Morse ring needs an explicit radius bracket, which a config cannot
+        # give, so configs take power laws only; Morse stays in `radius --morse`
         morse = {"kind": "morse", "C_A": 0.5, "C_R": 1.0, "l_A": 2.0, "l_R": 0.5}
         cfg = sim_config(in_tmp, potential=morse)
-        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "explicit bracket" in err
-        cfg = sim_config(in_tmp, potential={**morse, "C_A": -0.5})
-        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
-        assert "positive" in capsys.readouterr().err
+        for argv in (["simulate", "--config", str(cfg), "--out", "run"],
+                     ["bifurcate", "--config", str(cfg), "--param", "speed",
+                      "--values", "0.5", "--out", "sweep"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "unknown potential kind 'morse'" in err
         assert not (in_tmp / "run_metrics.csv").exists()
+        assert not (in_tmp / "sweep.csv").exists()
 
     def test_deterministic_metrics_bytes(self, in_tmp):
         cfg = sim_config(in_tmp, ic={"kind": "mill",
