@@ -1,7 +1,7 @@
 """Parameter-plane stability scans and boundary location.
 
-Each grid cell solves its ring radius once, classifies every
-perturbation mode in range, and records the worst mode.  Cells are
+Each grid cell records the worst mode in range and its verdict through
+spectra._worst_mode, which builds no per-mode reports.  Cells are
 independent pure computations, so they can be mapped over a thread pool;
 results are gathered in cell-index order and never depend on the worker
 count.  Cells violating domain constraints (b >= a, or a failed radius
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Classification, _shape_envelope, mode_envelope
+from .spectra import Classification, _worst_mode, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -169,30 +169,20 @@ def _invalid(x, y, msg):
 def _cell(x, y, model, a, b, fixed):
     """Worst mode and verdict of one grid cell at exponents (a, b).
 
-    Flock cells, and mill cells at speed 0 (the flock problem), go through
-    _shape_envelope: max_real is the largest shape eigenvalue.  Other
-    cells go through mode_envelope: max_real is the largest 4x4 real part.
-    Both take a non-rotating ring's verdict from _shape_severity, so only
-    the spinning mill is classified from its 4x4 spectra.
+    spectra._worst_mode decides the route: max_real is the largest shape
+    eigenvalue for the flock and the mill at speed 0, and the largest 4x4
+    real part for flock-cs and the spinning mill.
     """
     if b >= a:
         return _invalid(x, y, "requires b < a")
-    n, m_max, speed = fixed["n"], fixed["m_max"], fixed["speed"]
-    shape_route = model == "flock" or (model == "mill" and speed == 0.0)
     try:
-        if shape_route:
-            summary = _shape_envelope(a, b, n, m_max=m_max)
-        else:
-            summary, _ = mode_envelope(
-                model, a, b, n, alpha=fixed["alpha"], gamma=fixed["gamma"],
-                speed=speed, m_max=m_max,
-            )
+        m, max_real, verdict = _worst_mode(
+            model, a, b, fixed["n"], fixed["m_max"],
+            alpha=fixed["alpha"], gamma=fixed["gamma"], speed=fixed["speed"],
+        )
     except (ValueError, ArithmeticError) as exc:
         return _invalid(x, y, str(exc))
-    return RegionCell(
-        x=x, y=y, classification=summary.classification,
-        max_real=summary.max_real, critical_mode=summary.m,
-    )
+    return RegionCell(x=x, y=y, classification=verdict, max_real=max_real, critical_mode=m)
 
 
 def _resolve_m_max(n, m_max):
@@ -234,16 +224,16 @@ def _scan(spec, label, model, workers, a=None):
 def scan_flock(spec, workers=1):
     """Stability map of the propulsion flock over the (a, b) plane.
 
-    Per cell: solve the flock radius, apply the det/trace criterion to
-    every mode (the verdict spectrum --model flock reports too), record
-    the worst shape eigenvalue and its mode.
+    Per cell (spectra._worst_mode): solve the flock radius, apply the
+    det/trace criterion to every mode (the verdict spectrum --model flock
+    reports too), record the worst shape eigenvalue and its mode.
     """
     return _scan(spec, "flock", "flock", workers)
 
 
 def scan_cs_flock(spec, workers=1):
     """Stability map of the alignment flock: scan_flock's verdicts, with
-    max_real the largest 4x4 real part (which, unlike them, varies with gamma)."""
+    max_real spectra._worst_mode's largest 4x4 real part (varies with gamma)."""
     return _scan(spec, "flock-cs", "flock-cs", workers)
 
 
@@ -252,7 +242,7 @@ def scan_mill(spec, workers=1):
 
     At speed 0 the mill problem degenerates to the flock one, so those
     cells take the flock criterion and the map equals scan_flock; at
-    speed > 0 the verdict bands the 4x4 eigenvalues (classify's rule).
+    speed > 0 spectra._worst_mode bands the 4x4 eigenvalues (classify's rule).
     """
     return _scan(spec, "mill", "mill", workers)
 
@@ -260,13 +250,14 @@ def scan_mill(spec, workers=1):
 def scan_speed_b(spec, workers=1):
     """Mill stability over the (speed, b) plane at fixed exponent a.
 
-    The speed-0 column is the flock problem and takes the flock criterion.
+    The speed-0 column is the flock problem and, through spectra._worst_mode
+    as in scan_mill, takes the flock criterion.
     """
     return _scan(spec, "mill-speed-b", "mill", workers, a=float(spec.fixed["a"]))
 
 
 def _mode_range_stable(a, b, n, m_max):
-    return _shape_envelope(a, b, n, m_max=m_max).classification is Classification.STABLE
+    return _worst_mode("flock", a, b, n, m_max)[2] is Classification.STABLE
 
 
 def separatrix_check(a_values, n, m_max=None, steps=40):

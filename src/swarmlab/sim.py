@@ -389,11 +389,11 @@ def _error_norm(err, scale):
 
 def _initial_step(f, t0, y0, f0, rtol, atol, t_span):
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    d0 = _error_norm(y0, scale)
+    d1 = _error_norm(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     f1 = f(t0 + h0, y0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = _error_norm(f1 - f0, scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

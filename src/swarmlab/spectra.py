@@ -472,6 +472,42 @@ def _alignment_tables(gamma, R, n, ms):
 _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
 
 
+def _mode_spectra(model, a, b, n, ms, alpha, gamma, speed):
+    """Sorted 4x4 eigenvalues (k, 4) and severity band (k,) of modes ``ms``.
+
+    Rings at rest take their bands from _shape_severity; the spinning mill
+    bands its largest real part at 1e-8 max(1, |matrix|), classify's rule.
+    """
+    speed = speed if model == "mill" else 0.0
+    R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
+    jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
+    A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
+    vals = _sorted_eigs(np.linalg.eigvals(A))
+    if speed == 0.0:
+        return vals, _shape_severity(ms, n, i1p, i1m, i2)[1]
+    return vals, _severity(vals[:, 0].real, 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2))))
+
+
+def _worst_mode(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
+    """(m, max_real, verdict) over modes 2..m_max: what a scan cell prints.
+
+    The one route of region scans and the separatrix; it builds no
+    SpectralReport.  The flock and the mill at speed 0 rank modes by the
+    largest shape eigenvalue mu1 with no eigensolve; flock-cs and the
+    spinning mill rank them by the largest 4x4 real part.  The verdict is
+    the worst band, and ties go to the lowest mode.
+    """
+    ms = np.arange(2, m_max + 1)
+    if model == "flock" or (model == "mill" and speed == 0.0):
+        _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
+        rank, severity = _shape_severity(ms, n, i1p, i1m, i2)
+    else:
+        vals, severity = _mode_spectra(model, a, b, n, ms, alpha, gamma, speed)
+        rank = vals[:, 0].real
+    worst = int(np.argmax(rank))
+    return int(ms[worst]), float(rank[worst]), _VERDICTS[severity.max()]
+
+
 def mode_envelope(
     model, a, b, n, *, alpha=1.0, gamma=1.0, speed=0.0, m_min=2, m_max=None
 ):
@@ -479,9 +515,8 @@ def mode_envelope(
 
     Returns (summary, reports); ``summary`` is the report with the largest
     real part, carrying the aggregate verdict (stable only if every mode
-    is; unstable if any is).  Rings at rest (flock, flock-cs, mill at speed
-    0) take their verdicts from _shape_severity, as the region scans do;
-    the spinning mill bands its eigenvalues with classify's rule.  Mode
+    is; unstable if any is).  The bands are _mode_spectra's, the ones the
+    scans' _worst_mode takes; only this function builds reports.  Mode
     n - m mirrors mode m, so the default m_max = (n-1)//2 leaves out only
     the self-conjugate mode n/2 of an even ring.  m_min = 1 takes in the
     translation mode, whose structural zero the cosine tables give exactly.
@@ -493,16 +528,8 @@ def mode_envelope(
     if not 1 <= m_min <= m_max:
         raise ValueError("need 1 <= m_min <= m_max")
     ms = np.arange(m_min, m_max + 1)
-    speed = speed if model == "mill" else 0.0
-    R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
-    jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
-    A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
-    vals = _sorted_eigs(np.linalg.eigvals(A))
+    vals, severity = _mode_spectra(model, a, b, n, ms, alpha, gamma, speed)
     max_re = vals[:, 0].real
-    if speed == 0.0:
-        _, severity = _shape_severity(ms, n, i1p, i1m, i2)
-    else:
-        severity = _severity(max_re, 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2))))
     reports = [
         SpectralReport(
             m=int(m), eigenvalues=tuple(row), max_real=float(mr), classification=_VERDICTS[band]
@@ -511,24 +538,6 @@ def mode_envelope(
     ]
     worst = reports[int(np.argmax(max_re))]
     return replace(worst, classification=_VERDICTS[severity.max()]), reports
-
-
-def _shape_envelope(a, b, n, m_max):
-    """mode_envelope's summary for modes 2..m_max of a non-rotating ring.
-
-    Takes the same per-mode verdicts (_shape_severity) but skips the 4x4
-    eigensolve: the worst mode is the one with the largest mu1, which is
-    reported as max_real, and the report carries no eigenvalues.  Flock
-    scans and the separatrix use it, where the 4x4 spectrum adds only cost.
-    """
-    ms = np.arange(2, m_max + 1)
-    _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
-    mu1, severity = _shape_severity(ms, n, i1p, i1m, i2)
-    worst = int(np.argmax(mu1))
-    return SpectralReport(
-        m=int(ms[worst]), eigenvalues=(), max_real=float(mu1[worst]),
-        classification=_VERDICTS[severity.max()],
-    )
 
 
 def det_asymptotics(a, b, n, m_values):

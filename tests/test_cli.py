@@ -248,7 +248,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "guard" in err
 
-    def test_morse_config_needs_a_bracket(self, in_tmp, capsys):
+    def test_morse_config_rejected(self, in_tmp, capsys):
         # a Morse ring needs an explicit radius bracket, which a config cannot
         # give, so configs take power laws only; Morse stays in `radius --morse`
         morse = {"kind": "morse", "C_A": 0.5, "C_R": 1.0, "l_A": 2.0, "l_R": 0.5}

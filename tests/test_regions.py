@@ -14,7 +14,8 @@ from swarmlab.regions import (
     scan_speed_b,
     separatrix_check,
 )
-from swarmlab.spectra import Classification, mode_envelope
+from swarmlab import spectra
+from swarmlab.spectra import Classification, mode_envelope, shape_matrix
 
 
 def small_spec(**fixed):
@@ -149,7 +150,7 @@ class TestScanVariants:
 
 
 class TestSpectrumAgreement:
-    """mode_envelope (spectrum) and scan_flock (region) give one verdict."""
+    """mode_envelope (spectrum) and the region scans give one verdict."""
 
     def test_flock_grid_verdicts_agree(self):
         spec = GridSpec("a", 2.6, 6.8, 20, "b", 0.3, 2.4, 20, fixed={"n": 1000})
@@ -173,6 +174,43 @@ class TestSpectrumAgreement:
         cell = scan_flock(GridSpec("a", a, a + 1, 2, "b", b, b + 0.1, 2, fixed={"n": n})).cells[0]
         assert (cell.x, cell.y) == (a, b)
         assert summary.classification == cell.classification == want
+
+    @pytest.mark.parametrize("scan, model, fixed", [
+        (scan_cs_flock, "flock-cs", {"gamma": 0.7}),
+        (scan_mill, "mill", {"alpha": 0.9, "speed": 0.5}),
+    ])
+    def test_4x4_cells_equal_the_envelope_summary(self, scan, model, fixed):
+        region = scan(GridSpec("a", 2.6, 6.8, 4, "b", 0.3, 2.4, 4, fixed={"n": 120, **fixed}))
+        for cell in region.cells:
+            if cell.classification is Classification.INVALID:
+                continue
+            summary, _ = mode_envelope(model, cell.x, cell.y, 120, **fixed)
+            assert (cell.classification, cell.max_real, cell.critical_mode) == (
+                summary.classification, summary.max_real, summary.m)
+
+    @pytest.mark.parametrize("scan", [scan_flock, scan_mill])
+    def test_rest_cells_report_the_top_shape_eigenvalue(self, scan):
+        # scan_mill at the default speed 0 is the flock problem
+        region = scan(GridSpec("a", 2.6, 6.8, 4, "b", 0.3, 2.4, 4, fixed={"n": 120}))
+        for cell in region.cells:
+            if cell.classification is Classification.INVALID:
+                continue
+            sm = shape_matrix(cell.x, cell.y, 120, cell.critical_mode)
+            mu1 = np.linalg.eigvalsh(sm.entries)[-1]
+            assert cell.max_real == pytest.approx(mu1, rel=1e-12)
+
+    def test_scans_build_no_reports(self, monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("SpectralReport built")
+
+        monkeypatch.setattr(spectra, "SpectralReport", no_report)
+        spec = GridSpec("a", 3.0, 5.0, 2, "b", 1.0, 2.0, 2, fixed={"n": 60, "speed": 0.5})
+        for scan in (scan_flock, scan_cs_flock, scan_mill):
+            cells = scan(spec).cells
+            assert all(c.classification is not Classification.INVALID for c in cells)
+        speed_b = GridSpec("speed", 0.0, 0.5, 2, "b", 1.0, 2.0, 2, fixed={"n": 60, "a": 5.0})
+        assert all(c.error is None for c in scan_speed_b(speed_b).cells)
+        assert separatrix_check([3.0], n=100, steps=4)[0][1] > 0.5
 
 
 class TestSerialization:

@@ -9,7 +9,7 @@ from swarmlab.spectra import (
     Classification,
     ModeMatrix,
     ShapeMatrix,
-    _shape_envelope,
+    _worst_mode,
     alignment_damping,
     classify,
     cs_flock_mode_matrix,
@@ -364,7 +364,7 @@ class TestEnvelope:
                 repr(mode_envelope("flock", 5, 1.25, 201)),
                 repr(mode_envelope("flock-cs", 5, 1.25, 201, gamma=0.7)),
                 repr(mode_envelope("mill", 5, 1.25, 201, speed=0.5)),
-                repr(_shape_envelope(5, 1.25, 201, 100)),
+                repr(_worst_mode("flock", 5, 1.25, 201, 100)),
             ]
 
         expected = cases()
