@@ -17,6 +17,7 @@ these two; there is no hook for user-defined potentials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class PowerLaw:
     b: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(
+                f"power-law exponents must be finite, got a={self.a}, b={self.b}"
+            )
         if not (self.a > self.b > 0):
             raise ValueError(
                 f"power-law exponents need a > b > 0, got a={self.a}, b={self.b}"

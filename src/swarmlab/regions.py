@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -198,7 +199,8 @@ def _scan(spec, label, model, workers, a=None):
 
     The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
-    A fixed key outside _FIXED_KEYS is a ValueError.
+    A fixed key outside _FIXED_KEYS, m_max < 2, or an alpha or gamma that
+    is not finite and positive is a ValueError, raised before any cell runs.
     """
     f = spec.fixed
     unknown = sorted(set(f) - set(_FIXED_KEYS))
@@ -210,6 +212,9 @@ def _scan(spec, label, model, workers, a=None):
         "alpha": float(f.get("alpha", 1.0)), "gamma": float(f.get("gamma", 1.0)),
         "speed": float(f.get("speed", 0.0)),
     }
+    for key in ("alpha", "gamma"):
+        if not 0 < fixed[key] < math.inf:
+            raise ValueError(f"need finite {key} > 0, got {key}={fixed[key]}")
     points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
     if a is None:
         jobs = [(x, y, model, x, y, fixed) for x, y in points]

@@ -17,11 +17,14 @@ As N grows, S_alpha tends to an integral expressible through the Beta
 function, giving closed continuum radii (:func:`continuum_radius`).
 
 Reproducibility: every radius rests on libm ``sin``, ``pow`` and ``exp``
-and on ``math.fsum``, never on numpy, so two machines with the same C
-library give the same bits.  One table of sines per n serves every
-moment, every Morse chord sum and every chord of the coupling weights
-that :mod:`swarmlab.spectra` builds from the radius; those weights take
-their powers from ``np.power``, so they also depend on the numpy build.
+and on correctly rounded sums, so two machines with the same C library
+give the same bits.  The moments reach libm ``pow`` through numpy's
+``float_power`` loop, which calls it term by term (a test pins that it
+equals Python's ``pow``), and add the terms exactly, to the value
+``math.fsum`` gives.  One table of sines per n serves every moment, every
+Morse chord sum and every chord of the coupling weights that
+:mod:`swarmlab.spectra` builds from the radius; those weights take their
+powers from ``np.power``, so they also depend on the numpy build.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -126,27 +128,61 @@ def _sines(n):
     return array("d", (math.sin(p * math.pi / n) for p in range(n)))
 
 
+def _exact_sum(r):
+    """Correctly rounded sum of float64 terms with |r| <= 1 (the value
+    ``math.fsum`` gives over them); ``r`` is overwritten.
+
+    An error-free level split: each level rounds the remainder to
+    multiples of ulp(c) as hi = (r + c) - c, adds hi, and keeps r - hi.
+    With n < 2^L terms, c_k = 1.5 * 2^(L - k (53 - L)) and |r| <= 2^(-k (53 - L))
+    at level k, every hi and r - hi is exact and every partial sum of hi
+    is a multiple of ulp(c_k) below 2^52 ulps, so ``hi.sum()`` is exact in
+    any order.  The step 2^(L - 53) must shrink as n grows: with the same
+    first c, a fixed step of 2^-32 keeps this bound only below 2^21 terms,
+    and the split needs n < 2^52.  At most one n-length buffer is allocated.
+    """
+    L = r.size.bit_length()
+    c = 1.5 * 2.0**L
+    hi = np.empty_like(r)
+    sums = []
+    # once ulp(c) <= 2^-1074 a level takes every remainder whole, so the
+    # loop ends with r == 0 within this many levels
+    for _ in range((L + 1022) // (53 - L) + 2):
+        np.add(r, c, out=hi)
+        hi -= c
+        r -= hi
+        sums.append(hi.sum())
+        if not r.any():
+            break
+        c *= 2.0 ** (L - 53)
+    return math.fsum(sums)
+
+
 def trig_moment(n, alpha):
     """Moment S_alpha = (1/n) sum_{p=0}^{n-1} sin(p pi / n)^alpha.
 
     Even integer exponents take the exact closed form
     S_{2k} = binom(2k, k) / 4^k (valid while n > k, since the discrete
     Fourier comb kills every binomial cross term); in particular
-    S_2 = 1/2 and S_4 = 3/8 bit-exactly.  Other exponents fall back to
-    compensated summation.  2^(alpha-1) S_alpha tends to
+    S_2 = 1/2 and S_4 = 3/8 bit-exactly.  Other exponents sum the terms
+    exactly and round once.  2^(alpha-1) S_alpha tends to
     :func:`sine_moment_limit` as n grows.
 
-    The sum is ``math.fsum`` (correctly rounded) of libm ``sin`` and
-    ``pow`` values, so the result depends on the C library, not on numpy.
+    The terms are libm ``sin`` and ``pow`` values (``np.float_power``
+    calls the C library's ``pow`` per element) and the sum is
+    :func:`_exact_sum`, so the result equals ``math.fsum`` over Python's
+    ``pow`` terms bit for bit and depends on the C library.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    if not math.isfinite(alpha):
+        raise ValueError(f"need a finite alpha, got {alpha}")
     if alpha < 0:
         raise ValueError("need alpha >= 0")
     if alpha == int(alpha) and int(alpha) % 2 == 0 and n > alpha // 2:
         k = int(alpha) // 2
         return math.comb(2 * k, k) / 4**k
-    return math.fsum(map(pow, _sines(n), repeat(alpha))) / n
+    return _exact_sum(np.float_power(np.frombuffer(_sines(n)), alpha)) / n
 
 
 # moments for the radius solves: a scan at fixed a reuses S_a, while the

@@ -201,15 +201,21 @@ def _chords(R, n):
 
 
 def _weight_vectors(a, b, radius, n):
-    # libm chord sines; np.power, unlike the radius solve's pow, follows the numpy build
+    # w1 = (-a d^(a-2) + b d^(b-2)) / 2n, w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / 2n,
+    # zero at p = 0, built in place in that operation order.  The chords are
+    # libm sines, but ``**`` (np.power) follows the numpy build, unlike the
+    # radius moments' libm pow through np.float_power.
     d = _chords(radius, n)
     da = d ** (a - 2.0)
-    db = d ** (b - 2.0)
-    w1 = np.zeros(n)
-    w2 = np.zeros(n)
-    w1[1:] = (-a * da + b * db) / (2.0 * n)
-    w2[1:] = (-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n)
-    return w1, w2
+    d **= b - 2.0
+    w = np.zeros((2, n))
+    w1, w2 = w[0, 1:], w[1, 1:]
+    np.multiply(-a, da, out=w1)
+    np.multiply(-(a - 2.0), da, out=w2)
+    for row, coef in ((w1, b), (w2, b - 2.0)):
+        row += np.multiply(coef, d, out=da)
+        row /= 2.0 * n
+    return w[0], w[1]
 
 
 def _ring_radius(potential, n, speed):

@@ -368,6 +368,14 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                   "--n", "60", "--bracket", "0.1", "10"], "--morse", id="radius-powerlaw-and-morse"),
     pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "speeed=0.5"],
                  "speeed", id="region-unknown-fixed-key"),
+    pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "alpha=-1"],
+                 "need finite alpha > 0, got alpha=-1.0", id="flock-negative-alpha"),
+    pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "gamma=-1"],
+                 "need finite gamma > 0, got gamma=-1.0", id="flock-cs-negative-gamma"),
+    pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "gamma=inf"],
+                 "gamma=inf", id="flock-cs-infinite-gamma"),
+    pytest.param(["radius", "--a", "inf", "--b", "1", "--n", "10"], "a=inf",
+                 id="radius-infinite-a"),
 ])
 def test_usage_error_exit_code(argv, needle, in_tmp, capsys):
     assert main(argv) == 2

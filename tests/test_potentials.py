@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,13 @@ class TestPowerLaw:
             PowerLaw(2.0, 0.0)
         with pytest.raises(ValueError):
             PowerLaw(2.0, -1.0)
+
+    @pytest.mark.parametrize("a, b, named", [
+        (math.inf, 1.0, "a=inf"), (3.0, math.nan, "b=nan"), (math.nan, 1.0, "a=nan"),
+    ])
+    def test_non_finite_exponent_is_named(self, a, b, named):
+        with pytest.raises(ValueError, match=f"must be finite, .*{named}"):
+            PowerLaw(a, b)
 
 
 class TestMorse:

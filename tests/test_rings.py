@@ -1,4 +1,6 @@
 import math
+from array import array
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -22,6 +24,15 @@ from swarmlab.rings import (
 )
 
 CANONICAL_MORSE = Morse(C_A=0.5, C_R=1.0, l_A=2.0, l_R=0.5)
+
+
+def _separatrix_bench_a():
+    # the two a values the separatrix benchmark draws at each of seeds 0-3
+    return [
+        float(np.random.default_rng(seed).uniform(lo, hi))
+        for seed in range(4)
+        for lo, hi in ((3.0, 4.0), (4.0, 5.0))
+    ]
 
 
 class TestTrigMoment:
@@ -79,6 +90,34 @@ class TestTrigMoment:
                 ref = math.fsum(math.sin(p * math.pi / n) ** alpha for p in range(n)) / n
                 assert trig_moment(n, alpha) == ref, (n, alpha)
 
+    def test_non_finite_alpha_is_named(self):
+        for moment in (trig_moment, rings._moment):
+            for alpha in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"finite alpha, got {alpha}"):
+                    moment(10, alpha)
+
+    def test_equals_fsum_of_pow_bit_for_bit(self):
+        # the numpy route (float_power terms, exact level sum) against
+        # fsum over Python's pow on the same libm sine table
+        rng = np.random.default_rng(13)
+        for n in (3, 7, 32, 200, 1000, 100000, 2**20 + 1):
+            alphas = rng.uniform(0.0, 12.0, 2 if n > 100000 else 6).tolist() + [1.0, 3.0]
+            for alpha in alphas:
+                ref = math.fsum(map(pow, rings._sines(n), repeat(alpha))) / n
+                assert trig_moment(n, alpha) == ref, (n, alpha)
+
+    def test_float_power_is_libm_pow(self):
+        # trig_moment's bits rest on np.float_power's float64 loop calling
+        # libm pow per element, as Python's pow does (np.power differs from
+        # it on about 5% of these terms); checked at the separatrix
+        # benchmark's a values and the coarse b grid below the first one
+        table = rings._sines(100000)
+        a_values = _separatrix_bench_a()
+        b_values = np.linspace(0.5, a_values[0] - 0.05, 9).tolist()
+        for alpha in a_values + b_values:
+            ref = array("d", map(pow, table, repeat(alpha)))
+            assert np.float_power(np.frombuffer(table), alpha).tobytes() == ref.tobytes(), alpha
+
     def test_caches_are_bounded(self):
         for cached in (rings._sines, rings._moment):
             maxsize = cached.cache_info().maxsize
@@ -90,6 +129,39 @@ class TestTrigMoment:
             flock_ring(PowerLaw(3.5, b), 2000)
         info = rings._moment.cache_info()
         assert (info.hits, info.misses) == (2, 4)
+
+
+class TestExactSum:
+    @staticmethod
+    def check(x):
+        assert rings._exact_sum(x.copy()) == math.fsum(x.tolist())
+
+    def test_single_term_and_zeros(self):
+        for x in ([0.7], [-1.0], [5e-324], [0.0], [0.0] * 1000):
+            self.check(np.array(x))
+
+    def test_all_ones_at_the_size_limit_of_the_first_level(self):
+        # at n = 2^L - 1 the first level's partial sums reach the largest
+        # multiple of ulp(c) the constants allow, just below 2^52 ulps;
+        # n = 2^21 starts the next L
+        for n in (2**21 - 1, 2**21):
+            assert rings._exact_sum(np.ones(n)) == math.fsum(repeat(1.0, n)) == n
+
+    def test_terms_from_one_down_to_subnormals(self):
+        rng = np.random.default_rng(5)
+        for size in (10, 1000, 50000):
+            x = np.ldexp(rng.random(size), -rng.integers(0, 1080, size))
+            x[0] = 1.0
+            self.check(x)
+            self.check(x * rng.choice([-1.0, 1.0], size))
+        # the sum of the first two is a tie; the subnormal decides it
+        self.check(np.array([1.0, 2.0**-53, 5e-324]))
+
+    def test_size_just_above_a_power_of_two(self):
+        rng = np.random.default_rng(9)
+        x = rng.random(2**16 + 1) ** rng.uniform(0.5, 40.0)
+        self.check(x)
+        self.check(x - 0.5)
 
 
 class TestBetaAndLimits:

@@ -9,6 +9,7 @@ from swarmlab.spectra import (
     Classification,
     ModeMatrix,
     ShapeMatrix,
+    _weight_vectors,
     _worst_mode,
     alignment_damping,
     classify,
@@ -61,6 +62,19 @@ class TestPairWeights:
 
 
 class TestCouplings:
+    @pytest.mark.parametrize("a, b", [(4.0, 2.0), (3.0, 1.0), (2.5, 1.5), (3.7, 1.3), (5.2, 0.6)])
+    def test_weight_vectors_equal_the_plain_expression(self, a, b):
+        # in-place build against the expression it replaced, bit for bit;
+        # (a, b) cover ``**``'s shortcut exponents a - 2, b - 2 in {2, 1, 0.5, 0, -1}
+        for n, R in ((7, 0.9), (1001, 0.58)):
+            d = 2.0 * R * np.frombuffer(_sines(n))[1:]
+            da, db = d ** (a - 2.0), d ** (b - 2.0)
+            w1, w2 = np.zeros(n), np.zeros(n)
+            w1[1:] = (-a * da + b * db) / (2.0 * n)
+            w2[1:] = (-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n)
+            got1, got2 = _weight_vectors(a, b, R, n)
+            assert got1.tobytes() == w1.tobytes() and got2.tobytes() == w2.tobytes()
+
     def test_hand_values_four_particles(self):
         assert mode_self_coupling(4, 2, R4, 4, 2) == pytest.approx(-1.0, rel=1e-12)
         assert mode_self_coupling(4, 2, R4, 4, -2) == pytest.approx(-1.0, rel=1e-12)
