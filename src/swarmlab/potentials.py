@@ -151,8 +151,8 @@ class AlignmentKernel:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("alignment kernel needs gamma > 0")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"alignment kernel needs finite gamma > 0, got gamma={self.gamma}")
 
     def value(self, r, out=None):
         """g(r); with ``out`` given, the result is written there in place."""

@@ -199,8 +199,9 @@ def _scan(spec, label, model, workers, a=None):
 
     The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
-    A fixed key outside _FIXED_KEYS, m_max < 2, or an alpha or gamma that
-    is not finite and positive is a ValueError, raised before any cell runs.
+    A fixed key outside _FIXED_KEYS, m_max < 2, an alpha or gamma that is
+    not finite and positive, or a speed that is not finite and nonnegative
+    is a ValueError, raised before any cell runs.
     """
     f = spec.fixed
     unknown = sorted(set(f) - set(_FIXED_KEYS))
@@ -215,6 +216,8 @@ def _scan(spec, label, model, workers, a=None):
     for key in ("alpha", "gamma"):
         if not 0 < fixed[key] < math.inf:
             raise ValueError(f"need finite {key} > 0, got {key}={fixed[key]}")
+    if not 0 <= fixed["speed"] < math.inf:
+        raise ValueError(f"need finite speed >= 0, got speed={fixed['speed']}")
     points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
     if a is None:
         jobs = [(x, y, model, x, y, fixed) for x, y in points]

@@ -111,8 +111,8 @@ class RadiusProblem:
             raise TypeError("potential must be PowerLaw or Morse")
         if self.n < 3:
             raise ValueError("need n >= 3")
-        if self.speed < 0:
-            raise ValueError("speed must be nonnegative")
+        if not 0 <= self.speed < math.inf:
+            raise ValueError(f"speed must be finite and nonnegative, got speed={self.speed}")
         if self.bracket is not None:
             lo, hi = self.bracket
             if not (0 < lo < hi):

@@ -17,9 +17,19 @@ an evaluation over all n^2 entries bit for bit rests on the exact
 antisymmetry of IEEE subtraction (x_l - x_j = -(x_j - x_l)), on hypot
 being even, and on elementwise ufunc results that do not depend on an
 element's position in the array.  The kernel writes into buffers that
-one ``integrate`` call allocates for all its RHS evaluations (``rhs``
-allocates its own); every entry is written before it is read, so results
-do not depend on them.
+one stack allocates for all its RHS evaluations (``rhs`` allocates its
+own); every entry is written before it is read, so results do not depend
+on them.
+
+Runs are integrated as stacks that step in lockstep: ``integrate`` is a
+stack of one, and a bifurcation sweep stacks consecutive members.  Each
+member of a stack equals its own ``integrate`` run bit for bit, because
+every stacked operation does for each member's row what the single run
+does: ufuncs act per element, the stage sums are one gemv per member (a
+stacked np.matmul), each error norm is the pairwise sum of one row (a
+row-wise np.mean), each pair sum adds its terms in index order (an outer
+add.reduce), and the step-size control stays per-member Python float
+arithmetic (libm pow, not np.power).
 
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
@@ -30,6 +40,7 @@ parameter value under a fixed seed policy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -200,39 +211,20 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_buffers(n):
-    """Scratch for the RHS of n particles, as the pair (full, packed).
-
-    ``full`` is (4, n, n): the offsets dx and dy, the weight matrix f and a
-    product array.  ``packed`` holds 3m + 1 entries, m = n(n - 1)/2: the
-    two offsets of each pair l < j in row order (later the pair weights
-    and a work row), then the m distances and an inf slot, so that the
-    argmin for one particle finds no pair.  Every entry is written before
-    it is read, so results do not depend on earlier contents.
-
-    Weights are evaluated once per pair and mirrored, so bit identity with
-    an evaluation over all n^2 entries rests on three facts: x_l - x_j is
-    exactly -(x_j - x_l) in IEEE arithmetic, hypot is even in each
-    argument, and an elementwise ufunc's result does not depend on the
-    element's position in its array.
-    """
-    m = n * (n - 1) // 2
-    return np.empty((4, n, n)), np.empty(3 * m + 1)
-
-
 @functools.lru_cache(maxsize=4)
 def _triangle(n):
-    """Read-only flat (n, n) indices (upper, lower) of the pairs l < j.
+    """Read-only indices (upper, pair) of the m = n(n - 1)/2 pairs l < j.
 
-    ``upper`` holds l*n + j in row order and ``lower`` the mirrored j*n + l.
-    They are shared by every run of n particles.  np.take copies a
-    read-only index array on each call; fancy assignment reads it in
-    place, which is why _mirror assigns.
+    ``upper`` holds the flat (n, n) index l*n + j of each pair in row
+    order, and ``pair`` the number of the pair of each flat (n, n) entry,
+    in both triangles, with m on the diagonal.
     """
     rows, cols = np.triu_indices(n, 1)
-    upper, lower = rows * n + cols, cols * n + rows
-    upper.flags.writeable = lower.flags.writeable = False
-    return upper, lower
+    pair = np.full((n, n), rows.size)
+    pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
+    upper, pair = rows * n + cols, pair.ravel()
+    upper.flags.writeable = pair.flags.writeable = False
+    return upper, pair
 
 
 @functools.lru_cache(maxsize=32)
@@ -248,69 +240,115 @@ def _unit_weight(kernel):
     return float(w[0])
 
 
-def _mirror(w, f, upper, lower, unit):
-    """Write the packed pair weights w into both triangles of f, unit on its diagonal."""
-    flat = f.reshape(-1)
-    flat[upper] = w
-    flat[lower] = w
-    flat[:: f.shape[0] + 1] = unit
+def _groups(objects):
+    """(rows, obj) for each run of consecutive members that share one object."""
+    groups, start = [], 0
+    for _, same in itertools.groupby(objects, key=id):
+        stop = start + len(list(same))
+        groups.append((slice(start, stop), objects[start]))
+        start = stop
+    return groups
 
 
-def _pair_sum(w, ox, oy, prod):
-    """sum_l w[l, j] * o[l, j] for each particle j, added left to right in l.
+class _Kernel:
+    """The pair kernel of a stack of up to ``size`` runs of n particles.
 
-    ``prod`` is (n, n) scratch for the products.
+    One call takes K <= size states (K, 4n), each its positions then its
+    velocities flattened, and writes their derivatives.  Offsets are stored
+    transposed, offsets[k, b, c, l, j] = u_l - u_j for component c of block
+    b (positions, and velocities under Cucker-Smale), so one outer
+    add.reduce over l adds each particle's pair terms in index order.
+    Distances and weights are evaluated once per pair l < j, packed in row
+    order, and gathered into the symmetric weights (see the module
+    docstring for why this is bit for bit); the pair weights of the
+    members that share a potential or an alignment kernel come from one
+    call on their rows.  Every buffer entry is written before it is read,
+    so no result depends on earlier calls or on the other members.
     """
-    acc = np.empty((w.shape[1], 2))
-    for k, o in enumerate((ox, oy)):
-        np.multiply(w, o, out=prod).sum(axis=0, out=acc[:, k])
-    return acc
 
+    def __init__(self, n, model, size):
+        self.n = n
+        self.propulsion = model == "propulsion"
+        blocks = 1 if self.propulsion else 2
+        m = n * (n - 1) // 2
+        self.offsets = np.empty((size, blocks, 2, n, n))
+        self.weights = np.empty((size, blocks, n, n))
+        # per block, a value for each pair and a slot for the diagonal: dx
+        # and dy, then the potential and the alignment weights
+        self.pairs = np.empty((size, 2, m + 1))
+        # the distances and an inf slot, so that one particle finds no pair
+        self.dist = np.empty((size, m + 1))
+        self.sums = np.empty((size, blocks, 2, n))
+        self.upper, pair = _triangle(n)
+        # new, writeable indices: np.take copies a read-only one on each call
+        self.gather = np.concatenate([self.upper, [0], self.upper + n * n, [0]])
+        self.mirror = np.concatenate([pair + b * (m + 1) for b in range(blocks)])
 
-def _accelerations(x, v, model, potential, propulsion, alignment, guard, buffers):
-    """Accelerations and the closest pair distance (inf for one particle).
+    def bind(self, configs, guards):
+        """Set the members, in stack order: their configs and guard distances."""
+        self.guard = np.array(guards, dtype=float)
+        self.potentials = _groups([c.potential for c in configs])
+        if self.propulsion:
+            kernels = [(c.potential,) for c in configs]
+            self.alpha = np.array([[c.propulsion.alpha] for c in configs])
+            self.beta = np.array([[c.propulsion.beta] for c in configs])
+        else:
+            kernels = [(c.potential, c.alignment) for c in configs]
+            self.alignments = _groups([c.alignment for c in configs])
+        # the weight at distance 1 of each block: the slot the diagonal reads
+        self.units = np.array([[_unit_weight(kernel) for kernel in ks] for ks in kernels])
 
-    Offsets are stored transposed, dx[l, j] = x_l - x_j, so the sums over
-    the contiguous axis 0 add each particle's pair terms in index order.
-    Distances and weights are evaluated once per pair l < j and mirrored
-    into the symmetric f.  Every array lives in ``buffers`` (see
-    _kernel_buffers) and is overwritten before it is read, so no result
-    depends on earlier calls.
-    """
-    n = x.shape[0]
-    full, packed = buffers
-    dx, dy, f, prod = full
-    upper, lower = _triangle(n)
-    m = upper.size
-    offsets, dist = packed[: 2 * m].reshape(2, m), packed[2 * m :]
-    w, work = offsets
-    d = dist[:m]
-    np.subtract(x[:, 0, None], x[:, 0], out=dx)
-    np.subtract(x[:, 1, None], x[:, 1], out=dy)
-    # mode="clip" (the indices are in range) lets take write straight into out
-    full[:2].reshape(2, -1).take(upper, axis=1, out=offsets, mode="clip")
-    np.hypot(w, work, out=d)
-    dist[m] = np.inf
-    k = int(dist.argmin())
-    dmin = float(dist[k])
-    if dmin < guard:
-        j, l = divmod(int(upper[k]), n)
-        raise SimulationError(
-            f"particles {j} and {l} at distance {dmin:.3e} below the guard {guard:.3e}"
-        )
-    potential.deriv(d, out=w, work=work)
-    w /= d
-    _mirror(w, f, upper, lower, _unit_weight(potential))
-    dv = _pair_sum(f, dx, dy, prod) / n
-    if model == "propulsion":
-        speed2 = np.sum(v * v, axis=1)
-        dv += (propulsion.alpha - propulsion.beta * speed2)[:, None] * v
-    else:
-        _mirror(alignment.value(d, out=w), f, upper, lower, _unit_weight(alignment))
-        np.subtract(v[:, 0, None], v[:, 0], out=dx)
-        np.subtract(v[:, 1, None], v[:, 1], out=dy)
-        dv += _pair_sum(f, dx, dy, prod) / n
-    return dv, dmin
+    def __call__(self, y, out):
+        """Write the derivatives of the K states ``y`` into ``out`` (K, 4n).
+
+        Returns the closest pair distance of each member (inf for one
+        particle) and {row: SimulationError} for the members closer than
+        their guard, whose rows are finished on unit distances.
+        """
+        k, n = y.shape[0], self.n
+        offsets, weights, sums = self.offsets[:k], self.weights[:k], self.sums[:k]
+        pairs, dist = self.pairs[:k], self.dist[:k]
+        blocks = offsets.shape[1]
+        state = y.reshape(k, 2, n, 2)
+        u = state[:, :blocks].transpose(0, 1, 3, 2)
+        np.subtract(u[..., :, None], u[..., None, :], out=offsets)
+        # mode="clip" (the indices are in range) lets take write straight into out
+        offsets.reshape(k, -1).take(self.gather, axis=1, out=pairs.reshape(k, -1), mode="clip")
+        w, work = pairs[:, 0, :-1], pairs[:, 1, :-1]
+        d = dist[:, :-1]
+        np.hypot(w, work, out=d)
+        dist[:, -1] = np.inf
+        nearest = dist.argmin(axis=1)
+        dmin = dist[np.arange(k), nearest]
+        failed = {}
+        for r in np.flatnonzero(dmin < self.guard):
+            j, l = divmod(int(self.upper[nearest[r]]), n)
+            failed[int(r)] = SimulationError(
+                f"particles {j} and {l} at distance {dmin[r]:.3e} "
+                f"below the guard {self.guard[r]:.3e}"
+            )
+            d[r] = 1.0
+        for rows, potential in self.potentials:
+            potential.deriv(d[rows], out=w[rows], work=work[rows])
+        w /= d
+        if not self.propulsion:
+            for rows, alignment in self.alignments:
+                alignment.value(d[rows], out=work[rows])
+        pairs[:, :blocks, -1] = self.units[:k]
+        pairs.reshape(k, -1).take(self.mirror, axis=1, out=weights.reshape(k, -1), mode="clip")
+        np.multiply(weights[:, :, None], offsets, out=offsets)
+        np.add.reduce(offsets, axis=3, out=sums)
+        sums /= n
+        v = state[:, 1]
+        out[:, : 2 * n] = y[:, 2 * n :]
+        dv = out[:, 2 * n :].reshape(k, n, 2)
+        np.copyto(dv, sums[:, 0].transpose(0, 2, 1))
+        if self.propulsion:
+            speed2 = np.sum(v * v, axis=2)
+            dv += (self.alpha[:k] - self.beta[:k] * speed2)[:, :, None] * v
+        else:
+            dv += sums[:, 1].transpose(0, 2, 1)
+        return dmin, failed
 
 
 def _default_guard(config, x0):
@@ -323,25 +361,21 @@ def _default_guard(config, x0):
 
 def rhs(state, config):
     """Time derivatives (dx, dv) of the chosen model at the given state."""
-    guard = _default_guard(config, state.positions)
-    dv, _ = _accelerations(
-        state.positions,
-        state.velocities,
-        config.model,
-        config.potential,
-        config.propulsion,
-        config.alignment,
-        guard,
-        _kernel_buffers(state.n),
-    )
-    return state.velocities.copy(), dv
+    n = state.n
+    kernel = _Kernel(n, config.model, 1)
+    kernel.bind([config], [_default_guard(config, state.positions)])
+    y = np.concatenate([state.positions.ravel(), state.velocities.ravel()])[None]
+    out = np.empty_like(y)
+    _, failed = kernel(y, out)
+    if failed:
+        raise failed[0]
+    return state.velocities.copy(), out[0, 2 * n :].reshape(n, 2)
 
 
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) with continuous extension
 # ---------------------------------------------------------------------------
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -383,22 +417,30 @@ _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
 
-def _error_norm(err, scale):
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _error_norms(err, scale):
+    """RMS of err / scale over each row, as floats."""
+    return np.sqrt(np.mean((err / scale) ** 2, axis=1)).tolist()
 
 
-def _initial_step(f, t0, y0, f0, rtol, atol, t_span):
+def _initial_steps(f, y0, f0, rtol, atol, spans):
+    """First step size of each row of y0; f0 holds the derivatives at y0.
+
+    Calls f once, on y0 + h0 * f0.
+    """
     scale = atol + rtol * np.abs(y0)
-    d0 = _error_norm(y0, scale)
-    d1 = _error_norm(f0, scale)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = f(t0 + h0, y0 + h0 * f0)
-    d2 = _error_norm(f1 - f0, scale) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_span)
+    d0 = _error_norms(y0, scale)
+    d1 = _error_norms(f0, scale)
+    h0 = [1e-6 if (a < 1e-5 or b < 1e-5) else 0.01 * a / b for a, b in zip(d0, d1)]
+    f1 = f(y0 + np.array(h0)[:, None] * f0)
+    steps = []
+    for h, n1, n2, span in zip(h0, d1, _error_norms(f1 - f0, scale), spans):
+        d2 = n2 / h
+        if max(n1, d2) <= 1e-15:
+            h1 = max(1e-6, h * 1e-3)
+        else:
+            h1 = (0.01 / max(n1, d2)) ** 0.2
+        steps.append(min(100 * h, h1, span))
+    return steps
 
 
 class _DenseSegment:
@@ -419,62 +461,6 @@ class _DenseSegment:
         return self.r1 + th * (
             self.r2 + (1.0 - th) * (self.r3 + th * (self.r4 + (1.0 - th) * self.r5))
         )
-
-
-def _integrate_adaptive(f, t0, tf, y0, rtol, atol, sample_times, on_sample):
-    """Core stepper; calls on_sample(t, y) at each requested time."""
-    t = t0
-    y = y0.copy()
-    k1 = f(t, y)
-    stats = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 2}
-    accepted_h = []
-    h = _initial_step(f, t0, y0, k1, rtol, atol, tf - t0)
-    err_prev = 1.0
-    si = 0
-    while si < len(sample_times) and sample_times[si] <= t0 + 1e-14 * max(1.0, abs(t0)):
-        on_sample(sample_times[si], y)
-        si += 1
-    underflow = 1e-12 * (tf - t0)
-    while t < tf:
-        h = min(h, tf - t)
-        if h < underflow:
-            raise SimulationError(
-                f"step size underflow at t={t:.6g} (h={h:.3e}); "
-                "the problem is stiffer than the tolerances allow"
-            )
-        K = np.empty((7, y.size))
-        K[0] = k1
-        for i in range(1, 7):
-            yi = y + h * (_DP_A[i] @ K[:i])
-            K[i] = f(t + _DP_C[i] * h, yi)
-        stats["rhs_evals"] += 6
-        y_new = y + h * (_DP_B @ K)
-        err_vec = h * (_DP_E @ K)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(err_vec, scale)
-        if err <= 1.0:
-            # the step cut to end at tf lands there exactly, not an ulp short
-            t_new = tf if h == tf - t else t + h
-            seg = _DenseSegment(t, h, y, y_new, K)
-            while si < len(sample_times) and sample_times[si] <= t_new + 1e-10 * h:
-                ts = sample_times[si]
-                on_sample(ts, y_new if ts >= t_new else seg(ts))
-                si += 1
-            accepted_h.append(h)
-            t, y, k1 = t_new, y_new, K[6]
-            if err == 0.0:
-                factor = _FAC_MAX
-            else:
-                factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
-            h *= min(_FAC_MAX, max(_FAC_MIN, factor))
-            err_prev = max(err, 1e-10)
-        else:
-            stats["steps_rejected"] += 1
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev**_PI_BETA
-            h *= min(1.0, max(_FAC_MIN, factor))
-    stats.update(steps_accepted=len(accepted_h), h_min=min(accepted_h),
-                 h_max=max(accepted_h), h_median=float(np.median(accepted_h)))
-    return y, stats
 
 
 def _speed_reference(config, initial):
@@ -505,6 +491,202 @@ def _metric_row(state, reference, s_ref):
     )
 
 
+class _Run:
+    """One member of a stack: its inputs, step control, samples and outcome."""
+
+    def __init__(self, config, initial, reference):
+        x0, v0 = initial.positions, initial.velocities
+        n = x0.shape[0]
+        if n != config.n:
+            raise ValueError(f"initial state has n={n}, config says n={config.n}")
+        self.config, self.initial, self.reference = config, initial, reference
+        self.guard = _default_guard(config, x0)
+        self.y0 = np.concatenate([x0.ravel(), v0.ravel()])
+        self.t = t0 = initial.t
+        self.tf = tf = t0 + config.t_final
+        self.underflow = 1e-12 * (tf - t0)
+        n_samples = int(math.floor(config.t_final / config.sample_every + 1e-9))
+        times = [t0 + i * config.sample_every for i in range(n_samples + 1)]
+        if times[-1] < tf - 1e-9 * config.sample_every:
+            times.append(tf)
+        times[-1] = tf
+        self.sample_times = times
+        self.si = 0
+        self.s_ref = _speed_reference(config, initial)
+        self.states, self.rows = [], []
+        self.h, self.err_prev = None, 1.0  # h comes from _initial_steps
+        self.accepted_h, self.rejected = [], 0
+        self.closest = math.inf
+        self.y_final = self.error = None
+
+    def sample(self, t, y):
+        n = self.config.n
+        st = SwarmState(
+            t=float(t),
+            positions=y[: 2 * n].reshape(n, 2).copy(),
+            velocities=y[2 * n :].reshape(n, 2).copy(),
+        )
+        self.states.append(st)
+        self.rows.append(_metric_row(st, self.reference, self.s_ref))
+
+    def sample_start(self):
+        """Sample y0 at the sample times that lie at the start time."""
+        t0, times = self.t, self.sample_times
+        while self.si < len(times) and times[self.si] <= t0 + 1e-14 * max(1.0, abs(t0)):
+            self.sample(times[self.si], self.y0)
+            self.si += 1
+
+    def advance(self, err, y, y_new, stages):
+        """Accept or reject the step of size self.h from y by its error norm.
+
+        An accepted step samples the times it covers, from the quartic
+        interpolant where a time falls strictly inside it.
+        """
+        h = self.h
+        if err == 0.0:
+            factor = _FAC_MAX
+        else:
+            factor = _SAFETY * err ** (-_PI_ALPHA) * self.err_prev**_PI_BETA
+        if err > 1.0:
+            self.rejected += 1
+            self.h = h * min(1.0, max(_FAC_MIN, factor))
+            return False
+        # the step cut to end at tf lands there exactly, not an ulp short
+        t_new = self.tf if h == self.tf - self.t else self.t + h
+        times, seg = self.sample_times, None
+        while self.si < len(times) and times[self.si] <= t_new + 1e-10 * h:
+            ts = times[self.si]
+            if ts >= t_new:
+                self.sample(ts, y_new)
+            else:
+                if seg is None:
+                    seg = _DenseSegment(self.t, h, y, y_new, stages)
+                self.sample(ts, seg(ts))
+            self.si += 1
+        self.accepted_h.append(h)
+        self.t = t_new
+        self.h = h * min(_FAC_MAX, max(_FAC_MIN, factor))
+        self.err_prev = max(err, 1e-10)
+        return True
+
+    def result(self):
+        """The SimResult, or the run's SimulationError raised."""
+        if self.error is not None:
+            raise self.error
+        config, n = self.config, self.config.n
+        accepted = len(self.accepted_h)
+        stats = {
+            "steps_accepted": accepted,
+            "steps_rejected": self.rejected,
+            "rhs_evals": 2 + 6 * (accepted + self.rejected),
+            "h_min": min(self.accepted_h),
+            "h_max": max(self.accepted_h),
+            "h_median": float(np.median(self.accepted_h)),
+            "min_pair_distance": self.closest if n > 1 else None,
+        }
+        if config.model == "cucker-smale":
+            v1 = self.y_final[2 * n :].reshape(n, 2)
+            stats["momentum_drift"] = _momentum_drift(self.initial.velocities, v1)
+        cols = np.array(self.rows, dtype=float).T if self.rows else np.zeros((5, 0))
+        metrics = MetricSeries(
+            t=np.array([s.t for s in self.states]),
+            mu_rel=cols[0],
+            eta_rel=cols[1],
+            speed_dev=cols[2],
+            polarization=cols[3],
+            angular_momentum=cols[4],
+        )
+        return SimResult(config=config, states=self.states, metrics=metrics, stats=stats)
+
+
+def _integrate(runs):
+    """Integrate runs that share a model, n and tolerances as one stack.
+
+    The runs step in lockstep, one stacked RHS evaluation per stage, and
+    each keeps its own t, h, error history, sample cursor and accept or
+    reject decision.  A run leaves the stack when it reaches its end time,
+    so its statistics count only its own steps.  A run whose RHS trips the
+    guard or whose step underflows records its SimulationError and leaves
+    with every later run, which a sequential sweep would not reach.
+    """
+    if not runs:
+        return
+    cfg = runs[0].config
+    n, rtol, atol = cfg.n, cfg.rtol, cfg.atol
+    kernel = _Kernel(n, cfg.model, len(runs))
+    kernel.bind([run.config for run in runs], [run.guard for run in runs])
+    active = list(range(len(runs)))  # the stack's rows, as indices into runs
+    y = np.array([run.y0 for run in runs])
+    stages = np.empty((len(runs), 7, 4 * n))
+    closest = np.full(len(runs), math.inf)
+    cutoff = len(runs)
+
+    def fail(i, exc):
+        nonlocal cutoff
+        runs[i].error = exc
+        cutoff = min(cutoff, i)
+
+    def evaluate(z, out):
+        dmin, failed = kernel(z, out)
+        np.fmin(closest, dmin, out=closest)
+        for row, exc in failed.items():
+            if runs[active[row]].error is None:
+                fail(active[row], exc)
+        return out
+
+    def prune():
+        """Drop the runs that failed, finished or follow a failed run."""
+        nonlocal active, y, stages, closest
+        keep = []
+        for row, i in enumerate(active):
+            run = runs[i]
+            if run.error is None and run.t < run.tf and i < cutoff:
+                keep.append(row)
+            else:
+                run.closest, run.y_final = float(closest[row]), y[row].copy()
+        if len(keep) < len(active):
+            active = [active[row] for row in keep]
+            y, stages, closest = y[keep], stages[keep], closest[keep]
+            if active:
+                kernel.bind([runs[i].config for i in active], [runs[i].guard for i in active])
+
+    evaluate(y, stages[:, 0])
+    spans = [run.tf - run.t for run in runs]
+    scratch = stages[:, 1]
+    steps = _initial_steps(lambda z: evaluate(z, scratch), y, stages[:, 0], rtol, atol, spans)
+    for run, h in zip(runs, steps):
+        run.h = h
+    prune()
+    for i in active:
+        runs[i].sample_start()
+    while active:
+        for i in active:
+            run = runs[i]
+            run.h = min(run.h, run.tf - run.t)
+            if run.h < run.underflow:
+                fail(i, SimulationError(
+                    f"step size underflow at t={run.t:.6g} (h={run.h:.3e}); "
+                    "the problem is stiffer than the tolerances allow"
+                ))
+        prune()
+        if not active:
+            break
+        h = np.array([runs[i].h for i in active])[:, None]
+        for s in range(1, 7):
+            evaluate(y + h * np.matmul(_DP_A[s], stages[:, :s]), stages[:, s])
+        y_new = y + h * np.matmul(_DP_B, stages)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        errs = _error_norms(h * np.matmul(_DP_E, stages), scale)
+        accepted = [
+            row for row, (i, err) in enumerate(zip(active, errs))
+            if runs[i].error is None and i < cutoff
+            and runs[i].advance(err, y[row], y_new[row], stages[row])
+        ]
+        y[accepted] = y_new[accepted]
+        stages[accepted, 0] = stages[accepted, 6]
+        prune()
+
+
 def integrate(config, initial, reference=None):
     """Run the model from ``initial`` for config.t_final time units.
 
@@ -514,63 +696,9 @@ def integrate(config, initial, reference=None):
     ring used by the cluster/fatten metrics (omit for free runs).
     Raises SimulationError on guard-distance violation or step underflow.
     """
-    x0, v0 = initial.positions, initial.velocities
-    n = x0.shape[0]
-    if n != config.n:
-        raise ValueError(f"initial state has n={n}, config says n={config.n}")
-    guard = _default_guard(config, x0)
-    y0 = np.concatenate([x0.ravel(), v0.ravel()])
-    buffers = _kernel_buffers(n)
-    closest = math.inf
-
-    def f(t, y):
-        nonlocal closest
-        x = y[: 2 * n].reshape(n, 2)
-        v = y[2 * n :].reshape(n, 2)
-        dv, dmin = _accelerations(
-            x, v, config.model, config.potential,
-            config.propulsion, config.alignment, guard, buffers,
-        )
-        closest = min(closest, dmin)
-        return np.concatenate([v.ravel(), dv.ravel()])
-
-    t0 = initial.t
-    tf = t0 + config.t_final
-    n_samples = int(math.floor(config.t_final / config.sample_every + 1e-9))
-    sample_times = [t0 + i * config.sample_every for i in range(n_samples + 1)]
-    if sample_times[-1] < tf - 1e-9 * config.sample_every:
-        sample_times.append(tf)
-    sample_times[-1] = tf
-
-    s_ref = _speed_reference(config, initial)
-    states = []
-    rows = []
-
-    def on_sample(t, y):
-        st = SwarmState(
-            t=float(t),
-            positions=y[: 2 * n].reshape(n, 2).copy(),
-            velocities=y[2 * n :].reshape(n, 2).copy(),
-        )
-        states.append(st)
-        rows.append(_metric_row(st, reference, s_ref))
-
-    y_final, stats = _integrate_adaptive(
-        f, t0, tf, y0, config.rtol, config.atol, sample_times, on_sample
-    )
-    stats["min_pair_distance"] = closest if n > 1 else None
-    if config.model == "cucker-smale":
-        stats["momentum_drift"] = _momentum_drift(v0, y_final[2 * n :].reshape(n, 2))
-    cols = np.array(rows, dtype=float).T if rows else np.zeros((5, 0))
-    metrics = MetricSeries(
-        t=np.array([s.t for s in states]),
-        mu_rel=cols[0],
-        eta_rel=cols[1],
-        speed_dev=cols[2],
-        polarization=cols[3],
-        angular_momentum=cols[4],
-    )
-    return SimResult(config=config, states=states, metrics=metrics, stats=stats)
+    run = _Run(config, initial, reference)
+    _integrate([run])
+    return run.result()
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +833,18 @@ _SWEEP_METRICS = {"cluster": "mu_rel", "fatten": "eta_rel",
                   "polarization": "polarization", "angular_momentum": "angular_momentum"}
 
 
-def _sweep_one(config, parameter, value, index, ic_kind, metric, perturbation, ic_speed):
+# A sweep stack holds at most this many pair entries, members times n^2.
+# Per member, one Cucker-Smale evaluation took (2 cores, numpy 2.4.6, best
+# of 5) 66 us alone and 32 us in a stack of 32-64 at n = 24, 80 and 48 us
+# (32 members) at n = 32, 120 and 95 us (16) at n = 48, and 176 and 166 us
+# (8) at n = 64.  The gain levels off between 2^13 and 2^15 entries and
+# turns into a loss past 2^17 (n = 64, 128 members: 187 us).  At the cap
+# the kernel buffers take about 2 MiB (Cucker-Smale) or 1.1 MiB.
+_STACK_ENTRIES = 2**15
+
+
+def _sweep_member(config, parameter, value, index, ic_kind, perturbation, ic_speed):
+    """The run of member ``index``: its config, seeded initial state and ring."""
     pot = config.potential
     prop = config.propulsion
     if parameter == "b":
@@ -732,9 +871,30 @@ def _sweep_one(config, parameter, value, index, ic_kind, metric, perturbation, i
         ring = mill_ring(pot, cfg.n, speed)
         pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
         state = ic_mill_ring(ring, perturbation=pert, rng=rng)
-    result = integrate(cfg, state, reference=ring)
-    series = getattr(result.metrics, _SWEEP_METRICS[metric])
-    return float(value), float(series[-1])
+    return _Run(cfg, state, ring)
+
+
+def _sweep_stack(config, parameter, members, ic_kind, metric, perturbation, ic_speed):
+    """Rows (value, final metric) of consecutive members, integrated as one stack.
+
+    A member whose set-up fails ends the stack.  The members before it are
+    integrated first and their error wins, as in a sequential sweep.
+    """
+    runs, setup_error = [], None
+    for index, value in members:
+        try:
+            runs.append(_sweep_member(config, parameter, value, index, ic_kind,
+                                      perturbation, ic_speed))
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            setup_error = exc
+            break
+    _integrate(runs)
+    results = [run.result() for run in runs]
+    if setup_error is not None:
+        raise setup_error
+    column = _SWEEP_METRICS[metric]
+    return [(value, float(getattr(res.metrics, column)[-1]))
+            for (_, value), res in zip(members, results)]
 
 
 def bifurcation_sweep(
@@ -750,10 +910,12 @@ def bifurcation_sweep(
     """One simulation per parameter value; returns rows (value, final metric).
 
     Runs are independent and seeded base_seed + index, so the table is
-    reproducible and insensitive to the worker count.  The default
-    perturbation is small centered noise scaled to the ring.  A bad
-    ``parameter``, ``ic_kind`` or ``metric`` is a ValueError before any
-    member runs.
+    reproducible and insensitive to the worker count.  Consecutive members
+    are integrated as one stack of at most _STACK_ENTRIES // n^2 runs
+    (each run's output is the one ``integrate`` gives it), and the worker
+    pool maps the stacks.  The default perturbation is small centered
+    noise scaled to the ring.  A bad ``parameter``, ``ic_kind`` or
+    ``metric`` is a ValueError before any member runs.
     """
     if parameter not in ("b", "speed"):
         raise ValueError("parameter must be 'b' or 'speed'")
@@ -761,8 +923,10 @@ def bifurcation_sweep(
         raise ValueError("ic_kind must be 'flock' or 'mill'")
     if metric not in _SWEEP_METRICS:
         raise ValueError(f"metric must be one of {', '.join(_SWEEP_METRICS)}")
+    members = [(i, float(v)) for i, v in enumerate(values)]
+    size = max(1, _STACK_ENTRIES // config.n**2)
     jobs = [
-        (config, parameter, float(v), i, ic_kind, metric, perturbation, ic_speed)
-        for i, v in enumerate(values)
+        (config, parameter, members[i : i + size], ic_kind, metric, perturbation, ic_speed)
+        for i in range(0, len(members), size)
     ]
-    return map_jobs(_sweep_one, jobs, workers)
+    return [row for rows in map_jobs(_sweep_stack, jobs, workers) for row in rows]

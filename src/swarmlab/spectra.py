@@ -284,8 +284,8 @@ def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     -+ i omega alpha to shape rows 3/4 and -+ 2 i omega to the velocity
     diagonal.
     """
-    if model != "flock-cs" and not alpha > 0:
-        raise ValueError("need alpha > 0")
+    if model != "flock-cs" and not 0 < alpha < math.inf:
+        raise ValueError(f"need alpha > 0 and finite, got alpha={alpha}")
     i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
     spinning = model == "mill" and omega != 0.0
     A = np.zeros((len(i1p), 4, 4), dtype=complex if spinning else float)

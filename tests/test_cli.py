@@ -376,6 +376,18 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                  "gamma=inf", id="flock-cs-infinite-gamma"),
     pytest.param(["radius", "--a", "inf", "--b", "1", "--n", "10"], "a=inf",
                  id="radius-infinite-a"),
+    pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=20", "speed=nan"],
+                 "need finite speed >= 0, got speed=nan", id="mill-nan-speed"),
+    pytest.param(["radius", "--a", "4", "--b", "2", "--n", "20", "--speed", "inf"], "speed=inf",
+                 id="radius-infinite-speed"),
+    pytest.param(["radius", "--a", "4", "--b", "2", "--n", "20", "--speed", "nan"], "speed=nan",
+                 id="radius-nan-speed"),
+    pytest.param(["spectrum", "--model", "mill", "--a", "4", "--b", "2", "--n", "20",
+                  "--speed", "inf"], "speed=inf", id="spectrum-mill-infinite-speed"),
+    pytest.param(["spectrum", "--model", "flock", "--a", "4", "--b", "2", "--n", "20",
+                  "--alpha", "inf"], "alpha=inf", id="spectrum-flock-infinite-alpha"),
+    pytest.param(["spectrum", "--model", "flock-cs", "--a", "4", "--b", "2", "--n", "20",
+                  "--gamma", "inf"], "gamma=inf", id="spectrum-flock-cs-infinite-gamma"),
 ])
 def test_usage_error_exit_code(argv, needle, in_tmp, capsys):
     assert main(argv) == 2

@@ -134,6 +134,8 @@ class TestAlignmentKernel:
             AlignmentKernel(0.0)
         with pytest.raises(ValueError):
             AlignmentKernel(-2.0)
+        with pytest.raises(ValueError, match="gamma=inf"):
+            AlignmentKernel(math.inf)
 
 
 class TestForceHelpers:

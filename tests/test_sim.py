@@ -160,25 +160,29 @@ class TestRhs:
                             alignment=AlignmentKernel(1.0))
         _, dv = rhs(SwarmState(t=0.0, positions=x, velocities=v), cfg)
         assert np.array_equal(dv, left_to_right_dv(x, v, cfg))
-        # two states back to back through one set of buffers that starts as
-        # NaN: nothing of the earlier contents reaches either result
-        buffers = sim_module._kernel_buffers(n)
-        for array in buffers:  # the (n, n) arrays and the packed pair arrays
+        # states back to back through one stack kernel whose buffers start
+        # as NaN, alone and then stacked with another: nothing of the
+        # earlier contents or of the other member reaches any result
+        kernel = sim_module._Kernel(n, cfg.model, 2)
+        for array in (kernel.offsets, kernel.weights, kernel.pairs, kernel.dist, kernel.sums):
             array.fill(np.nan)
         x2, v2 = 1.3 * x[::-1], -v
-        for xs, vs in ((x, v), (x2, v2)):
-            dv_reused, _ = sim_module._accelerations(
-                xs, vs, cfg.model, cfg.potential, cfg.propulsion, cfg.alignment,
-                0.0, buffers,
-            )
-            _, dv_fresh = rhs(SwarmState(t=0.0, positions=xs, velocities=vs), cfg)
-            assert np.array_equal(dv_reused, dv_fresh)
-        assert np.array_equal(dv_reused, left_to_right_dv(x2, v2, cfg))
+        states = [(x, v), (x2, v2)]
+        y = np.array([np.concatenate([xs.ravel(), vs.ravel()]) for xs, vs in states])
+        out = np.empty_like(y)
+        for rows in ([0], [1, 0]):
+            kernel.bind([cfg] * len(rows), [0.0] * len(rows))
+            kernel(y[rows], out[: len(rows)])
+            for row, i in enumerate(rows):
+                xs, vs = states[i]
+                _, dv_fresh = rhs(SwarmState(t=0.0, positions=xs, velocities=vs), cfg)
+                assert np.array_equal(out[row, 2 * n :].reshape(n, 2), dv_fresh)
+        assert np.array_equal(out[0, 2 * n :].reshape(n, 2), left_to_right_dv(x2, v2, cfg))
         # the weight matrix holds the weight at distance 1 on its diagonal,
         # where the offsets are zero, as an evaluation on all n^2 entries does
         one = np.ones(1)
         unit = cfg.alignment.value(one) if cfg.alignment else pot.deriv(one) / one
-        assert np.array_equal(np.diag(buffers[0][2]), np.full(n, unit[0]))
+        assert np.array_equal(np.diag(kernel.weights[0, -1]), np.full(n, unit[0]))
 
     def test_cs_rhs_matches_direct_sum(self):
         pot = PowerLaw(3, 1.5)
@@ -255,36 +259,61 @@ class TestIntegrate:
         assert res.stats["min_pair_distance"] > 0.9 * min(map(closest_pair, res.states))
         assert res.stats["momentum_drift"] < 1e-12
 
-    def test_steps_reuse_the_kernel_buffers(self, monkeypatch):
-        # once the run's buffers exist, one whole step (its six RHS
-        # evaluations and the stepper's own arrays) never holds one more
-        # (n, n) array; tracemalloc sees numpy's data allocations
-        n = 200
+    @staticmethod
+    def traced_mill_run(monkeypatch, hook):
+        """Integrate a perturbed n = 200 mill for 0.2 time units under
+        tracemalloc; kernel evaluation k (from 1) runs as hook(k, evaluate)."""
         pot = PowerLaw(5, 1.25)
-        ring = mill_ring(pot, n, 0.5)
+        ring = mill_ring(pot, 200, 0.5)
         st = ic_mill_ring(ring, perturbation=RandomNoise(1e-2 * ring.radius, 5e-3),
                           rng=np.random.default_rng(1))
-        cfg = propulsion_config(pot, n, 0.2, alpha=1.0, beta=4.0, sample_every=0.2)
-        kernel = sim_module._accelerations
+        cfg = propulsion_config(pot, 200, 0.2, alpha=1.0, beta=4.0, sample_every=0.2)
+        kernel = sim_module._Kernel.__call__
         calls = itertools.count(1)
-        window = {}
 
-        def traced(*args):
-            k = next(calls)
-            if k == 3:  # first stage of the first step; evaluations 1-2 start the run
-                tracemalloc.reset_peak()
-                window["start"] = tracemalloc.get_traced_memory()[0]
-            elif k == 9:  # first stage of the second step
-                window["peak"] = tracemalloc.get_traced_memory()[1]
-            return kernel(*args)
+        def traced(self, *args):
+            return hook(next(calls), lambda: kernel(self, *args))
 
-        monkeypatch.setattr(sim_module, "_accelerations", traced)
+        monkeypatch.setattr(sim_module._Kernel, "__call__", traced)
         tracemalloc.start()
         try:
             integrate(cfg, st)
         finally:
             tracemalloc.stop()
-        assert window["peak"] - window["start"] < n * n * 8
+
+    def test_steps_reuse_the_kernel_buffers(self, monkeypatch):
+        # once the run's buffers exist, one whole step (its six RHS
+        # evaluations and the stepper's own arrays) never holds one more
+        # (n, n) array; tracemalloc sees numpy's data allocations
+        window = {}
+
+        def hook(k, evaluate):
+            if k == 3:  # first stage of the first step; evaluations 1-2 start the run
+                tracemalloc.reset_peak()
+                window["start"] = tracemalloc.get_traced_memory()[0]
+            elif k == 9:  # first stage of the second step
+                window["peak"] = tracemalloc.get_traced_memory()[1]
+            return evaluate()
+
+        self.traced_mill_run(monkeypatch, hook)
+        assert window["peak"] - window["start"] < 200 * 200 * 8
+
+    def test_one_evaluation_allocates_less_than_its_pair_count(self, monkeypatch):
+        # the kernel owns writeable gather and mirror indices, so np.take
+        # copies no index array of the m = n(n - 1)/2 pairs per evaluation
+        growth = []
+
+        def hook(k, evaluate):
+            if k != 5:
+                return evaluate()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = evaluate()
+            growth.append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+
+        self.traced_mill_run(monkeypatch, hook)
+        assert len(growth) == 1 and growth[0] < 200 * 199 // 2 * 8
 
     def test_last_step_ends_exactly_at_t_final(self):
         # here the step cut to end at t_final starts below t_final / 2, where
@@ -550,7 +579,98 @@ class TestMetrics:
         assert lines[1] == "0.0,1.0,2.0,3.0,4.0,5.0"
 
 
+def sweep_inputs(cfg, parameter, values, ic_kind, perturbation=None, ic_speed=None):
+    """(config, initial state, ring) of each member, as bifurcation_sweep documents them."""
+    inputs = []
+    for k, value in enumerate(values):
+        pot, prop, speed = cfg.potential, cfg.propulsion, ic_speed
+        if parameter == "b":
+            pot = PowerLaw(pot.a, value)
+        else:
+            prop, speed = Propulsion(value**2 * prop.beta, prop.beta), value
+        speed = prop.asymptotic_speed if speed is None else speed
+        member = replace(cfg, potential=pot, propulsion=prop, seed=cfg.seed + k)
+        ring = (flock_ring if ic_kind == "flock" else mill_ring)(pot, cfg.n, speed)
+        start = ic_flock_ring if ic_kind == "flock" else ic_mill_ring
+        pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
+        state = start(ring, perturbation=pert, rng=np.random.default_rng(member.seed))
+        inputs.append((member, state, ring))
+    return inputs
+
+
+def assert_stack_equals_separate_runs(inputs):
+    """One stack of the members gives each the metrics, final state and stats
+    of its own integrate run."""
+    runs = [sim_module._Run(cfg, state, ring) for cfg, state, ring in inputs]
+    sim_module._integrate(runs)
+    alone = []
+    for run, (cfg, state, ring) in zip(runs, inputs):
+        stacked, single = run.result(), integrate(cfg, state, reference=ring)
+        assert stacked.metrics.csv_text() == single.metrics.csv_text()
+        for attr in ("positions", "velocities"):
+            got = getattr(stacked.final_state, attr)
+            assert got.tobytes() == getattr(single.final_state, attr).tobytes()
+        assert stacked.stats == single.stats
+        alone.append(single)
+    # the members step in lockstep but take their own numbers of steps
+    assert len({res.stats["rhs_evals"] for res in alone}) > 1
+    return alone
+
+
 class TestBifurcationSweep:
+    @pytest.mark.parametrize("n", [32, 33])  # 4n = 132 is not a multiple of 8
+    def test_cs_stack_equals_separate_runs(self, n):
+        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(5, 1.2), n=n, t_final=8.0,
+                        alignment=AlignmentKernel(1.0), seed=21, sample_every=1.5)
+        values = [1.05, 1.2, 1.35, 1.5, 1.65]
+        alone = assert_stack_equals_separate_runs(
+            sweep_inputs(cfg, "b", values, "flock", ic_speed=0.8))
+        rows = bifurcation_sweep(cfg, "b", values, metric="polarization", ic_speed=0.8)
+        assert rows == [(v, res.metrics.polarization[-1]) for v, res in zip(values, alone)]
+
+    def test_mill_speed_stack_equals_separate_runs(self):
+        cfg = propulsion_config(PowerLaw(5, 1.25), 20, 4.0, alpha=1.0, beta=4.0, seed=4,
+                                sample_every=0.75)
+        values = [0.3, 0.45, 0.6, 0.8]
+        alone = assert_stack_equals_separate_runs(sweep_inputs(cfg, "speed", values, "mill"))
+        rows = bifurcation_sweep(cfg, "speed", values, ic_kind="mill", metric="angular_momentum")
+        assert rows == [(v, res.metrics.angular_momentum[-1]) for v, res in zip(values, alone)]
+
+    def test_stacks_on_two_workers_equal_one(self):
+        # n = 64 puts eight members in a stack, so the ten members make two
+        # stacks that the pool runs at once
+        cfg = propulsion_config(PowerLaw(5, 1.5), 64, 1.0, alpha=1.0, beta=4.0, seed=3,
+                                sample_every=0.5)
+        values = [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]
+        assert sim_module._STACK_ENTRIES // 64**2 < len(values)
+        one = bifurcation_sweep(cfg, "b", values, metric="fatten", workers=1)
+        two = bifurcation_sweep(cfg, "b", values, metric="fatten", workers=2)
+        assert one == two
+        for (_, eta), (member, state, ring) in zip(one, sweep_inputs(cfg, "b", values, "flock")):
+            assert eta == integrate(member, state, reference=ring).metrics.eta_rel[-1]
+
+    @pytest.mark.parametrize("values", [[2.5, 3.0], [3.0, 2.5]],
+                             ids=["lower-trips-later", "lower-trips-first"])
+    def test_guard_trips_raise_the_lower_member_error(self, values):
+        # at a guard of 0.29 the b = 3.0 ring (neighbours 0.2894 apart) trips
+        # on its first evaluation, and the b = 2.5 ring (0.2917) trips later,
+        # once the velocity noise has moved a pair closer
+        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(5, 2.0), n=12, t_final=4.0,
+                        alignment=AlignmentKernel(1.0), seed=0, sample_every=4.0,
+                        min_distance_guard=0.29)
+        pert = RandomNoise(0.0, 0.3)
+        inputs = sweep_inputs(cfg, "b", values, "flock", perturbation=pert, ic_speed=1.0)
+        messages = []
+        for member, state, ring in inputs:
+            with pytest.raises(SimulationError) as alone:
+                integrate(member, state, reference=ring)
+            messages.append(str(alone.value))
+        assert messages[values.index(3.0)].endswith("below the guard 2.900e-01")
+        with pytest.raises(SimulationError) as swept:
+            bifurcation_sweep(cfg, "b", values, metric="polarization", perturbation=pert,
+                              ic_speed=1.0)
+        assert str(swept.value) == messages[0]
+
     def test_single_value_equals_direct_run(self):
         pot = PowerLaw(5, 1.5)
         cfg = propulsion_config(pot, 30, 5.0, alpha=1.0, beta=4.0, seed=5,
@@ -566,7 +686,7 @@ class TestBifurcationSweep:
         assert rows[0] == (1.5, pytest.approx(res.metrics.mu_rel[-1], rel=1e-12))
 
     def test_worker_count_invariance(self):
-        # each member integrates with its own kernel buffers, so members that
+        # each stack integrates with its own kernel buffers, so stacks that
         # run at once on the thread pool cannot disturb each other
         pot = PowerLaw(5, 1.5)
         for n, t_final in ((20, 2.0), (120, 1.0)):
@@ -626,6 +746,7 @@ class TestBifurcationSweep:
             raise AssertionError("integrate ran before the metric was checked")
 
         monkeypatch.setattr(sim_module, "integrate", no_integrate)
+        monkeypatch.setattr(sim_module, "_integrate", no_integrate)
         with pytest.raises(ValueError, match="angular_momentum"):
             bifurcation_sweep(cfg, "b", [1.0, 1.2], metric="pol")
 
