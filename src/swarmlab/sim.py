@@ -42,12 +42,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
-from .regions import map_jobs
+from .regions import _pool_size, map_jobs
 from .rings import flock_ring, mill_ring
 
 __all__ = [
@@ -255,9 +256,9 @@ class _Kernel:
 
     One call takes K <= size states (K, 4n), each its positions then its
     velocities flattened, and writes their derivatives.  Offsets are stored
-    transposed, offsets[k, b, c, l, j] = u_l - u_j for component c of block
-    b (positions, and velocities under Cucker-Smale), so one outer
-    add.reduce over l adds each particle's pair terms in index order.
+    transposed, offsets[k, c, l, j] = u_l - u_j for component c, so one
+    outer add.reduce over l adds each particle's pair terms in index order;
+    the buffer holds the positions, then under Cucker-Smale the velocities.
     Distances and weights are evaluated once per pair l < j, packed in row
     order, and gathered into the symmetric weights (see the module
     docstring for why this is bit for bit); the pair weights of the
@@ -269,20 +270,19 @@ class _Kernel:
     def __init__(self, n, model, size):
         self.n = n
         self.propulsion = model == "propulsion"
-        blocks = 1 if self.propulsion else 2
-        m = n * (n - 1) // 2
-        self.offsets = np.empty((size, blocks, 2, n, n))
-        self.weights = np.empty((size, blocks, n, n))
-        # per block, a value for each pair and a slot for the diagonal: dx
+        upper, pair = _triangle(n)
+        m = upper.size
+        # new, writeable indices: np.take copies a read-only one on each call
+        self.gather = np.concatenate([upper, [0], upper + n * n, [0]])
+        self.mirror = pair.copy()
+        self.offsets = np.empty((size, 2, n, n))
+        self.weights = np.empty((size, n, n))
+        # a value for each pair and a slot for the diagonal, in two rows: dx
         # and dy, then the potential and the alignment weights
         self.pairs = np.empty((size, 2, m + 1))
         # the distances and an inf slot, so that one particle finds no pair
         self.dist = np.empty((size, m + 1))
-        self.sums = np.empty((size, blocks, 2, n))
-        self.upper, pair = _triangle(n)
-        # new, writeable indices: np.take copies a read-only one on each call
-        self.gather = np.concatenate([self.upper, [0], self.upper + n * n, [0]])
-        self.mirror = np.concatenate([pair + b * (m + 1) for b in range(blocks)])
+        self.sums = np.empty((size, 1 if self.propulsion else 2, 2, n))
 
     def bind(self, configs, guards):
         """Set the members, in stack order: their configs and guard distances."""
@@ -298,6 +298,22 @@ class _Kernel:
         # the weight at distance 1 of each block: the slot the diagonal reads
         self.units = np.array([[_unit_weight(kernel) for kernel in ks] for ks in kernels])
 
+    def _offsets(self, u):
+        """Write the offsets of the (K, n, 2) points u into the buffer."""
+        u = u.transpose(0, 2, 1)
+        np.subtract(u[..., :, None], u[..., None, :], out=self.offsets[: u.shape[0]])
+
+    def _pair_sum(self, out):
+        """out[k, c, j] = sum over l, in index order, of w_lj offsets[k, c, l, j],
+        with the weights w mirrored from the first row of the packed pairs."""
+        k = out.shape[0]
+        offsets, weights = self.offsets[:k], self.weights[:k]
+        # mode="clip" (the indices are in range) lets take write straight into out
+        self.pairs[:k].reshape(k, -1).take(self.mirror, axis=1, out=weights.reshape(k, -1),
+                                           mode="clip")
+        np.multiply(weights[:, None], offsets, out=offsets)
+        np.add.reduce(offsets, axis=2, out=out)
+
     def __call__(self, y, out):
         """Write the derivatives of the K states ``y`` into ``out`` (K, 4n).
 
@@ -306,14 +322,11 @@ class _Kernel:
         their guard, whose rows are finished on unit distances.
         """
         k, n = y.shape[0], self.n
-        offsets, weights, sums = self.offsets[:k], self.weights[:k], self.sums[:k]
-        pairs, dist = self.pairs[:k], self.dist[:k]
-        blocks = offsets.shape[1]
+        sums, pairs, dist = self.sums[:k], self.pairs[:k], self.dist[:k]
         state = y.reshape(k, 2, n, 2)
-        u = state[:, :blocks].transpose(0, 1, 3, 2)
-        np.subtract(u[..., :, None], u[..., None, :], out=offsets)
-        # mode="clip" (the indices are in range) lets take write straight into out
-        offsets.reshape(k, -1).take(self.gather, axis=1, out=pairs.reshape(k, -1), mode="clip")
+        self._offsets(state[:, 0])
+        self.offsets[:k].reshape(k, -1).take(self.gather, axis=1, out=pairs.reshape(k, -1),
+                                             mode="clip")
         w, work = pairs[:, 0, :-1], pairs[:, 1, :-1]
         d = dist[:, :-1]
         np.hypot(w, work, out=d)
@@ -322,7 +335,7 @@ class _Kernel:
         dmin = dist[np.arange(k), nearest]
         failed = {}
         for r in np.flatnonzero(dmin < self.guard):
-            j, l = divmod(int(self.upper[nearest[r]]), n)
+            j, l = divmod(int(self.gather[nearest[r]]), n)
             failed[int(r)] = SimulationError(
                 f"particles {j} and {l} at distance {dmin[r]:.3e} "
                 f"below the guard {self.guard[r]:.3e}"
@@ -334,10 +347,12 @@ class _Kernel:
         if not self.propulsion:
             for rows, alignment in self.alignments:
                 alignment.value(d[rows], out=work[rows])
-        pairs[:, :blocks, -1] = self.units[:k]
-        pairs.reshape(k, -1).take(self.mirror, axis=1, out=weights.reshape(k, -1), mode="clip")
-        np.multiply(weights[:, :, None], offsets, out=offsets)
-        np.add.reduce(offsets, axis=3, out=sums)
+        pairs[:, : self.units.shape[1], -1] = self.units[:k]
+        self._pair_sum(sums[:, 0])
+        if not self.propulsion:
+            pairs[:, 0] = pairs[:, 1]  # the alignment weights, where the mirror reads
+            self._offsets(state[:, 1])
+            self._pair_sum(sums[:, 1])
         sums /= n
         v = state[:, 1]
         out[:, : 2 * n] = y[:, 2 * n :]
@@ -547,7 +562,7 @@ class _Run:
             factor = _FAC_MAX
         else:
             factor = _SAFETY * err ** (-_PI_ALPHA) * self.err_prev**_PI_BETA
-        if err > 1.0:
+        if not err <= 1.0:  # a NaN norm rejects the step too
             self.rejected += 1
             self.h = h * min(1.0, max(_FAC_MIN, factor))
             return False
@@ -604,10 +619,9 @@ def _integrate(runs):
 
     The runs step in lockstep, one stacked RHS evaluation per stage, and
     each keeps its own t, h, error history, sample cursor and accept or
-    reject decision.  A run leaves the stack when it reaches its end time,
-    so its statistics count only its own steps.  A run whose RHS trips the
-    guard or whose step underflows records its SimulationError and leaves
-    with every later run, which a sequential sweep would not reach.
+    reject decision.  A run leaves the stack when it reaches its end time
+    (so its statistics count only its own steps), or when its RHS trips
+    the guard or its step underflows; it then records its SimulationError.
     """
     if not runs:
         return
@@ -619,28 +633,22 @@ def _integrate(runs):
     y = np.array([run.y0 for run in runs])
     stages = np.empty((len(runs), 7, 4 * n))
     closest = np.full(len(runs), math.inf)
-    cutoff = len(runs)
-
-    def fail(i, exc):
-        nonlocal cutoff
-        runs[i].error = exc
-        cutoff = min(cutoff, i)
 
     def evaluate(z, out):
         dmin, failed = kernel(z, out)
         np.fmin(closest, dmin, out=closest)
         for row, exc in failed.items():
             if runs[active[row]].error is None:
-                fail(active[row], exc)
+                runs[active[row]].error = exc
         return out
 
     def prune():
-        """Drop the runs that failed, finished or follow a failed run."""
+        """Drop the runs that failed or finished."""
         nonlocal active, y, stages, closest
         keep = []
         for row, i in enumerate(active):
             run = runs[i]
-            if run.error is None and run.t < run.tf and i < cutoff:
+            if run.error is None and run.t < run.tf:
                 keep.append(row)
             else:
                 run.closest, run.y_final = float(closest[row]), y[row].copy()
@@ -664,10 +672,10 @@ def _integrate(runs):
             run = runs[i]
             run.h = min(run.h, run.tf - run.t)
             if run.h < run.underflow:
-                fail(i, SimulationError(
+                run.error = SimulationError(
                     f"step size underflow at t={run.t:.6g} (h={run.h:.3e}); "
                     "the problem is stiffer than the tolerances allow"
-                ))
+                )
         prune()
         if not active:
             break
@@ -679,8 +687,7 @@ def _integrate(runs):
         errs = _error_norms(h * np.matmul(_DP_E, stages), scale)
         accepted = [
             row for row, (i, err) in enumerate(zip(active, errs))
-            if runs[i].error is None and i < cutoff
-            and runs[i].advance(err, y[row], y_new[row], stages[row])
+            if runs[i].error is None and runs[i].advance(err, y[row], y_new[row], stages[row])
         ]
         y[accepted] = y_new[accepted]
         stages[accepted, 0] = stages[accepted, 6]
@@ -839,7 +846,7 @@ _SWEEP_METRICS = {"cluster": "mu_rel", "fatten": "eta_rel",
 # (32 members) at n = 32, 120 and 95 us (16) at n = 48, and 176 and 166 us
 # (8) at n = 64.  The gain levels off between 2^13 and 2^15 entries and
 # turns into a loss past 2^17 (n = 64, 128 members: 187 us).  At the cap
-# the kernel buffers take about 2 MiB (Cucker-Smale) or 1.1 MiB.
+# the kernel buffers take about 1.2 MiB.
 _STACK_ENTRIES = 2**15
 
 
@@ -912,8 +919,9 @@ def bifurcation_sweep(
     Runs are independent and seeded base_seed + index, so the table is
     reproducible and insensitive to the worker count.  Consecutive members
     are integrated as one stack of at most _STACK_ENTRIES // n^2 runs
-    (each run's output is the one ``integrate`` gives it), and the worker
-    pool maps the stacks.  The default perturbation is small centered
+    (each run's output is the one ``integrate`` gives it), cut so that
+    each thread of the worker pool gets a stack, and the pool maps the
+    stacks.  The default perturbation is small centered
     noise scaled to the ring.  A bad ``parameter``, ``ic_kind`` or
     ``metric`` is a ValueError before any member runs.
     """
@@ -924,7 +932,9 @@ def bifurcation_sweep(
     if metric not in _SWEEP_METRICS:
         raise ValueError(f"metric must be one of {', '.join(_SWEEP_METRICS)}")
     members = [(i, float(v)) for i, v in enumerate(values)]
-    size = max(1, _STACK_ENTRIES // config.n**2)
+    # stacks as large as the cap allows, but at least one per pool thread
+    threads = _pool_size(workers, len(members), os.cpu_count() or 1)
+    size = max(1, min(_STACK_ENTRIES // config.n**2, -(-len(members) // threads)))
     jobs = [
         (config, parameter, members[i : i + size], ic_kind, metric, perturbation, ic_speed)
         for i in range(0, len(members), size)

@@ -178,11 +178,12 @@ class TestRhs:
                 _, dv_fresh = rhs(SwarmState(t=0.0, positions=xs, velocities=vs), cfg)
                 assert np.array_equal(out[row, 2 * n :].reshape(n, 2), dv_fresh)
         assert np.array_equal(out[0, 2 * n :].reshape(n, 2), left_to_right_dv(x2, v2, cfg))
-        # the weight matrix holds the weight at distance 1 on its diagonal,
-        # where the offsets are zero, as an evaluation on all n^2 entries does
+        # the weight matrix (of the last block: velocities under Cucker-Smale)
+        # holds the weight at distance 1 on its diagonal, where the offsets
+        # are zero, as an evaluation on all n^2 entries does
         one = np.ones(1)
         unit = cfg.alignment.value(one) if cfg.alignment else pot.deriv(one) / one
-        assert np.array_equal(np.diag(kernel.weights[0, -1]), np.full(n, unit[0]))
+        assert np.array_equal(np.diag(kernel.weights[0]), np.full(n, unit[0]))
 
     def test_cs_rhs_matches_direct_sum(self):
         pot = PowerLaw(3, 1.5)
@@ -636,18 +637,59 @@ class TestBifurcationSweep:
         rows = bifurcation_sweep(cfg, "speed", values, ic_kind="mill", metric="angular_momentum")
         assert rows == [(v, res.metrics.angular_momentum[-1]) for v, res in zip(values, alone)]
 
-    def test_stacks_on_two_workers_equal_one(self):
-        # n = 64 puts eight members in a stack, so the ten members make two
-        # stacks that the pool runs at once
-        cfg = propulsion_config(PowerLaw(5, 1.5), 64, 1.0, alpha=1.0, beta=4.0, seed=3,
-                                sample_every=0.5)
-        values = [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]
-        assert sim_module._STACK_ENTRIES // 64**2 < len(values)
-        one = bifurcation_sweep(cfg, "b", values, metric="fatten", workers=1)
-        two = bifurcation_sweep(cfg, "b", values, metric="fatten", workers=2)
-        assert one == two
-        for (_, eta), (member, state, ring) in zip(one, sweep_inputs(cfg, "b", values, "flock")):
-            assert eta == integrate(member, state, reference=ring).metrics.eta_rel[-1]
+    @staticmethod
+    def integrate_with_a_nan_stage(runs, monkeypatch):
+        """Integrate runs as one stack, with a NaN in the first member's
+        third stage of the first trial step; returns the advance calls as
+        (run, err, accepted, h before, h after)."""
+        kernel, advance = sim_module._Kernel.__call__, sim_module._Run.advance
+        calls, decisions = itertools.count(1), []
+
+        def poisoned(self, y, out):
+            found = kernel(self, y, out)
+            if next(calls) == 5:  # evaluations 1-2 start the run
+                out[0, 0] = np.nan
+            return found
+
+        def traced(self, err, *args):
+            h = self.h
+            accepted = advance(self, err, *args)
+            decisions.append((self, err, accepted, h, self.h))
+            return accepted
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim_module._Kernel, "__call__", poisoned)
+            patch.setattr(sim_module._Run, "advance", traced)
+            sim_module._integrate(runs)
+        return decisions
+
+    def test_nan_error_norm_rejects_the_step(self, monkeypatch):
+        # a trial step with a NaN stage (an overflow, say) has a NaN error
+        # norm: the step is rejected and retried at h * _FAC_MIN, and the
+        # run recovers; in a stack the other member does not see it
+        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(5, 1.2), n=12, t_final=2.0,
+                        alignment=AlignmentKernel(1.0), seed=2, sample_every=1.0)
+        inputs = sweep_inputs(cfg, "b", [1.2, 1.4], "flock", ic_speed=0.8)
+        results = []
+        for members in (inputs[:1], inputs):
+            runs = [sim_module._Run(*member) for member in members]
+            decisions = self.integrate_with_a_nan_stage(runs, monkeypatch)
+            run, err, accepted, h, h_next = decisions[0]
+            assert run is runs[0] and math.isnan(err) and not accepted
+            assert h_next == h * sim_module._FAC_MIN
+            res = runs[0].result()
+            assert res.stats["steps_rejected"] >= 1
+            assert np.isfinite(res.final_state.positions).all()
+            assert np.isfinite(res.metrics.polarization).all()
+            results.append(res)
+        alone, stacked = results
+        assert stacked.metrics.csv_text() == alone.metrics.csv_text()
+        assert stacked.final_state.positions.tobytes() == alone.final_state.positions.tobytes()
+        assert stacked.stats == alone.stats
+        clean = integrate(*inputs[1])
+        other = runs[1].result()
+        assert other.metrics.csv_text() == clean.metrics.csv_text()
+        assert other.stats == clean.stats
 
     @pytest.mark.parametrize("values", [[2.5, 3.0], [3.0, 2.5]],
                              ids=["lower-trips-later", "lower-trips-first"])
@@ -686,15 +728,21 @@ class TestBifurcationSweep:
         assert rows[0] == (1.5, pytest.approx(res.metrics.mu_rel[-1], rel=1e-12))
 
     def test_worker_count_invariance(self):
-        # each stack integrates with its own kernel buffers, so stacks that
-        # run at once on the thread pool cannot disturb each other
+        # two workers cut the members into two stacks (at n = 64 one stack
+        # would hold eight of the ten), each with its own kernel buffers, so
+        # stacks that run at once on the thread pool cannot disturb each other
         pot = PowerLaw(5, 1.5)
-        for n, t_final in ((20, 2.0), (120, 1.0)):
+        cases = ((20, 2.0, [1.2, 1.5]), (120, 1.0, [1.2, 1.5]),
+                 (64, 1.0, [1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0]))
+        for n, t_final, values in cases:
             cfg = propulsion_config(pot, n, t_final, alpha=1.0, beta=4.0, seed=9,
                                     sample_every=t_final)
-            one = bifurcation_sweep(cfg, "b", [1.2, 1.5], metric="fatten", workers=1)
-            two = bifurcation_sweep(cfg, "b", [1.2, 1.5], metric="fatten", workers=2)
+            one = bifurcation_sweep(cfg, "b", values, metric="fatten", workers=1)
+            two = bifurcation_sweep(cfg, "b", values, metric="fatten", workers=2)
             assert one == two
+        assert sim_module._STACK_ENTRIES // 64**2 < len(values)
+        for (_, eta), (member, state, ring) in zip(one, sweep_inputs(cfg, "b", values, "flock")):
+            assert eta == integrate(member, state, reference=ring).metrics.eta_rel[-1]
 
     def test_speed_parameter_rebuilds_propulsion(self):
         pot = PowerLaw(5, 1.25)
