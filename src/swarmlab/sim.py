@@ -128,12 +128,15 @@ class SimConfig:
             raise ValueError("cucker-smale model needs an AlignmentKernel")
         if self.n < 1:
             raise ValueError("need n >= 1")
-        if not self.t_final > 0:
-            raise ValueError("t_final must be positive")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("tolerances must be positive")
-        if not self.sample_every > 0:
-            raise ValueError("sample_every must be positive")
+        for key in ("t_final", "rtol", "atol", "sample_every"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ValueError(f"need finite {key} > 0, got {key}={value!r}")
+        guard = self.min_distance_guard
+        if guard is not None and (isinstance(guard, bool) or not 0 <= guard < math.inf):
+            raise ValueError(
+                f"need min_distance_guard None or finite >= 0, got min_distance_guard={guard!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -671,7 +674,7 @@ def _integrate(runs):
         for i in active:
             run = runs[i]
             run.h = min(run.h, run.tf - run.t)
-            if run.h < run.underflow:
+            if not run.h >= run.underflow:  # a NaN step (a NaN derivative) underflows too
                 run.error = SimulationError(
                     f"step size underflow at t={run.t:.6g} (h={run.h:.3e}); "
                     "the problem is stiffer than the tolerances allow"

@@ -262,6 +262,26 @@ class TestSimulate:
         assert not (in_tmp / "run_metrics.csv").exists()
         assert not (in_tmp / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("min_distance_guard", -1.0, "min_distance_guard=-1.0"),
+        ("min_distance_guard", float("nan"), "min_distance_guard=nan"),
+        ("min_distance_guard", True, "min_distance_guard=True"),
+        ("min_distance_guard", float("inf"), "min_distance_guard=inf"),
+        ("t_final", float("inf"), "t_final=inf"),
+        ("sample_every", float("inf"), "sample_every=inf"),
+        ("rtol", float("inf"), "rtol=inf"),
+        ("atol", float("inf"), "atol=inf"),
+    ])
+    def test_bad_config_value_is_usage_error(self, key, value, needle, in_tmp, capsys):
+        # each used to run: a guard of -1, NaN or true turned into no guard
+        # or a guard of 1, sample_every inf gave exit 0, an infinite guard or
+        # t_final exit 3, and an infinite rtol stepped forever
+        cfg = sim_config(in_tmp, **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and needle in err
+        assert [p.name for p in in_tmp.iterdir()] == ["config.json"]
+
     def test_deterministic_metrics_bytes(self, in_tmp):
         cfg = sim_config(in_tmp, ic={"kind": "mill",
                                      "perturbation": {"kind": "noise",

@@ -327,6 +327,17 @@ class TestIntegrate:
         assert list(res.metrics.t) == [0.0, tf]
         assert res.stats["h_max"] > 0.5 * tf
 
+    def test_nan_derivative_is_a_step_underflow(self):
+        # two coincident particles with the guard off make the first
+        # derivative NaN, so the first step size is NaN; the run used to
+        # reject NaN steps at t = 0 forever
+        cfg = propulsion_config(PowerLaw(5, 1.25), 3, 1.0, alpha=1.0, beta=4.0,
+                                min_distance_guard=0.0)
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        st = SwarmState(t=0.0, positions=x, velocities=np.zeros((3, 2)))
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError, match="h=nan"):
+            integrate(cfg, st)
+
     def test_n_mismatch_rejected(self):
         cfg = propulsion_config(PowerLaw(4, 2), 3, 1.0)
         st = SwarmState(t=0.0, positions=np.zeros((2, 2)), velocities=np.zeros((2, 2)))
@@ -619,9 +630,14 @@ def assert_stack_equals_separate_runs(inputs):
 
 
 class TestBifurcationSweep:
-    @pytest.mark.parametrize("n", [32, 33])  # 4n = 132 is not a multiple of 8
-    def test_cs_stack_equals_separate_runs(self, n):
-        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(5, 1.2), n=n, t_final=8.0,
+    # 4n = 132 is not a multiple of 8; at a = 3 every member's d^(a - 1)
+    # takes np.power's exponent-2 path, and b = 1.5 gives d^(b - 1) its
+    # exponent-0.5 path
+    @pytest.mark.parametrize("n, a", [
+        pytest.param(32, 5, id="32"), pytest.param(33, 5, id="33"), pytest.param(32, 3, id="32-a3"),
+    ])
+    def test_cs_stack_equals_separate_runs(self, n, a):
+        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(a, 1.2), n=n, t_final=8.0,
                         alignment=AlignmentKernel(1.0), seed=21, sample_every=1.5)
         values = [1.05, 1.2, 1.35, 1.5, 1.65]
         alone = assert_stack_equals_separate_runs(

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import swarmlab.spectra as spectra_module
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
+from swarmlab.regions import _cell
 from swarmlab.rings import RadiusProblem, _sines, flock_ring, ring_positions, solve_radius
 from swarmlab.spectra import (
     Classification,
@@ -407,6 +409,195 @@ class TestEnvelope:
             mode_envelope("flock", 4, 2, 10, m_min=5, m_max=3)
         with pytest.raises(ValueError):
             mode_envelope("flock", 4, 2, 10, m_min=0, m_max=3)
+
+
+VERDICTS = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
+
+
+def full_solve(ms, A, shape_bands):
+    """(m, repr(max_real), verdict) from eigvals of every matrix in the stack.
+
+    The spinning mill bands each mode at 1e-8 max(1, |A_m|), classify's
+    rule; a ring at rest takes the given shape bands.
+    """
+    top = np.linalg.eigvals(A).real.max(axis=1)
+    if shape_bands is None:
+        tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+        shape_bands = np.where(top > tol, 2, np.where(top < -tol, 0, 1))
+    worst = int(np.argmax(top))
+    return int(ms[worst]), repr(float(top[worst])), VERDICTS[shape_bands.max()]
+
+
+def assembled_stack(model, a, b, n, alpha=1.0, gamma=1.0, speed=0.0):
+    """Modes 2..(n-1)//2, their matrices from _assemble, and the shape bands
+    of a ring at rest (None for the spinning mill)."""
+    ms = np.arange(2, (n - 1) // 2 + 1)
+    speed = speed if model == "mill" else 0.0
+    R, i1p, i1m, i2 = spectra_module._ring_couplings(a, b, n, speed, ms)
+    if model == "flock-cs":
+        jp, jm = spectra_module._alignment_tables(gamma, R, n, ms)
+    else:
+        jp, jm = 0.0, 0.0
+    A = spectra_module._assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
+    bands = spectra_module._shape_severity(ms, n, i1p, i1m, i2)[1] if speed == 0.0 else None
+    return ms, A, bands
+
+
+def block_stack(roots):
+    """Mode matrices [[0, I], [S, V]] with diagonal S and V, whose
+    eigenvalues are the given pairs: roots[i] = ((r1, r2), (r3, r4))."""
+    A = np.zeros((len(roots), 4, 4), dtype=complex)
+    A[:, 0, 2] = A[:, 1, 3] = 1.0
+    for i, pairs in enumerate(roots):
+        for j, (r1, r2) in enumerate(pairs):
+            A[i, 2 + j, 2 + j] = r1 + r2
+            A[i, 2 + j, j] = -r1 * r2
+    return A
+
+
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """The matrices _worst_mode eigensolves, in call order."""
+    rows, top_real = [], spectra_module._top_real
+
+    def recording(A):
+        rows.extend(A)
+        return top_real(A)
+
+    monkeypatch.setattr(spectra_module, "_top_real", recording)
+    return rows
+
+
+class TestWorstModeCertificate:
+    @pytest.mark.parametrize("model, n, kw", [
+        ("mill", 200, {"speed": 0.2}),
+        ("mill", 64, {"speed": 0.05}),
+        ("mill", 501, {"speed": 1.0, "alpha": 0.8}),
+        ("flock-cs", 200, {"gamma": 1.0}),
+        ("flock-cs", 120, {"gamma": 0.5}),
+    ])
+    def test_equals_solving_every_mode(self, model, n, kw, solved_rows):
+        ranked = 0
+        for a in (3.0, 4.2, 5.4, 7.0):
+            for b in (0.5, 1.1, 1.7, 2.5):
+                got = _worst_mode(model, a, b, n, (n - 1) // 2, **kw)
+                ms, A, bands = assembled_stack(model, a, b, n, **kw)
+                assert (got[0], repr(got[1]), got[2]) == full_solve(ms, A, bands)
+                ranked += len(ms)
+        # the certificate did skip modes
+        assert len(solved_rows) < 0.5 * ranked
+
+    @pytest.mark.parametrize("model, a, b, kw", [
+        ("mill", 4.0, 1.0, {"speed": 0.2}),
+        ("flock-cs", 5.0, 1.6, {"gamma": 1.0}),
+    ])
+    def test_a_mode_tied_with_or_near_the_worst_is_solved(self, model, a, b, kw, monkeypatch,
+                                                          solved_rows):
+        n, low = 200, 10  # low: a mode index the sample leaves out
+        ms, A, bands = assembled_stack(model, a, b, n, **kw)
+        worst = int(np.argmax(np.linalg.eigvals(A).real.max(axis=1)))
+        assert worst > low
+        # the worst matrix with every eigenvalue moved left by half its
+        # tolerance: V - 2 delta I and S + delta V - delta^2 I
+        delta = 0.5e-8 * max(1.0, np.abs(A[worst]).max())
+        near = A[worst].copy()
+        near[2:, :2] += delta * A[worst, 2:, 2:] - delta**2 * np.eye(2)
+        near[2:, 2:] -= 2.0 * delta * np.eye(2)
+        stack = spectra_module._mode_stack
+        for copy, expected_mode in ((A[worst], ms[low]), (near, ms[worst])):
+            patched = A.copy()
+            patched[low] = copy
+
+            def with_copy(*args, patched=patched):
+                _, tol, bands = stack(*args)
+                tol[low] = 1e-8 * max(1.0, np.abs(patched[low]).max())
+                return patched.copy(), tol, bands
+
+            monkeypatch.setattr(spectra_module, "_mode_stack", with_copy)
+            solved_rows.clear()
+            got = _worst_mode(model, a, b, n, ms[-1], **kw)
+            assert (got[0], repr(got[1]), got[2]) == full_solve(ms, patched, bands)
+            assert got[0] == expected_mode
+            assert any(np.array_equal(row, copy) for row in solved_rows)
+            assert len(solved_rows) < len(ms) // 2
+
+    def test_marginal_cell_with_per_mode_tolerances(self, monkeypatch, solved_rows):
+        # the sampled modes are stable at their tolerance 1e-8 |A| = 3e-8;
+        # mode 12 has entries near 1000, so its tolerance is 1e-5 and its
+        # largest real part -2e-6 is marginal: the cell is marginal
+        ms = np.arange(2, 32)
+        roots = [((-0.01 - 0.001 * i, -1.0), (-1.0, -2.0)) for i in range(len(ms))]
+        for i in (0, 1, 25, 29):
+            roots[i] = ((-1e-7, -1.0), (-1.0, -2.0))
+        roots[10] = ((-2e-6, -1000.0), (-1.0, -2.0))
+        A = block_stack(roots)
+        tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+        monkeypatch.setattr(spectra_module, "_mode_stack", lambda *args: (A.copy(), tol, None))
+        got = _worst_mode("mill", 5.0, 1.2, 64, 31, speed=0.1)
+        assert (got[0], repr(got[1]), got[2]) == full_solve(ms, A, None)
+        assert got[2] is Classification.MARGINAL
+        assert len(solved_rows) < len(ms)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("index", [1, 10], ids=["sampled", "unsampled"])
+    @pytest.mark.parametrize("model", ["mill", "flock-cs"])
+    def test_non_finite_entries_give_the_eigvals_reason(self, model, index, bad, monkeypatch):
+        couplings = spectra_module._ring_couplings
+
+        def poisoned(*args):
+            R, i1p, i1m, i2 = couplings(*args)
+            i1p = i1p.copy()
+            i1p[index] = bad
+            return R, i1p, i1m, i2
+
+        monkeypatch.setattr(spectra_module, "_ring_couplings", poisoned)
+        _, A, _ = assembled_stack(model, 5.0, 1.2, 200, speed=0.2)
+        with pytest.raises(np.linalg.LinAlgError) as solved:
+            np.linalg.eigvals(A)
+        fixed = {"n": 200, "m_max": 99, "alpha": 1.0, "gamma": 1.0, "speed": 0.2}
+        cell = _cell(5.0, 1.2, model, 5.0, 1.2, fixed)
+        assert cell.classification is Classification.INVALID
+        assert cell.error == str(solved.value)
+
+    @pytest.mark.parametrize("root, c", [(0.25 + 0.5j, 0.25), (0.5, 0.5), (-3.0 + 2.0j, -3.0)])
+    def test_refuses_a_root_on_the_shifted_axis(self, root, c):
+        A = block_stack([((root, -4.0), (-4.5 + 1.0j, -5.0))])
+        assert not spectra_module._routh_below(A, np.array([c]))[0]
+        assert not spectra_module._routh_below(A, np.array([c - 1e-9]))[0]
+        assert spectra_module._routh_below(A, np.array([c + 1e-6]))[0]
+        for bad in (math.nan, math.inf, -math.inf):
+            assert not spectra_module._routh_below(A, np.array([bad]))[0]
+
+    def test_refuses_exact_roots_on_the_axis_at_random(self):
+        # dyadic roots with few bits make S and V exact, so one root lies on
+        # Re = c exactly; the computed pivots are then rounding noise, and
+        # only the error bounds keep the certificate from accepting them
+        rng = np.random.default_rng(11)
+        k = 400
+        c = rng.integers(-64, 64, k) / 16.0
+        on_axis = c + 1j * rng.integers(0, 64, k) / 16.0
+        on_axis[::2] = c[::2]  # real roots too
+        left = c[:, None] - rng.integers(1, 64, (k, 3)) / 16.0 + 1j * rng.integers(-64, 64, (k, 3)) / 16.0
+        roots = [((r, x), (y, z)) for r, (x, y, z) in zip(on_axis, left)]
+        A = block_stack(roots)
+        assert not spectra_module._routh_below(A, c).any()
+        assert spectra_module._routh_below(A, c + 1e-3).all()
+
+    def test_never_certifies_below_a_solved_root(self):
+        # random complex and real mode matrices spanning six decades of scale;
+        # for a real matrix r = q^2 holds a complex pair near the axis four
+        # times, so the certificate needs a wider gap there
+        rng = np.random.default_rng(3)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(800, 1, 1))
+        A = np.zeros((800, 4, 4), dtype=complex)
+        A[:, 0, 2] = A[:, 1, 3] = 1.0
+        A[:, 2:] = rng.standard_normal((800, 2, 4)) * scale
+        A[:400, 2:] += 1j * rng.standard_normal((400, 2, 4)) * scale[:400]
+        for stack, gap in ((A[:400], 1e-6), (A[400:].real.copy(), 1e-3)):
+            top = np.linalg.eigvals(stack).real.max(axis=1)
+            norm = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
+            assert not spectra_module._routh_below(stack, top - 1e-12 * norm).any()
+            assert spectra_module._routh_below(stack, top + gap * norm).mean() > 0.99
 
 
 class TestCsReduction:
