@@ -544,10 +544,12 @@ def _routh_below(A, c):
     True is a proof, up to an error bound carried through every stage
     (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
     sections 3.1 and 3.6):
-    - Each coefficient of q takes at most 9 chained operations in
-      _shifted_quartic, each with relative error at most 3u (a complex
-      product's is sqrt(2) gamma_2), so it is off by at most
-      e_t = 32u qbar_t, with qbar_t the same lines evaluated on moduli.
+    - Each coefficient of q is at most 9 roundings deep in
+      _shifted_quartic (a product counts the roundings of both factors),
+      each of relative error at most 3u (a complex product's is
+      sqrt(2) gamma_2), so it is off by at most
+      ((1 + 3u)^9 - 1) qbar_t <= e_t = 32u qbar_t, with qbar_t the same
+      lines evaluated on moduli.
     - r_t = sum over i + j = t of Re(q_i conj q_j).  With m = |fl(q)|, the
       computed r_t is off by at most sum (2 m_i + e_i) e_j from q's error
       and 8u sum m_i m_j from its own products and five-term sums.
