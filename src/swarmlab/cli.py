@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
+import hashlib
 import json
 import os
 import platform
@@ -98,6 +100,21 @@ def _now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+@functools.lru_cache(maxsize=1)
+def _ufunc_fingerprint():
+    """sha256 of the elementwise ufuncs that bit-for-bit results rest on.
+
+    Simulations rest on np.hypot, np.power (whose scalar exponents 0.5, 2
+    and -1 take their own loops) and np.exp, ring radii on np.float_power;
+    each is evaluated on a fixed probe, so two builds that give one result
+    for this probe agree on it to the last bit.
+    """
+    x = np.geomspace(1e-3, 1e3, 1001)
+    results = [np.hypot(x, x[::-1]), np.float_power(x, 1.7), np.exp(-x / 8)]
+    results += [np.power(x, e) for e in (0.5, 2.0, -1.0, 1.7)]
+    return hashlib.sha256(b"".join(r.tobytes() for r in results)).hexdigest()
+
+
 def _write_manifest(prefix, command, parameters, outputs, started, seed):
     manifest = {
         "command": command,
@@ -109,6 +126,7 @@ def _write_manifest(prefix, command, parameters, outputs, started, seed):
             "numpy": np.__version__,
             "platform": platform.platform(),
             "nproc": os.cpu_count(),
+            "ufunc_fingerprint": _ufunc_fingerprint(),
         },
         "started": started,
         "finished": _now(),

@@ -147,7 +147,12 @@ def _metadata(model, m_max):
 
 
 def _pool_size(workers, jobs, cpus):
-    """Threads for a pool: the requested count, capped by jobs and cores."""
+    """Threads for a pool: the requested count, capped by jobs and cores.
+
+    A worker count below 1 is a ValueError.
+    """
+    if not workers >= 1:
+        raise ValueError(f"need workers >= 1, got workers={workers!r}")
     return max(1, min(workers, jobs, cpus))
 
 

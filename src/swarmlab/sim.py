@@ -27,9 +27,13 @@ member of a stack equals its own ``integrate`` run bit for bit, because
 every stacked operation does for each member's row what the single run
 does: ufuncs act per element, the stage sums are one gemv per member (a
 stacked np.matmul), each error norm is the pairwise sum of one row (a
-row-wise np.mean), each pair sum adds its terms in index order (an outer
-add.reduce), and the step-size control stays per-member Python float
-arithmetic (libm pow, not np.power).
+row-wise np.mean), each pair sum adds its terms in index order (an
+add.reduce over l, which is never the innermost axis), and the step-size
+control stays per-member Python float arithmetic (libm pow, not
+np.power).  The kernel lays the full offsets and weights out as
+[component, l, member, j], so its multiply and sum run on K*n-long inner
+loops, and it calls np.power once per run of members that share an
+exponent value, always with a scalar exponent, as PowerLaw.deriv does.
 
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
@@ -220,13 +224,13 @@ def _triangle(n):
     """Read-only indices (upper, pair) of the m = n(n - 1)/2 pairs l < j.
 
     ``upper`` holds the flat (n, n) index l*n + j of each pair in row
-    order, and ``pair`` the number of the pair of each flat (n, n) entry,
-    in both triangles, with m on the diagonal.
+    order, and ``pair`` the number of the pair of each (n, n) entry, in
+    both triangles, with m on the diagonal.
     """
     rows, cols = np.triu_indices(n, 1)
     pair = np.full((n, n), rows.size)
     pair[rows, cols] = pair[cols, rows] = np.arange(rows.size)
-    upper, pair = rows * n + cols, pair.ravel()
+    upper = rows * n + cols
     upper.flags.writeable = pair.flags.writeable = False
     return upper, pair
 
@@ -244,53 +248,77 @@ def _unit_weight(kernel):
     return float(w[0])
 
 
-def _groups(objects):
-    """(rows, obj) for each run of consecutive members that share one object."""
+def _groups(values):
+    """(rows, value) for each run of consecutive members with equal values."""
     groups, start = [], 0
-    for _, same in itertools.groupby(objects, key=id):
+    for value, same in itertools.groupby(values):
         stop = start + len(list(same))
-        groups.append((slice(start, stop), objects[start]))
+        groups.append((slice(start, stop), value))
         start = stop
     return groups
+
+
+def _prefix(buffer, *shape):
+    """The leading entries of a flat buffer, as a C-ordered array of this shape."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 class _Kernel:
     """The pair kernel of a stack of up to ``size`` runs of n particles.
 
-    One call takes K <= size states (K, 4n), each its positions then its
-    velocities flattened, and writes their derivatives.  Offsets are stored
-    transposed, offsets[k, c, l, j] = u_l - u_j for component c, so one
-    outer add.reduce over l adds each particle's pair terms in index order;
-    the buffer holds the positions, then under Cucker-Smale the velocities.
+    One call takes the states (K, 4n) of the K members bound last, each its
+    positions then its velocities flattened, and writes their derivatives.
+    The full offsets and weights are laid out [component, l, member, j]:
+    offsets[c, l, k, j] = u_l - u_j of member k and weights[l, k, j].  So
+    the multiply and the add.reduce over l run on K*n-long inner loops, and
+    l, never the innermost axis, is summed in index order for each
+    particle.  The member axis is not innermost ([c, l, j, k]): that made
+    the subtract's inner loops K long and lost where K is small (713-745
+    against 537-554 us per evaluation at K = 3, n = 100 Cucker-Smale),
+    and it was no faster at K = 32, n = 32 (773 against 737-752 us).  The
+    offsets hold the positions, then under Cucker-Smale the velocities.
     Distances and weights are evaluated once per pair l < j, packed in row
-    order, and gathered into the symmetric weights (see the module
-    docstring for why this is bit for bit); the pair weights of the
-    members that share a potential or an alignment kernel come from one
-    call on their rows.  Every buffer entry is written before it is read,
-    so no result depends on earlier calls or on the other members.
+    order per member, and mirrored into the symmetric weights (see the
+    module docstring for why this is bit for bit).  Power-law weights
+    take one np.power call per run of consecutive members with equal a - 1
+    and one per run with equal b - 1, each with the scalar exponent
+    PowerLaw.deriv passes (numpy has separate loops for some scalar
+    exponents, so per-row exponents would change results), then one
+    subtract and one divide over the stack.  Other potentials and the
+    alignment kernels take one call per run of equal values.  Every buffer
+    entry is written before it is read, so no result depends on earlier
+    calls or on the other members.
     """
 
     def __init__(self, n, model, size):
         self.n = n
         self.propulsion = model == "propulsion"
-        upper, pair = _triangle(n)
-        m = upper.size
-        # new, writeable indices: np.take copies a read-only one on each call
-        self.gather = np.concatenate([upper, [0], upper + n * n, [0]])
-        self.mirror = pair.copy()
-        self.offsets = np.empty((size, 2, n, n))
-        self.weights = np.empty((size, n, n))
-        # a value for each pair and a slot for the diagonal, in two rows: dx
-        # and dy, then the potential and the alignment weights
-        self.pairs = np.empty((size, 2, m + 1))
-        # the distances and an inf slot, so that one particle finds no pair
-        self.dist = np.empty((size, m + 1))
-        self.sums = np.empty((size, 1 if self.propulsion else 2, 2, n))
+        self.upper, self.pair = _triangle(n)
+        m = self.upper.size
+        blocks = 1 if self.propulsion else 2
+        # flat buffers that bind views as the arrays of its K members:
+        # offsets, weights, packed pairs (per member a value for each pair
+        # and a slot for the diagonal, in two rows: dx and dy, then the
+        # potential and the alignment weights), distances (with an inf
+        # slot, so that one particle finds no pair) and pair sums
+        self.buffers = [np.empty(size * words) for words in
+                        (2 * n * n, n * n, 2 * (m + 1), m + 1, blocks * 2 * n)]
+        # take's indices, which bind rebuilds for its K members (K(m + 1 +
+        # n^2) words): new, writeable arrays, since np.take copies a
+        # read-only one on each call
+        self.indices = [np.empty(size * words, dtype=np.intp) for words in (m + 1, n * n)]
 
     def bind(self, configs, guards):
         """Set the members, in stack order: their configs and guard distances."""
+        k, n, m = len(configs), self.n, self.upper.size
         self.guard = np.array(guards, dtype=float)
-        self.potentials = _groups([c.potential for c in configs])
+        potentials = [c.potential for c in configs]
+        if all(isinstance(p, PowerLaw) for p in potentials):
+            self.derivs = []
+            self.powers = (_groups([p.a - 1.0 for p in potentials]),
+                           _groups([p.b - 1.0 for p in potentials]))
+        else:
+            self.derivs, self.powers = _groups(potentials), None
         if self.propulsion:
             kernels = [(c.potential,) for c in configs]
             self.alpha = np.array([[c.propulsion.alpha] for c in configs])
@@ -299,23 +327,37 @@ class _Kernel:
             kernels = [(c.potential, c.alignment) for c in configs]
             self.alignments = _groups([c.alignment for c in configs])
         # the weight at distance 1 of each block: the slot the diagonal reads
-        self.units = np.array([[_unit_weight(kernel) for kernel in ks] for ks in kernels])
+        self.units = np.array([[_unit_weight(kernel) for kernel in ks] for ks in kernels]).T
+        shapes = ((2, n, k, n), (n, k, n), (2, k, m + 1), (k, m + 1), (len(self.units), 2, k, n))
+        self.offsets, self.weights, self.pairs, self.dist, self.sums = (
+            _prefix(buffer, *shape) for buffer, shape in zip(self.buffers, shapes))
+        # pairs[c, k, p] = offsets[c, l, k, j] for pair p = (l, j), at the
+        # flat index l*K*n + k*n + j = upper[p] + l*(K - 1)*n + k*n, and
+        # weights[l, k, j] = pairs[0, k, pair[l, j]]; built in place, so
+        # that no index-sized temporary is made
+        gather, mirror = _prefix(self.indices[0], k, m + 1), _prefix(self.indices[1], n, k, n)
+        np.floor_divide(self.upper, n, out=gather[0, :m])
+        gather[0, :m] *= (k - 1) * n
+        gather[0, :m] += self.upper
+        gather[1:, :m] = gather[0, :m]
+        gather[:, m] = 0
+        gather += np.arange(k)[:, None] * n
+        mirror[...] = self.pair[:, None, :]
+        mirror += np.arange(k)[:, None] * (m + 1)
+        self.gather, self.mirror = gather.reshape(-1), mirror.reshape(-1)
 
     def _offsets(self, u):
         """Write the offsets of the (K, n, 2) points u into the buffer."""
-        u = u.transpose(0, 2, 1)
-        np.subtract(u[..., :, None], u[..., None, :], out=self.offsets[: u.shape[0]])
+        np.subtract(u.transpose(2, 1, 0)[..., None], u.transpose(2, 0, 1)[:, None],
+                    out=self.offsets)
 
     def _pair_sum(self, out):
-        """out[k, c, j] = sum over l, in index order, of w_lj offsets[k, c, l, j],
+        """out[c, k, j] = sum over l, in index order, of w_lj offsets[c, l, k, j],
         with the weights w mirrored from the first row of the packed pairs."""
-        k = out.shape[0]
-        offsets, weights = self.offsets[:k], self.weights[:k]
         # mode="clip" (the indices are in range) lets take write straight into out
-        self.pairs[:k].reshape(k, -1).take(self.mirror, axis=1, out=weights.reshape(k, -1),
-                                           mode="clip")
-        np.multiply(weights[:, None], offsets, out=offsets)
-        np.add.reduce(offsets, axis=2, out=out)
+        self.pairs.take(self.mirror, out=self.weights.reshape(-1), mode="clip")
+        np.multiply(self.weights, self.offsets, out=self.offsets)
+        np.add.reduce(self.offsets, axis=1, out=out)
 
     def __call__(self, y, out):
         """Write the derivatives of the K states ``y`` into ``out`` (K, 4n).
@@ -325,12 +367,11 @@ class _Kernel:
         their guard, whose rows are finished on unit distances.
         """
         k, n = y.shape[0], self.n
-        sums, pairs, dist = self.sums[:k], self.pairs[:k], self.dist[:k]
-        state = y.reshape(k, 2, n, 2)
-        self._offsets(state[:, 0])
-        self.offsets[:k].reshape(k, -1).take(self.gather, axis=1, out=pairs.reshape(k, -1),
-                                             mode="clip")
-        w, work = pairs[:, 0, :-1], pairs[:, 1, :-1]
+        pairs, dist, sums = self.pairs, self.dist, self.sums
+        self._offsets(y[:, : 2 * n].reshape(k, n, 2))
+        for c in range(2):
+            self.offsets[c].take(self.gather, out=pairs[c].reshape(-1), mode="clip")
+        w, work = pairs[0, :, :-1], pairs[1, :, :-1]
         d = dist[:, :-1]
         np.hypot(w, work, out=d)
         dist[:, -1] = np.inf
@@ -338,34 +379,40 @@ class _Kernel:
         dmin = dist[np.arange(k), nearest]
         failed = {}
         for r in np.flatnonzero(dmin < self.guard):
-            j, l = divmod(int(self.gather[nearest[r]]), n)
+            j, l = divmod(int(self.upper[nearest[r]]), n)
             failed[int(r)] = SimulationError(
                 f"particles {j} and {l} at distance {dmin[r]:.3e} "
                 f"below the guard {self.guard[r]:.3e}"
             )
             d[r] = 1.0
-        for rows, potential in self.potentials:
+        for rows, potential in self.derivs:
             potential.deriv(d[rows], out=w[rows], work=work[rows])
+        if self.powers:
+            for rows, exponent in self.powers[0]:
+                np.power(d[rows], exponent, out=w[rows])
+            for rows, exponent in self.powers[1]:
+                np.power(d[rows], exponent, out=work[rows])
+            np.subtract(w, work, out=w)
         w /= d
         if not self.propulsion:
             for rows, alignment in self.alignments:
                 alignment.value(d[rows], out=work[rows])
-        pairs[:, : self.units.shape[1], -1] = self.units[:k]
-        self._pair_sum(sums[:, 0])
+        pairs[: len(self.units), :, -1] = self.units
+        self._pair_sum(sums[0])
         if not self.propulsion:
-            pairs[:, 0] = pairs[:, 1]  # the alignment weights, where the mirror reads
-            self._offsets(state[:, 1])
-            self._pair_sum(sums[:, 1])
+            pairs[0] = pairs[1]  # the alignment weights, where the mirror reads
+            self._offsets(y[:, 2 * n :].reshape(k, n, 2))
+            self._pair_sum(sums[1])
         sums /= n
-        v = state[:, 1]
+        # the velocities and accelerations, component first: [c, k, j]
+        v = y[:, 2 * n :].reshape(k, n, 2).transpose(2, 0, 1)
+        dv = out[:, 2 * n :].reshape(k, n, 2).transpose(2, 0, 1)
         out[:, : 2 * n] = y[:, 2 * n :]
-        dv = out[:, 2 * n :].reshape(k, n, 2)
-        np.copyto(dv, sums[:, 0].transpose(0, 2, 1))
         if self.propulsion:
-            speed2 = np.sum(v * v, axis=2)
-            dv += (self.alpha[:k] - self.beta[:k] * speed2)[:, :, None] * v
+            speed2 = v[0] * v[0] + v[1] * v[1]
+            np.add(sums[0], (self.alpha - self.beta * speed2) * v, out=dv)
         else:
-            dv += sums[:, 1].transpose(0, 2, 1)
+            np.add(sums[0], sums[1], out=dv)
         return dmin, failed
 
 
@@ -845,11 +892,17 @@ _SWEEP_METRICS = {"cluster": "mu_rel", "fatten": "eta_rel",
 
 # A sweep stack holds at most this many pair entries, members times n^2.
 # Per member, one Cucker-Smale evaluation took (2 cores, numpy 2.4.6, best
-# of 5) 66 us alone and 32 us in a stack of 32-64 at n = 24, 80 and 48 us
-# (32 members) at n = 32, 120 and 95 us (16) at n = 48, and 176 and 166 us
-# (8) at n = 64.  The gain levels off between 2^13 and 2^15 entries and
-# turns into a loss past 2^17 (n = 64, 128 members: 187 us).  At the cap
-# the kernel buffers take about 1.2 MiB.
+# of interleaved rounds) 45 us alone and 14-16 us in stacks of 14-56 at
+# n = 24; 51 us alone, 22, 24, 25 and 29 us in stacks of 16, 32, 64 and 128
+# at n = 32; 79 us alone and 50-52 us (7-14 members) at n = 48; 107 us
+# alone, 87 us (4-8) and 94 us (16) at n = 64.  At n = 100, propulsion took
+# 149 us alone and 133, 125 and 147 us in stacks of 3, 6 and 12.  Whole
+# sweeps agree: 64 Cucker-Smale members at n = 32 took 0.97 s under this
+# cap (two stacks of 32) and 1.06 and 1.03 s under 2^16 and 2^17, while 12
+# propulsion members at n = 100 took 0.87 s (stacks of 3) against 0.72 and
+# 0.65 s.  A larger cap would slow n = 32, so the cap stays where small n
+# is fastest.  At the cap the kernel buffers and indices take about
+# 1.5 MiB.
 _STACK_ENTRIES = 2**15
 
 

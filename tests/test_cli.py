@@ -3,6 +3,7 @@ import io
 import json
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,17 @@ class TestRadius:
         assert env["numpy"] == np.__version__
         assert env["platform"] == platform.platform()
         assert env["nproc"] == os.cpu_count()
+
+    def test_manifests_share_the_ufunc_fingerprint(self, in_tmp):
+        # a sha256 of hypot, power, float_power and exp on a fixed probe:
+        # the same for every command that runs in one process
+        assert main(["radius", "--a", "4", "--b", "2", "--n", "100", "--out", "one"]) == 0
+        assert main(["spectrum", "--model", "flock", "--a", "4", "--b", "2", "--n", "20",
+                     "--out", "two"]) == 0
+        prints = [json.loads((in_tmp / f"{name}.manifest.json").read_text())
+                  ["environment"]["ufunc_fingerprint"] for name in ("one", "two")]
+        assert re.fullmatch("[0-9a-f]{64}", prints[0])
+        assert prints[0] == prints[1]
 
     def test_missing_potential_is_usage_error(self, capsys):
         assert main(["radius", "--n", "100"]) == 2
@@ -306,6 +318,14 @@ class TestBifurcate:
         manifest = json.loads((in_tmp / "bif.manifest.json").read_text())
         assert manifest["parameters"]["seed_policy"] == "base_seed + value_index"
 
+    def test_workers_below_one_is_usage_error(self, in_tmp, capsys):
+        cfg = sim_config(in_tmp, ic={"kind": "flock"})
+        assert main(["bifurcate", "--config", str(cfg), "--param", "b",
+                     "--values", "1.2,1.5", "--workers", "0", "--out", "bif"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "workers=0" in err
+        assert sorted(p.name for p in in_tmp.iterdir()) == ["config.json"]
+
     def test_bad_param_rejected(self, capsys, in_tmp):
         cfg = sim_config(in_tmp)
         with pytest.raises(SystemExit) as exc:
@@ -398,6 +418,9 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                  id="radius-infinite-a"),
     pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=20", "speed=nan"],
                  "need finite speed >= 0, got speed=nan", id="mill-nan-speed"),
+    pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=20", "speed=0.5",
+                  "--workers", "-5"], "need workers >= 1, got workers=-5",
+                 id="region-negative-workers"),
     pytest.param(["radius", "--a", "4", "--b", "2", "--n", "20", "--speed", "inf"], "speed=inf",
                  id="radius-infinite-speed"),
     pytest.param(["radius", "--a", "4", "--b", "2", "--n", "20", "--speed", "nan"], "speed=nan",

@@ -14,7 +14,7 @@ from swarmlab.regions import (
     scan_speed_b,
     separatrix_check,
 )
-from swarmlab import spectra
+from swarmlab import regions, spectra
 from swarmlab.spectra import Classification, mode_envelope, shape_matrix
 
 
@@ -92,6 +92,15 @@ class TestScanFlock:
         assert _pool_size(4, 400, 8) == 4
         assert _pool_size(8, 1, 8) == 1
         assert _pool_size(8, 0, 8) == 1
+
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_workers_below_one_rejected_before_any_cell(self, workers, monkeypatch):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(regions, "_cell", no_cell)
+        with pytest.raises(ValueError, match=f"need workers >= 1, got workers={workers}"):
+            scan_mill(small_spec(n=50, speed=0.5), workers=workers)
 
     def test_subgrid_cells_match_full_grid(self):
         full = scan_flock(small_spec(n=100))

@@ -131,14 +131,26 @@ class TestRhs:
         # the first RHS for a potential and a kernel also caches their weight
         # at distance 1, which fills the diagonal of the weight matrix
         rhs(st, cfg)
-        sizes = {"deriv": [], "value": []}
+        sizes = {"deriv": [], "value": [], "power": []}
         for cls, name in ((type(pot), "deriv"), (AlignmentKernel, "value")):
             def spy(self, r, *args, _method=getattr(cls, name), _name=name, **kw):
                 sizes[_name].append(np.size(r))
                 return _method(self, r, *args, **kw)
             monkeypatch.setattr(cls, name, spy)
+
+        def power(r, *args, _power=np.power, **kw):
+            sizes["power"].append(np.size(r))
+            return _power(r, *args, **kw)
+
+        monkeypatch.setattr(np, "power", power)
         rhs(st, cfg)
-        assert sizes == {"deriv": [n * (n - 1) // 2], "value": [n * (n - 1) // 2]}
+        # k'(r) is one deriv call, or for a power law one np.power per
+        # exponent; g(r) is one value call, which makes one np.power
+        m = n * (n - 1) // 2
+        if isinstance(pot, PowerLaw):
+            assert sizes == {"deriv": [], "value": [m], "power": [m, m, m]}
+        else:
+            assert sizes == {"deriv": [m], "value": [m], "power": [m]}
 
     @pytest.mark.parametrize("model, pot", [
         ("propulsion", PowerLaw(5, 1.25)),
@@ -164,8 +176,10 @@ class TestRhs:
         # as NaN, alone and then stacked with another: nothing of the
         # earlier contents or of the other member reaches any result
         kernel = sim_module._Kernel(n, cfg.model, 2)
-        for array in (kernel.offsets, kernel.weights, kernel.pairs, kernel.dist, kernel.sums):
+        for array in kernel.buffers:
             array.fill(np.nan)
+        for index in kernel.indices:
+            index.fill(-1)  # take's mode="clip" would read entry 0 if bind missed one
         x2, v2 = 1.3 * x[::-1], -v
         states = [(x, v), (x2, v2)]
         y = np.array([np.concatenate([xs.ravel(), vs.ravel()]) for xs, vs in states])
@@ -178,12 +192,14 @@ class TestRhs:
                 _, dv_fresh = rhs(SwarmState(t=0.0, positions=xs, velocities=vs), cfg)
                 assert np.array_equal(out[row, 2 * n :].reshape(n, 2), dv_fresh)
         assert np.array_equal(out[0, 2 * n :].reshape(n, 2), left_to_right_dv(x2, v2, cfg))
-        # the weight matrix (of the last block: velocities under Cucker-Smale)
-        # holds the weight at distance 1 on its diagonal, where the offsets
-        # are zero, as an evaluation on all n^2 entries does
+        # the weight matrix of the first member, weights[:, 0] in the
+        # [l, member, j] layout (of the last block: velocities under
+        # Cucker-Smale), holds the weight at distance 1 on its diagonal, where
+        # the offsets are zero, as an evaluation on all n^2 entries does
         one = np.ones(1)
         unit = cfg.alignment.value(one) if cfg.alignment else pot.deriv(one) / one
-        assert np.array_equal(np.diag(kernel.weights[0]), np.full(n, unit[0]))
+        assert kernel.weights.shape == (n, 2, n)
+        assert np.array_equal(np.diag(kernel.weights[:, 0]), np.full(n, unit[0]))
 
     def test_cs_rhs_matches_direct_sum(self):
         pot = PowerLaw(3, 1.5)
@@ -645,6 +661,34 @@ class TestBifurcationSweep:
         rows = bifurcation_sweep(cfg, "b", values, metric="polarization", ic_speed=0.8)
         assert rows == [(v, res.metrics.polarization[-1]) for v, res in zip(values, alone)]
 
+    # runs of equal exponents, adjacent and not, next to distinct ones: b - 1
+    # = 0.5 and 2 take np.power's own loops, and at a = 3 so does a - 1 = 2
+    @pytest.mark.parametrize("a, values", [
+        pytest.param(5, [1.5, 1.2, 1.5, 3.0, 3.0, 1.35], id="a5"),
+        pytest.param(3, [1.5, 1.2, 1.5, 2.5, 2.5, 1.35], id="a3"),
+    ])
+    def test_cs_stack_with_repeated_exponents_equals_separate_runs(self, a, values):
+        cfg = SimConfig(model="cucker-smale", potential=PowerLaw(a, 1.2), n=32, t_final=6.0,
+                        alignment=AlignmentKernel(1.0), seed=5, sample_every=1.5)
+        inputs = sweep_inputs(cfg, "b", values, "flock", ic_speed=0.8)
+        # one np.power call per run of equal a - 1 and per run of equal b - 1
+        kernel = sim_module._Kernel(cfg.n, cfg.model, len(values))
+        kernel.bind([member for member, _, _ in inputs], [0.0] * len(values))
+        first, second = kernel.powers
+        assert [(rows.start, rows.stop) for rows, _ in first] == [(0, 6)]
+        assert [(rows.start, rows.stop) for rows, _ in second] == [
+            (0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
+        alone = assert_stack_equals_separate_runs(inputs)
+        rows = bifurcation_sweep(cfg, "b", values, metric="polarization", ic_speed=0.8)
+        assert rows == [(v, res.metrics.polarization[-1]) for v, res in zip(values, alone)]
+
+    def test_propulsion_b_stack_at_large_n_equals_separate_runs(self):
+        # a small stack of many particles, where the kernel's K*n-long inner
+        # loops are barely longer than n
+        cfg = propulsion_config(PowerLaw(5, 1.5), 64, 3.0, alpha=1.0, beta=4.0, seed=8,
+                                sample_every=1.0)
+        assert_stack_equals_separate_runs(sweep_inputs(cfg, "b", [1.5, 1.25, 1.5], "flock"))
+
     def test_mill_speed_stack_equals_separate_runs(self):
         cfg = propulsion_config(PowerLaw(5, 1.25), 20, 4.0, alpha=1.0, beta=4.0, seed=4,
                                 sample_every=0.75)
@@ -813,6 +857,10 @@ class TestBifurcationSweep:
         monkeypatch.setattr(sim_module, "_integrate", no_integrate)
         with pytest.raises(ValueError, match="angular_momentum"):
             bifurcation_sweep(cfg, "b", [1.0, 1.2], metric="pol")
+        # so is a worker count below 1
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match=f"got workers={workers}"):
+                bifurcation_sweep(cfg, "b", [1.0, 1.2], workers=workers)
 
     def test_threshold_crossings(self):
         # either stability boundary shows up as a jump in its end metric:
