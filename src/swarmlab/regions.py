@@ -1,11 +1,14 @@
 """Parameter-plane stability scans and boundary location.
 
 Each grid cell records the worst mode in range and its verdict through
-spectra._worst_mode, which builds no per-mode reports.  Cells are
-independent pure computations, so they can be mapped over a thread pool;
-results are gathered in cell-index order and never depend on the worker
-count.  Cells violating domain constraints (b >= a, or a failed radius
-solve) are classified invalid rather than dropped.
+spectra._worst_modes, which builds no per-mode reports.  Cells run in
+blocks: consecutive cells at one speed, at most _BLOCK_MODES modes per
+block and at least one block per pool thread, whose modes go through
+every stage as one stack.  A cell gives the same bytes in any block, so
+blocks are mapped over a thread pool; results are gathered in
+cell-index order and never depend on the worker count.  Cells violating
+domain constraints (b >= a, a failed radius solve, a non-finite mode
+matrix) are classified invalid rather than dropped.
 
 Serialization is a CSV with header ``x,y,classification,max_real,
 critical_mode`` (floats in shortest round-trip form) plus a JSON sidecar
@@ -15,15 +18,19 @@ carrying the full grid description and version metadata.
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import math
+import numbers
 import os
+import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Classification, _worst_mode, mode_envelope
+from .spectra import Classification, _worst_mode, _worst_modes, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -39,6 +46,19 @@ __all__ = [
 
 # points of separatrix_check's coarse scan for the first stable b
 _COARSE = 9
+
+# Modes per scan block: cells per block = max(1, _BLOCK_MODES // modes per
+# cell).  Larger blocks spread each stage's per-call cost over more modes,
+# but a block's temporaries (about 0.75 KB per mode at their peak) add to
+# the peak RSS, and past a size that depends on the heap's history glibc
+# returns them after each block, which then faults them in again.  In
+# 8-second bench/run.py scan-mill runs at n = 1000 (2 cores, numpy 2.4.6,
+# seeds 21-23, with and without PYTHONHASHSEED set) the parent read
+# 0.52-0.58 s; 1,536-mode blocks (3 cells) read 0.42-0.47 s and peaked
+# 0.5-0.9 MB higher, 2,048 (4 cells) 0.39-0.44 s and 0.8-1.4 MB higher,
+# both with 20,000-25,000 minor faults per pass.  1,024 (2 cells) read
+# 0.46-0.53 s with no faults or 18,000, as the environment flipped it.
+_BLOCK_MODES = 1536
 
 # the GridSpec.fixed keys a scan reads
 _FIXED_KEYS = ("n", "m_max", "alpha", "gamma", "speed", "a")
@@ -135,7 +155,9 @@ class RegionMap:
         return [csv_path, json_path]
 
 
-def _metadata(model, m_max):
+def _metadata(model, m_max, cells, seconds):
+    """Sidecar metadata: versions, the top mode, the scan's wall seconds,
+    its cell count and a tally of the invalid cells' reasons."""
     from . import __version__
 
     return {
@@ -143,14 +165,19 @@ def _metadata(model, m_max):
         "artifact_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "m_max": m_max,
+        "seconds": seconds,
+        "cells": len(cells),
+        "invalid_reasons": dict(Counter(c.error for c in cells if c.error is not None)),
     }
 
 
 def _pool_size(workers, jobs, cpus):
     """Threads for a pool: the requested count, capped by jobs and cores.
 
-    A worker count below 1 is a ValueError.
+    A bool, a count that is not an integer, or one below 1 is a ValueError.
     """
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
+        raise ValueError(f"need an integer worker count, got workers={workers!r}")
     if not workers >= 1:
         raise ValueError(f"need workers >= 1, got workers={workers!r}")
     return max(1, min(workers, jobs, cpus))
@@ -172,23 +199,39 @@ def _invalid(x, y, msg):
     )
 
 
-def _cell(x, y, model, a, b, fixed):
-    """Worst mode and verdict of one grid cell at exponents (a, b).
+def _block(model, fixed, speed, cells):
+    """RegionCells of a block of grid cells (x, y, a, b) at one speed.
 
-    spectra._worst_mode decides the route: max_real is the largest shape
+    spectra._worst_modes decides the route: max_real is the largest shape
     eigenvalue for the flock and the mill at speed 0, and the largest 4x4
-    real part for flock-cs and the spinning mill.
+    real part for flock-cs and the spinning mill.  A cell with b >= a is
+    invalid before any work.  If the block raises, each of its cells runs
+    again as a block of one, so a cell whose radius solve fails or whose
+    mode matrix is not finite gets the reason it gets alone, and the other
+    cells keep their results.
     """
-    if b >= a:
-        return _invalid(x, y, "requires b < a")
+    valid = [cell for cell in cells if cell[3] < cell[2]]
+    _, _, a, b = np.array(valid).reshape(-1, 4).T
     try:
-        m, max_real, verdict = _worst_mode(
-            model, a, b, fixed["n"], fixed["m_max"],
-            alpha=fixed["alpha"], gamma=fixed["gamma"], speed=fixed["speed"],
-        )
+        found = _worst_modes(
+            model, a, b, fixed["n"], fixed["m_max"], fixed["alpha"], fixed["gamma"], speed
+        ) if valid else []
     except (ValueError, ArithmeticError) as exc:
-        return _invalid(x, y, str(exc))
-    return RegionCell(x=x, y=y, classification=verdict, max_real=max_real, critical_mode=m)
+        if len(valid) == 1:
+            solved = iter([_invalid(*valid[0][:2], str(exc))])
+        else:
+            solved = (_block(model, fixed, speed, [cell])[0] for cell in valid)
+    else:
+        solved = (
+            RegionCell(x=x, y=y, classification=verdict, max_real=max_real, critical_mode=m)
+            for (x, y, _, _), (m, max_real, verdict) in zip(valid, found)
+        )
+    return [next(solved) if b < a else _invalid(x, y, "requires b < a") for x, y, a, b in cells]
+
+
+def _cell(x, y, model, a, b, fixed):
+    """One grid cell at exponents (a, b): a block of one."""
+    return _block(model, fixed, fixed["speed"], [(x, y, a, b)])[0]
 
 
 def _resolve_m_max(n, m_max):
@@ -200,14 +243,17 @@ def _resolve_m_max(n, m_max):
 
 
 def _scan(spec, label, model, workers, a=None):
-    """Map _cell over the grid in x-major order.
+    """Map _block over the grid in x-major order.
 
     The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
-    A fixed key outside _FIXED_KEYS, m_max < 2, an alpha or gamma that is
-    not finite and positive, or a speed that is not finite and nonnegative
-    is a ValueError, raised before any cell runs.
+    Consecutive cells at one speed are cut into blocks of at most
+    _BLOCK_MODES modes, but at least one block per pool thread.  A fixed
+    key outside _FIXED_KEYS, m_max < 2, an alpha or gamma that is not
+    finite and positive, a speed that is not finite and nonnegative, or a
+    bad worker count is a ValueError, raised before any cell runs.
     """
+    start = time.perf_counter()
     f = spec.fixed
     unknown = sorted(set(f) - set(_FIXED_KEYS))
     if unknown:
@@ -225,19 +271,24 @@ def _scan(spec, label, model, workers, a=None):
         raise ValueError(f"need finite speed >= 0, got speed={fixed['speed']}")
     points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
     if a is None:
-        jobs = [(x, y, model, x, y, fixed) for x, y in points]
+        at_speed = [(fixed["speed"], (x, y, x, y)) for x, y in points]
     else:
-        jobs = [(x, y, model, a, y, {**fixed, "speed": x}) for x, y in points]
-    cells = map_jobs(_cell, jobs, workers)
-    return RegionMap(
-        spec=spec, model=label, cells=cells, metadata=_metadata(label, fixed["m_max"])
-    )
+        at_speed = [(x, (x, y, a, y)) for x, y in points]
+    threads = _pool_size(workers, len(points), os.cpu_count() or 1)
+    size = max(1, min(_BLOCK_MODES // (fixed["m_max"] - 1), -(-len(points) // threads)))
+    jobs = []
+    for speed, run in itertools.groupby(at_speed, key=lambda pair: pair[0]):
+        run = [cell for _, cell in run]
+        jobs += [(model, fixed, speed, run[i : i + size]) for i in range(0, len(run), size)]
+    cells = [cell for block in map_jobs(_block, jobs, workers) for cell in block]
+    metadata = _metadata(label, fixed["m_max"], cells, time.perf_counter() - start)
+    return RegionMap(spec=spec, model=label, cells=cells, metadata=metadata)
 
 
 def scan_flock(spec, workers=1):
     """Stability map of the propulsion flock over the (a, b) plane.
 
-    Per cell (spectra._worst_mode): solve the flock radius, apply the
+    Per cell (spectra._worst_modes): solve the flock radius, apply the
     det/trace criterion to every mode (the verdict spectrum --model flock
     reports too), record the worst shape eigenvalue and its mode.
     """
@@ -246,7 +297,7 @@ def scan_flock(spec, workers=1):
 
 def scan_cs_flock(spec, workers=1):
     """Stability map of the alignment flock: scan_flock's verdicts, with
-    max_real spectra._worst_mode's largest 4x4 real part (varies with gamma)."""
+    max_real spectra._worst_modes' largest 4x4 real part (varies with gamma)."""
     return _scan(spec, "flock-cs", "flock-cs", workers)
 
 
@@ -255,7 +306,7 @@ def scan_mill(spec, workers=1):
 
     At speed 0 the mill problem degenerates to the flock one, so those
     cells take the flock criterion and the map equals scan_flock; at
-    speed > 0 spectra._worst_mode bands the 4x4 eigenvalues (classify's rule).
+    speed > 0 spectra._worst_modes bands the 4x4 eigenvalues (classify's rule).
     """
     return _scan(spec, "mill", "mill", workers)
 
@@ -263,7 +314,7 @@ def scan_mill(spec, workers=1):
 def scan_speed_b(spec, workers=1):
     """Mill stability over the (speed, b) plane at fixed exponent a.
 
-    The speed-0 column is the flock problem and, through spectra._worst_mode
+    The speed-0 column is the flock problem and, through spectra._worst_modes
     as in scan_mill, takes the flock criterion.
     """
     return _scan(spec, "mill-speed-b", "mill", workers, a=float(spec.fixed["a"]))

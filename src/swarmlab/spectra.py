@@ -14,12 +14,16 @@ strictly negative for interior modes), or mill rotation (complex,
 frequency-shifted).  The shape matrix being negative definite
 (det > 0 and trace < 0) is equivalent to mode stability.
 
-Scans take one route, _worst_mode.  For flock-cs and the spinning mill
-it eigensolves a sample of modes and then only the modes that a
+Scans take one route, _worst_modes, over a block of cells at a time:
+one rfft per weight vector over the block's rows, one assembly, one
+eigensolve of the sampled modes, one certificate call and one eigensolve
+of the modes left open; only the radius solves and weight rows are per
+cell.  A lone cell is a block of one.  For flock-cs and the spinning mill it
+eigensolves a sample of modes and then only the modes that a
 Routh-Hurwitz certificate with a rigorous rounding-error bound
 (_routh_below) cannot place strictly below the sample's worst mode and
-band; its output is that of solving every mode, bit for bit.
-mode_envelope solves every mode, since it prints every mode.
+band; each cell's output is that of solving every mode alone, bit for
+bit.  mode_envelope solves every mode, since it prints every mode.
 
 For cross-validation at small N the module also assembles the full
 2N x 2N interaction Hessian and the 4N x 4N Jacobians, whose spectra
@@ -207,15 +211,16 @@ def _chords(R, n):
     return 2.0 * R * np.frombuffer(_sines(n))[1:]
 
 
-def _weight_vectors(a, b, radius, n):
+def _weight_vectors(a, b, radius, n, w=None):
     # w1 = (-a d^(a-2) + b d^(b-2)) / 2n, w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / 2n,
-    # zero at p = 0, built in place in that operation order.  The chords are
-    # libm sines, but ``**`` (np.power) follows the numpy build, unlike the
-    # radius moments' libm pow through np.float_power.
+    # zero at p = 0, built in place in that operation order, into the zeroed
+    # (2, n) rows ``w`` when given.  The chords are libm sines, but ``**``
+    # (np.power) follows the numpy build, unlike the radius moments' libm
+    # pow through np.float_power.
     d = _chords(radius, n)
     da = d ** (a - 2.0)
     d **= b - 2.0
-    w = np.zeros((2, n))
+    w = np.zeros((2, n)) if w is None else w
     w1, w2 = w[0, 1:], w[1, 1:]
     np.multiply(-a, da, out=w1)
     np.multiply(-(a - 2.0), da, out=w2)
@@ -232,14 +237,24 @@ def _ring_radius(potential, n, speed):
 def _ring_couplings(a, b, n, speed, ms):
     """Ring radius R and the couplings I1(m), I1(-m), I2(m) for modes ``ms``.
 
-    One rfft per weight vector gives the cosine sums
-    c[k] = sum_p w_p cos(2 pi p k / n); then I1(m) = c1[0] - c1[fold(m+1)]
-    and I2(m) = c2[fold(m)] - c2[1].  Agrees with the direct-summation
-    route to roundoff (tested).
+    a, b and speed are one cell's numbers, or a block's arrays: then R has
+    one entry per cell and each coupling is laid out [mode, cell].  Each
+    cell solves its radius and builds its weight rows; one rfft over the
+    w1 rows and one over the w2 rows (the bytes of one rfft per row) give
+    the cosine sums c[k] = sum_p w_p cos(2 pi p k / n); then
+    I1(m) = c1[0] - c1[fold(m+1)] and I2(m) = c2[fold(m)] - c2[1].  Agrees
+    with the direct-summation route to roundoff (tested).
     """
-    R = _ring_radius(PowerLaw(a, b), n, speed)
-    w1, w2 = _weight_vectors(a, b, R, n)
-    c1, c2 = np.fft.rfft(w1).real, np.fft.rfft(w2).real
+    a, b, speed = np.broadcast_arrays(a, b, speed)
+    R = np.empty(a.shape)
+    w = np.zeros((2,) + a.shape + (n,))
+    rows = np.moveaxis(w, 0, -2)  # each cell's (2, n) weight rows
+    for i in np.ndindex(a.shape):
+        cell = float(a[i]), float(b[i])
+        R[i] = _ring_radius(PowerLaw(*cell), n, float(speed[i]))
+        _weight_vectors(*cell, R[i], n, rows[i])
+    R = R[()]
+    c1, c2 = (np.fft.rfft(wk).real.T for wk in w)
     i1_plus = c1[0] - c1[_fold(ms + 1, n)]
     i1_minus = c1[0] - c1[_fold(ms - 1, n)]
     i2 = c2[_fold(ms, n)] - c2[1]
@@ -281,7 +296,7 @@ def alignment_damping(gamma, radius, n, m, sign):
 
 
 def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
-    """Stack of k mode matrices from coupling arrays of length k.
+    """Stack of mode matrices (..., 4, 4) from coupling arrays (...).
 
     Rows 1-2 are [0 0 1 0], [0 0 0 1].  Rows 3-4 put the shape block
     [[I1(m), I2(m)], [I2(m), I1(-m)]] beside the velocity block: flock
@@ -289,33 +304,34 @@ def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     mill [[-alpha, alpha], [alpha, -alpha]].  At omega != 0 the mill stack
     is complex: the rotating frame adds omega^2 to the shape diagonal,
     -+ i omega alpha to shape rows 3/4 and -+ 2 i omega to the velocity
-    diagonal.
+    diagonal.  A block's omega has one entry per cell, which broadcasts
+    against the couplings' last (cell) axis.
     """
     if model != "flock-cs" and not 0 < alpha < math.inf:
         raise ValueError(f"need alpha > 0 and finite, got alpha={alpha}")
     i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
-    spinning = model == "mill" and omega != 0.0
-    A = np.zeros((len(i1p), 4, 4), dtype=complex if spinning else float)
-    A[:, 0, 2] = A[:, 1, 3] = 1.0
-    A[:, 2, 0] = i1p
-    A[:, 2, 1] = A[:, 3, 0] = i2
-    A[:, 3, 1] = i1m
+    spinning = model == "mill" and np.any(omega != 0.0)
+    A = np.zeros(i1p.shape + (4, 4), dtype=complex if spinning else float)
+    A[..., 0, 2] = A[..., 1, 3] = 1.0
+    A[..., 2, 0] = i1p
+    A[..., 2, 1] = A[..., 3, 0] = i2
+    A[..., 3, 1] = i1m
     if model == "flock":
-        A[:, 2:, 2:] = -alpha
+        A[..., 2:, 2:] = -alpha
     elif model == "flock-cs":
-        A[:, 2, 2] = jp
-        A[:, 3, 3] = jm
+        A[..., 2, 2] = jp
+        A[..., 3, 3] = jm
     elif model == "mill":
-        A[:, 2, 2] = A[:, 3, 3] = -alpha
-        A[:, 2, 3] = A[:, 3, 2] = alpha
+        A[..., 2, 2] = A[..., 3, 3] = -alpha
+        A[..., 2, 3] = A[..., 3, 2] = alpha
         if spinning:
             w = omega
-            A[:, 2, 0] = -1j * w * alpha + w * w + i1p
-            A[:, 2, 1] = -1j * w * alpha + i2
-            A[:, 3, 0] = 1j * w * alpha + i2
-            A[:, 3, 1] = 1j * w * alpha + w * w + i1m
-            A[:, 2, 2] = -alpha - 2j * w
-            A[:, 3, 3] = -alpha + 2j * w
+            A[..., 2, 0] = -1j * w * alpha + w * w + i1p
+            A[..., 2, 1] = -1j * w * alpha + i2
+            A[..., 3, 0] = 1j * w * alpha + i2
+            A[..., 3, 1] = 1j * w * alpha + w * w + i1m
+            A[..., 2, 2] = -alpha - 2j * w
+            A[..., 3, 3] = -alpha + 2j * w
     else:
         raise ValueError(f"unknown model {model!r}")
     return A
@@ -469,16 +485,19 @@ def _shape_severity(ms, n, i1p, i1m, i2):
     half_diff = 0.5 * (i1p - i1m)
     mu1 = 0.5 * (i1p + i1m) + np.sqrt(half_diff * half_diff + i2 * i2)
     k = np.asarray(ms) % n
+    k = k.reshape(k.shape + (1,) * (mu1.ndim - k.ndim))  # modes lead, cells follow
     mu1 = np.where((k == 1) | (k == n - 1), i1p + i1m, mu1)
     norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
     return mu1, _severity(mu1, 1e-8 * norms)
 
 
 def _alignment_tables(gamma, R, n, ms):
-    """J+(m), J-(m) for modes ``ms`` from one cosine transform of g(d_p)."""
-    gv = np.zeros(n)
-    gv[1:] = AlignmentKernel(gamma).value(_chords(R, n))
-    gc = np.fft.rfft(gv).real / n
+    """J+(m), J-(m) for modes ``ms`` from one cosine transform of g(d_p),
+    laid out [mode, cell] for a block's radii R."""
+    R = np.asarray(R)
+    gv = np.zeros(R.shape + (n,))
+    gv[..., 1:] = AlignmentKernel(gamma).value(_chords(R[..., None], n))
+    gc = np.moveaxis(np.fft.rfft(gv).real, -1, 0) / n
     return gc[_fold(ms + 1, n)] - gc[0], gc[_fold(ms - 1, n)] - gc[0]
 
 
@@ -488,15 +507,17 @@ _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
 def _mode_stack(model, a, b, n, ms, alpha, gamma, speed):
     """Mode matrices (k, 4, 4) of modes ``ms``, their tolerances and shape bands.
 
-    The tolerance of mode m is 1e-8 max(1, |A_m|), classify's rule.  Rings
-    at rest take their bands from _shape_severity; the spinning mill gets
-    None and bands its largest real parts at the tolerance.
+    For a block (arrays a and b at one speed) the stack is [mode, cell],
+    (k, B, 4, 4).  The tolerance of mode m is 1e-8 max(1, |A_m|),
+    classify's rule, taken over rows 3-4: rows 1-2 hold only 0 and 1.
+    Rings at rest take their bands from _shape_severity; the spinning mill
+    gets None and bands its largest real parts at the tolerance.
     """
     speed = speed if model == "mill" else 0.0
     R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
     jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
     A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
-    tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
+    tol = 1e-8 * np.maximum(1.0, np.abs(A[..., 2:, :]).max(axis=(-2, -1)))
     bands = _shape_severity(ms, n, i1p, i1m, i2)[1] if speed == 0.0 else None
     return A, tol, bands
 
@@ -572,13 +593,13 @@ def _routh_below(A, c):
         err[4] = 0.0  # the leading 1 is exact
         # r_t = sum over i of qr_i qr_(t-i) + qi_i qi_(t-i), and its bound
         # er_t = sum over i of (2 m_i + e_i) e_(t-i) + 8u m_i m_(t-i)
-        mod = np.abs(q)
-        left = np.stack([q.real, 2.0 * mod + err, q.imag, _PRODUCT_ERR * mod])
-        right = np.stack([q.real, err, q.imag, mod])
-        r, er = sums = np.zeros((2, 9, k))
+        qr, qi, mod = q.real, q.imag, np.abs(q)
+        lead, scaled = 2.0 * mod + err, _PRODUCT_ERR * mod
+        r, er = np.zeros((2, 9, k))
         for i in range(5):
-            terms = left[:, i, None] * right
-            sums[:, i : i + 5] += terms[:2] + terms[2:]
+            r[i : i + 5] += qr[i] * qr + qi[i] * qi
+            er[i : i + 5] += lead[i] * err + scaled[i] * mod
+        del q, err, qr, qi, mod, lead, scaled  # keep a block's peak memory down
         ok = np.isfinite(c) & np.isfinite(er).all(axis=0)
         # Routh rows and their bounds, zero padded to width 5:
         # [r8 r6 r4 r2 r0], [r7 r5 r3 r1 0], then row i + 2 from rows i and i + 1
@@ -604,18 +625,23 @@ def _routh_below(A, c):
 
 
 def _top_real(A):
-    """Largest eigenvalue real part of each matrix in the stack."""
-    return _sorted_eigs(np.linalg.eigvals(A))[:, 0].real
+    """Largest eigenvalue real part of each matrix in the stack: the one
+    _sorted_eigs puts first."""
+    return np.linalg.eigvals(A).real.max(axis=1)
 
 
-def _worst_mode(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
-    """(m, max_real, verdict) over modes 2..m_max: what a scan cell prints.
+def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
+    """[(m, max_real, verdict)] over modes 2..m_max for each cell of a block.
 
-    The one route of region scans and the separatrix; it builds no
-    SpectralReport.  The flock and the mill at speed 0 rank modes by the
-    largest shape eigenvalue mu1 with no eigensolve; flock-cs and the
-    spinning mill rank them by the largest 4x4 real part.  The verdict is
-    the worst band, and ties go to the lowest mode.
+    The one route of region scans and the separatrix: a, b are the
+    block's arrays (or one cell's numbers) at one speed, and the block
+    takes every stage at once, laid out [mode, cell].  Each matrix is
+    solved on its own and every other operation acts per element, so a
+    cell gives the same bytes in any block.  No SpectralReport is built.
+    The flock and the mill at speed 0 rank modes by the largest shape
+    eigenvalue mu1 with no eigensolve; flock-cs and the spinning mill rank
+    them by the largest 4x4 real part.  The verdict is the worst band, and
+    ties go to the lowest mode.
 
     The 4x4 route eigensolves only the modes it must.  It solves a sample
     (modes 2, 3, m_max and every 25th), whose largest real part is best.
@@ -635,25 +661,35 @@ def _worst_mode(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
     ms = np.arange(2, m_max + 1)
     if model == "flock" or (model == "mill" and speed == 0.0):
         _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
-        rank, severity = _shape_severity(ms, n, i1p, i1m, i2)
-        worst = int(np.argmax(rank))
-        return int(ms[worst]), float(rank[worst]), _VERDICTS[severity.max()]
-    A, tol, shape_bands = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
-    sample = np.zeros(len(ms), dtype=bool)
-    sample[::25] = sample[:2] = sample[-1] = True
-    top = np.full(len(ms), -np.inf)  # skipped modes stay at -inf, band 0
-    top[sample] = _top_real(A[sample])
-    if shape_bands is None:
-        edge = (-tol, tol, np.inf)[_severity(top, tol).max()]
+        top, bands = _shape_severity(ms, n, i1p, i1m, i2)
     else:
-        edge = np.inf
-    c = np.minimum(top.max(), edge) - tol
-    rest = ~sample
-    rest[rest] = ~_routh_below(A[rest], c[rest])
-    top[rest] = _top_real(A[rest])
-    bands = _severity(top, tol) if shape_bands is None else shape_bands
-    worst = int(np.argmax(top))
-    return int(ms[worst]), float(top[worst]), _VERDICTS[bands.max()]
+        A, tol, shape_bands = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
+        sample = np.zeros(tol.shape, dtype=bool)
+        sample[::25] = sample[:2] = sample[-1] = True
+        top = np.full(tol.shape, -np.inf)  # skipped modes stay at -inf, band 0
+        top[sample] = _top_real(A[sample])
+        if shape_bands is None:
+            edge = np.choose(_severity(top, tol).max(axis=0), (-tol, tol, np.inf))
+        else:
+            edge = np.inf
+        c = np.minimum(top.max(axis=0), edge) - tol
+        rest = ~sample
+        A = A[rest]  # the full stack is freed before the certificate's arrays
+        certified = _routh_below(A, c[rest])
+        rest[rest] = ~certified
+        top[rest] = _top_real(A[~certified])
+        bands = _severity(top, tol) if shape_bands is None else shape_bands
+    worst = top.argmax(axis=0)
+    found = np.take_along_axis(top, worst[None], axis=0)[0]
+    return [
+        (int(ms[w]), float(x), _VERDICTS[v])
+        for w, x, v in zip(*np.atleast_1d(worst, found, bands.max(axis=0)))
+    ]
+
+
+def _worst_mode(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
+    """(m, max_real, verdict) of one cell: _worst_modes on a block of one."""
+    return _worst_modes(model, a, b, n, m_max, alpha, gamma, speed)[0]
 
 
 def mode_envelope(
@@ -664,7 +700,7 @@ def mode_envelope(
     Returns (summary, reports); ``summary`` is the report with the largest
     real part, carrying the aggregate verdict (stable only if every mode
     is; unstable if any is).  The bands are _mode_stack's, the ones the
-    scans' _worst_mode takes; only this function builds reports, and it
+    scans' _worst_modes takes; only this function builds reports, and it
     solves every mode, since it prints every mode.  Mode
     n - m mirrors mode m, so the default m_max = (n-1)//2 leaves out only
     the self-conjugate mode n/2 of an even ring.  m_min = 1 takes in the

@@ -161,6 +161,15 @@ class TestRegion:
         verdicts = [r[2] for r in rows[1:]]
         assert verdicts.count("invalid") == 3
 
+    def test_two_workers_write_the_csv_of_one(self, in_tmp):
+        for workers in ("1", "2"):
+            assert main(["region", "--model", "mill", "--grid", "a:1.5:7:6", "b:0.3:3:6",
+                         "--fixed", "n=64", "speed=0.5", "--workers", workers,
+                         "--out", f"w{workers}"]) == 0
+        assert (in_tmp / "w1.csv").read_bytes() == (in_tmp / "w2.csv").read_bytes()
+        sidecar = json.loads((in_tmp / "w2.json").read_text())["metadata"]
+        assert sidecar["cells"] == 36 and sidecar["invalid_reasons"] == {"requires b < a": 4}
+
     def test_malformed_grid_axis(self, capsys):
         assert main(["region", "--model", "flock", "--grid", "a:3:7", "b:0.5:2.5:3"]) == 2
         assert capsys.readouterr().err.startswith("error:")

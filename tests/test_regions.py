@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -95,12 +96,25 @@ class TestScanFlock:
 
     @pytest.mark.parametrize("workers", [0, -5])
     def test_workers_below_one_rejected_before_any_cell(self, workers, monkeypatch):
-        def no_cell(*args):
-            raise AssertionError("a cell ran")
+        def no_block(*args):
+            raise AssertionError("a block ran")
 
-        monkeypatch.setattr(regions, "_cell", no_cell)
+        monkeypatch.setattr(regions, "_block", no_block)
         with pytest.raises(ValueError, match=f"need workers >= 1, got workers={workers}"):
             scan_mill(small_spec(n=50, speed=0.5), workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, 1.0, True, "2"])
+    def test_non_integer_workers_rejected_before_any_cell(self, workers, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(regions, "_block", no_block)
+        for scan in (scan_flock, scan_mill):
+            with pytest.raises(ValueError, match=re.escape(f"got workers={workers!r}")):
+                scan(small_spec(n=50, speed=0.5), workers=workers)
+        with pytest.raises(ValueError, match="integer worker count"):
+            _pool_size(workers, 10, 2)
+        assert _pool_size(np.int64(2), 10, 4) == 2
 
     def test_subgrid_cells_match_full_grid(self):
         full = scan_flock(small_spec(n=100))
@@ -220,6 +234,74 @@ class TestSpectrumAgreement:
         speed_b = GridSpec("speed", 0.0, 0.5, 2, "b", 1.0, 2.0, 2, fixed={"n": 60, "a": 5.0})
         assert all(c.error is None for c in scan_speed_b(speed_b).cells)
         assert separatrix_check([3.0], n=100, steps=4)[0][1] > 0.5
+
+
+def outcome(cell):
+    return cell.critical_mode, repr(cell.max_real), cell.classification, cell.error
+
+
+class TestBlocks:
+    """Scans run consecutive cells as one stack; each cell is what it is alone."""
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("scan, fixed", [
+        (scan_mill, {"speed": 0.5}),
+        (scan_cs_flock, {"gamma": 0.7}),
+        (scan_flock, {}),
+        (scan_speed_b, {"a": 5.0}),
+    ], ids=["mill", "flock-cs", "flock", "speed-b"])
+    def test_each_cell_equals_the_cell_alone(self, n, scan, fixed, monkeypatch):
+        blocks, worst_modes = [], regions._worst_modes
+
+        def recording(model, a, *args):
+            blocks.append((model, len(a)))
+            return worst_modes(model, a, *args)
+
+        monkeypatch.setattr(regions, "_worst_modes", recording)
+        if scan is scan_speed_b:  # a speed-0 column, and b >= a cells
+            spec = GridSpec("speed", 0.0, 0.9, 4, "b", 0.4, 5.5, 5, fixed={"n": n, **fixed})
+        else:
+            spec = GridSpec("a", 1.5, 7.0, 4, "b", 0.4, 3.0, 5, fixed={"n": n, **fixed})
+        cells = scan(spec).cells
+        assert max(size for _, size in blocks) > 1
+        model = blocks[0][0]
+        lone = {"n": n, "m_max": (n - 1) // 2, "alpha": 1.0,
+                "gamma": fixed.get("gamma", 1.0), "speed": fixed.get("speed", 0.0)}
+        for cell in cells:
+            if scan is scan_speed_b:
+                alone = regions._cell(cell.x, cell.y, model, 5.0, cell.y, {**lone, "speed": cell.x})
+            else:
+                alone = regions._cell(cell.x, cell.y, model, cell.x, cell.y, lone)
+            assert outcome(cell) == outcome(alone)
+        assert any(cell.error == "requires b < a" for cell in cells)
+
+    def test_a_poisoned_cell_leaves_its_block_alone(self, monkeypatch):
+        # one cell gets a NaN coupling; its block also holds b >= a cells
+        spec = GridSpec("a", 1.5, 6.0, 4, "b", 0.5, 2.5, 4, fixed={"n": 64, "speed": 0.5})
+        clean = scan_mill(spec)
+        bad = (float(spec.x_values[2]), float(spec.y_values[1]))
+        couplings = spectra._ring_couplings
+
+        def poisoned(*args):
+            R, i1p, i1m, i2 = couplings(*args)
+            i1p = i1p.copy()
+            i1p[5, (np.asarray(args[0]) == bad[0]) & (np.asarray(args[1]) == bad[1])] = np.nan
+            return R, i1p, i1m, i2
+
+        monkeypatch.setattr(spectra, "_ring_couplings", poisoned)
+        region = scan_mill(spec)
+        with pytest.raises(np.linalg.LinAlgError) as solved:
+            np.linalg.eigvals(np.full((1, 4, 4), np.nan))
+        for before, after in zip(clean.cells, region.cells):
+            if (after.x, after.y) == bad:
+                assert after.classification is Classification.INVALID
+                assert after.error == str(solved.value)
+            else:
+                assert outcome(after) == outcome(before)
+        meta = region.metadata
+        assert meta["cells"] == 16 and meta["seconds"] > 0
+        assert meta["invalid_reasons"] == {"requires b < a": 2, str(solved.value): 1}
+        assert clean.metadata["invalid_reasons"] == {"requires b < a": 2}
 
 
 class TestSerialization:

@@ -862,6 +862,16 @@ class TestBifurcationSweep:
             with pytest.raises(ValueError, match=f"got workers={workers}"):
                 bifurcation_sweep(cfg, "b", [1.0, 1.2], workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, True])
+    def test_non_integer_workers_rejected_before_any_member(self, workers, monkeypatch):
+        def no_integrate(*args, **kwargs):
+            raise AssertionError("a member ran")
+
+        monkeypatch.setattr(sim_module, "_integrate", no_integrate)
+        cfg = propulsion_config(PowerLaw(5, 1.5), 10, 1.0)
+        with pytest.raises(ValueError, match=f"got workers={workers!r}"):
+            bifurcation_sweep(cfg, "b", [1.0, 1.2, 1.4], workers=workers)
+
     def test_threshold_crossings(self):
         # either stability boundary shows up as a jump in its end metric:
         # clustering past the upper one, fattening below the lower one.
