@@ -10,7 +10,9 @@ noise land in both: seeds 100-111 gave 5 mills and 7 fat flocks, and
 the 12 seeds of acceptance criterion 12 gave 7 mills and 5 fat flocks
 (numpy 2.4.6).  If it mills, polarization trades places with angular
 momentum along the way; the final `kind` line reports which state this
-run reached.
+run reached, by acceptance criterion 12's rule on the final sample: a
+mill has polarization < 0.2 and angular momentum > 0.8, a flock has
+polarization > 0.9, and anything else is "other".
 
 Run:  python demos/pattern_switch.py           (metrics timeline)
       python demos/pattern_switch.py --csv     (also dump per-sample CSV)
@@ -42,7 +44,7 @@ def main(argv):
         print(f"  {m.t[i]:>5.0f} {pol:>13.3f} {am:>13.3f}   [{gauge}]")
 
     pol, am = m.polarization[-1], m.angular_momentum[-1]
-    kind = "mill" if am > 0.8 and pol < 0.2 else "flock" if pol > 0.8 else "mixed"
+    kind = "mill" if pol < 0.2 and am > 0.8 else "flock" if pol > 0.9 else "other"
     print(f"\nfinal state: polarization {pol:.3f}, angular momentum {am:.3f} -> {kind}")
     print(f"accepted steps: {result.stats['steps_accepted']}, "
           f"rhs evaluations: {result.stats['rhs_evals']}")

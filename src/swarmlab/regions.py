@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Classification, _worst_mode, _worst_modes, mode_envelope
+from .spectra import Classification, _worst_modes, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -183,13 +183,23 @@ def _pool_size(workers, jobs, cpus):
     return max(1, min(workers, jobs, cpus))
 
 
-def map_jobs(fn, jobs, workers):
-    """[fn(*job) for job in jobs], on a thread pool when more than one fits."""
-    size = _pool_size(workers, len(jobs), os.cpu_count() or 1)
-    if size == 1:
-        return [fn(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(lambda job: fn(*job), jobs))
+def map_stacks(fn, items, cap, workers, key=lambda item: None):
+    """fn over stacks of consecutive items, its outputs flattened in item order.
+
+    A stack holds items of one key, at most ``cap`` of them but few enough
+    that each pool thread gets one, and fn returns one output per item.
+    A bad worker count is a ValueError before fn runs.
+    """
+    threads = _pool_size(workers, len(items), os.cpu_count() or 1)
+    size = max(1, min(cap, -(-len(items) // threads)))
+    stacks = []
+    for _, run in itertools.groupby(items, key):
+        run = list(run)
+        stacks += [run[i : i + size] for i in range(0, len(run), size)]
+    if threads == 1:
+        return [out for stack in stacks for out in fn(stack)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return [out for outs in pool.map(fn, stacks) for out in outs]
 
 
 def _invalid(x, y, msg):
@@ -229,11 +239,6 @@ def _block(model, fixed, speed, cells):
     return [next(solved) if b < a else _invalid(x, y, "requires b < a") for x, y, a, b in cells]
 
 
-def _cell(x, y, model, a, b, fixed):
-    """One grid cell at exponents (a, b): a block of one."""
-    return _block(model, fixed, fixed["speed"], [(x, y, a, b)])[0]
-
-
 def _resolve_m_max(n, m_max):
     """The top mode of a scan, (n-1)//2 by default; modes start at 2."""
     m_max = (n - 1) // 2 if m_max is None else m_max
@@ -271,16 +276,13 @@ def _scan(spec, label, model, workers, a=None):
         raise ValueError(f"need finite speed >= 0, got speed={fixed['speed']}")
     points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
     if a is None:
-        at_speed = [(fixed["speed"], (x, y, x, y)) for x, y in points]
+        grid, speed = [(x, y, x, y) for x, y in points], lambda cell: fixed["speed"]
     else:
-        at_speed = [(x, (x, y, a, y)) for x, y in points]
-    threads = _pool_size(workers, len(points), os.cpu_count() or 1)
-    size = max(1, min(_BLOCK_MODES // (fixed["m_max"] - 1), -(-len(points) // threads)))
-    jobs = []
-    for speed, run in itertools.groupby(at_speed, key=lambda pair: pair[0]):
-        run = [cell for _, cell in run]
-        jobs += [(model, fixed, speed, run[i : i + size]) for i in range(0, len(run), size)]
-    cells = [cell for block in map_jobs(_block, jobs, workers) for cell in block]
+        grid, speed = [(x, y, a, y) for x, y in points], lambda cell: cell[0]
+    cells = map_stacks(
+        lambda block: _block(model, fixed, speed(block[0]), block),
+        grid, _BLOCK_MODES // (fixed["m_max"] - 1), workers, key=speed,
+    )
     metadata = _metadata(label, fixed["m_max"], cells, time.perf_counter() - start)
     return RegionMap(spec=spec, model=label, cells=cells, metadata=metadata)
 
@@ -321,7 +323,7 @@ def scan_speed_b(spec, workers=1):
 
 
 def _mode_range_stable(a, b, n, m_max):
-    return _worst_mode("flock", a, b, n, m_max)[2] is Classification.STABLE
+    return _worst_modes("flock", a, b, n, m_max)[0][2] is Classification.STABLE
 
 
 def separatrix_check(a_values, n, m_max=None, steps=40):

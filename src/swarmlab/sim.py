@@ -22,7 +22,8 @@ own); every entry is written before it is read, so results do not depend
 on them.
 
 Runs are integrated as stacks that step in lockstep: ``integrate`` is a
-stack of one, and a bifurcation sweep stacks consecutive members.  Each
+stack of one, and a seeded ensemble (``_sweep``, which bifurcation_sweep
+reads one final metric from) stacks consecutive members.  Each
 member of a stack equals its own ``integrate`` run bit for bit, because
 every stacked operation does for each member's row what the single run
 does: ufuncs act per element, the stage sums are one gemv per member (a
@@ -46,13 +47,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
-from .regions import _pool_size, map_jobs
+from .regions import map_stacks
 from .rings import flock_ring, mill_ring
 
 __all__ = [
@@ -937,27 +937,40 @@ def _sweep_member(config, parameter, value, index, ic_kind, perturbation, ic_spe
     return _Run(cfg, state, ring)
 
 
-def _sweep_stack(config, parameter, members, ic_kind, metric, perturbation, ic_speed):
-    """Rows (value, final metric) of consecutive members, integrated as one stack.
+def _sweep(config, parameter, values, ic_kind="flock", perturbation=None, ic_speed=None,
+           workers=1):
+    """One SimResult per parameter value, in value order.
 
-    A member whose set-up fails ends the stack.  The members before it are
-    integrated first and their error wins, as in a sequential sweep.
+    Members are seeded config.seed + index and integrated in stacks of at
+    most _STACK_ENTRIES // n^2 consecutive runs, at least one per pool
+    thread; each result is the one ``integrate`` gives that run, for any
+    worker count.  A bad ``parameter``, ``ic_kind`` or worker count is a
+    ValueError before any member runs.
     """
-    runs, setup_error = [], None
-    for index, value in members:
-        try:
-            runs.append(_sweep_member(config, parameter, value, index, ic_kind,
-                                      perturbation, ic_speed))
-        except (ValueError, TypeError, ArithmeticError) as exc:
-            setup_error = exc
-            break
-    _integrate(runs)
-    results = [run.result() for run in runs]
-    if setup_error is not None:
-        raise setup_error
-    column = _SWEEP_METRICS[metric]
-    return [(value, float(getattr(res.metrics, column)[-1]))
-            for (_, value), res in zip(members, results)]
+    if parameter not in ("b", "speed"):
+        raise ValueError("parameter must be 'b' or 'speed'")
+    if ic_kind not in ("flock", "mill"):
+        raise ValueError("ic_kind must be 'flock' or 'mill'")
+
+    def stack(members):
+        # A member whose set-up fails ends the stack.  The members before it
+        # are integrated first and their error wins, as in a sequential sweep.
+        runs, setup_error = [], None
+        for index, value in members:
+            try:
+                runs.append(_sweep_member(config, parameter, value, index, ic_kind,
+                                          perturbation, ic_speed))
+            except (ValueError, TypeError, ArithmeticError) as exc:
+                setup_error = exc
+                break
+        _integrate(runs)
+        results = [run.result() for run in runs]
+        if setup_error is not None:
+            raise setup_error
+        return results
+
+    members = [(i, float(v)) for i, v in enumerate(values)]
+    return map_stacks(stack, members, _STACK_ENTRIES // config.n**2, workers)
 
 
 def bifurcation_sweep(
@@ -972,27 +985,15 @@ def bifurcation_sweep(
 ):
     """One simulation per parameter value; returns rows (value, final metric).
 
-    Runs are independent and seeded base_seed + index, so the table is
-    reproducible and insensitive to the worker count.  Consecutive members
-    are integrated as one stack of at most _STACK_ENTRIES // n^2 runs
-    (each run's output is the one ``integrate`` gives it), cut so that
-    each thread of the worker pool gets a stack, and the pool maps the
-    stacks.  The default perturbation is small centered
-    noise scaled to the ring.  A bad ``parameter``, ``ic_kind`` or
-    ``metric`` is a ValueError before any member runs.
+    Member i runs at values[i], seeded config.seed + i, from centered noise
+    of 1e-3 of the ring's radius and speed unless ``perturbation`` is given.
+    ``_sweep`` stacks the members, so the rows do not depend on the worker
+    count.  A bad ``parameter``, ``ic_kind``, ``metric`` or worker count is
+    a ValueError before any member runs.
     """
-    if parameter not in ("b", "speed"):
-        raise ValueError("parameter must be 'b' or 'speed'")
-    if ic_kind not in ("flock", "mill"):
-        raise ValueError("ic_kind must be 'flock' or 'mill'")
     if metric not in _SWEEP_METRICS:
         raise ValueError(f"metric must be one of {', '.join(_SWEEP_METRICS)}")
-    members = [(i, float(v)) for i, v in enumerate(values)]
-    # stacks as large as the cap allows, but at least one per pool thread
-    threads = _pool_size(workers, len(members), os.cpu_count() or 1)
-    size = max(1, min(_STACK_ENTRIES // config.n**2, -(-len(members) // threads)))
-    jobs = [
-        (config, parameter, members[i : i + size], ic_kind, metric, perturbation, ic_speed)
-        for i in range(0, len(members), size)
-    ]
-    return [row for rows in map_jobs(_sweep_stack, jobs, workers) for row in rows]
+    values = [float(v) for v in values]
+    results = _sweep(config, parameter, values, ic_kind, perturbation, ic_speed, workers)
+    column = _SWEEP_METRICS[metric]
+    return [(v, float(getattr(res.metrics, column)[-1])) for v, res in zip(values, results)]

@@ -134,20 +134,18 @@ class SpectralReport:
     classification: Classification
 
 
-def _require_powerlaw(a, b):
-    if not (a > b > 0):
-        raise ValueError(f"power-law exponents need a > b > 0, got a={a}, b={b}")
-
-
 def pair_weights(a, b, radius, n, p):
     """Per-chord weights (w1, w2) entering the mode coupling sums.
 
     With d = 2 radius sin(p pi / n) the weights are
     w1 = (-a d^(a-2) + b d^(b-2)) / (2n) and
     w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / (2n); w1 multiplies the
-    self-coupling phase factors, w2 the cross-coupling ones.
+    self-coupling phase factors, w2 the cross-coupling ones.  Exponents
+    PowerLaw refuses and a radius not finite and > 0 are a ValueError.
     """
-    _require_powerlaw(a, b)
+    PowerLaw(a, b)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"need finite radius > 0, got radius={radius}")
     if not 1 <= p <= n - 1:
         raise ValueError("chord index p must satisfy 1 <= p <= n-1")
     d = 2.0 * radius * math.sin(p * math.pi / n)
@@ -181,7 +179,6 @@ def _phase_sum(w, n, j, k, label):
 def mode_self_coupling(a, b, radius, n, m):
     """Diagonal entry I1(m) of the shape matrix (I1(-m) for negated m):
     the phase sum of the w1 weights at j = 0, k = m + 1."""
-    _require_powerlaw(a, b)
     w1 = [pair_weights(a, b, radius, n, p)[0] for p in range(1, n)]
     return _phase_sum(w1, n, 0, m + 1, "mode_self_coupling")
 
@@ -189,7 +186,6 @@ def mode_self_coupling(a, b, radius, n, m):
 def mode_cross_coupling(a, b, radius, n, m):
     """Off-diagonal entry I2(m) of the shape matrix, even in m and zero at
     m = 1: the phase sum of the w2 weights at j = m, k = 1."""
-    _require_powerlaw(a, b)
     w2 = [pair_weights(a, b, radius, n, p)[1] for p in range(1, n)]
     return _phase_sum(w2, n, m, 1, "mode_cross_coupling")
 
@@ -290,6 +286,8 @@ def alignment_damping(gamma, radius, n, m, sign):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"need finite radius > 0, got radius={radius}")
     kernel = AlignmentKernel(gamma)
     g = [float(kernel.value(2.0 * radius * math.sin(p * math.pi / n))) for p in range(1, n)]
     return _phase_sum(g, n, m + sign, 0, "alignment_damping") / n
@@ -685,11 +683,6 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
         (int(ms[w]), float(x), _VERDICTS[v])
         for w, x, v in zip(*np.atleast_1d(worst, found, bands.max(axis=0)))
     ]
-
-
-def _worst_mode(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
-    """(m, max_real, verdict) of one cell: _worst_modes on a block of one."""
-    return _worst_modes(model, a, b, n, m_max, alpha, gamma, speed)[0]
 
 
 def mode_envelope(

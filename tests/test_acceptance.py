@@ -12,16 +12,17 @@ import time
 import numpy as np
 import pytest
 
+from swarmlab.cli import _ufunc_fingerprint
 from swarmlab.potentials import AlignmentKernel, PowerLaw, Propulsion
 from swarmlab.regions import GridSpec, gamma_sweep, scan_cs_flock, scan_flock, scan_mill, separatrix_check
-from swarmlab.rings import RadiusProblem, continuum_radius, flock_ring, mill_ring, solve_radius
+from swarmlab.rings import RadiusProblem, continuum_radius, flock_ring, solve_radius
 from swarmlab.sim import (
     ModePerturbation,
     RandomNoise,
     SimConfig,
     SwarmState,
+    _sweep,
     ic_flock_ring,
-    ic_mill_ring,
     integrate,
 )
 from swarmlab.spectra import (
@@ -311,38 +312,39 @@ def _wilson_interval(hits, trials):
 @pytest.mark.slow
 def test_criterion_12_pattern_switching():
     started = time.time()
+    workers = 2  # results do not depend on it; the flock half's stacks share 2 threads
+
+    def end_state(result):
+        pol = float(result.metrics.polarization[-1])
+        am = float(result.metrics.angular_momentum[-1])
+        kind = "mill" if pol < 0.2 and am > 0.8 else "flock" if pol > 0.9 else "other"
+        return kind, pol, am
+
     # flock ring at (4, 0.001, speed 0.1): linear theory puts it unstable
     # (mode 49, Re lambda ~ 4.33), and two attractors compete, a mill and a
     # fat flock (eta_rel ~ 0.28).  An unperturbed run leaves the choice to
     # roundoff, so the numpy build picks it.  The claim is therefore stated
-    # over K seeded realizations, each kicked by noise far below any scale
-    # the linear theory resolves.  The paper supports that the switch
-    # happens, not how often, so at least one mill is required; the mill
-    # fraction (0.4-0.6 in seeded runs so far) is reported, not asserted.
+    # over K seeded realizations (seeds SEED + k), each kicked by noise of
+    # 1e-6 of the ring's radius and speed, far below any scale the linear
+    # theory resolves.  The paper supports that the switch happens, not how
+    # often, so at least one mill is required; the mill fraction (0.4-0.6
+    # in seeded runs so far) is reported, not asserted.
     K = 12
     pot_b = PowerLaw(4, 0.001)
-    ring_b = flock_ring(pot_b, 100, speed=0.1)
+    radius_b = solve_radius(RadiusProblem(pot_b, 100)).radius  # the noise scale
     cfg_b = SimConfig(model="propulsion", potential=pot_b, n=100, t_final=400.0,
-                      propulsion=Propulsion(1.0, 100.0), sample_every=100.0)
-    mills = flocks = 0
-    for k in range(K):
-        state_b = ic_flock_ring(
-            ring_b,
-            perturbation=RandomNoise(1e-6 * ring_b.radius, 1e-6 * 0.1),
-            rng=np.random.default_rng(SEED + k),
-        )
-        res_b = integrate(cfg_b, state_b, reference=ring_b)
-        pol_b = float(res_b.metrics.polarization[-1])
-        am_b = float(res_b.metrics.angular_momentum[-1])
-        if pol_b < 0.2 and am_b > 0.8:
-            mills += 1
-        elif pol_b > 0.9:
-            flocks += 1
+                      propulsion=Propulsion(1.0, 100.0), sample_every=100.0, seed=SEED)
+    kinds = [end_state(res)[0] for res in _sweep(
+        cfg_b, "b", [0.001] * K, ic_kind="flock", ic_speed=0.1,
+        perturbation=RandomNoise(1e-6 * radius_b, 1e-6 * 0.1), workers=workers,
+    )]
+    mills, flocks = kinds.count("mill"), kinds.count("flock")
     others = K - mills - flocks
     mill_lo, mill_hi = _wilson_interval(mills, K)
     flock_to_mill = mills >= 1
 
-    # mill ring at (4, 0.0005, speed 0.01) with a small seeded kick: the
+    # mill ring at (4, 0.0005, speed 0.01) with a seeded kick of the
+    # sweep's default size (1e-3 of the ring's radius and speed): the
     # ring blows up into a chaotic fat annulus, transiently re-organizes
     # into rotation, and the rotation gives way to full alignment (a fat
     # flock, eta_rel 0.28) by t=300.  The competing attractor is a fat
@@ -351,22 +353,15 @@ def test_criterion_12_pattern_switching():
     # seeded runs (0.10) end as flocks.  Seed 4 is a pinned minority
     # realization, so this half shows that the switch exists, not how
     # often it happens.  Which attractor seed 4 reaches depends on the
-    # numpy build and on the in-order pair summation that
+    # numpy build, named by the ufunc fingerprint below, and on the
+    # in-order pair summation that
     # tests/test_sim.py::TestRhs::test_pair_terms_summed_left_to_right pins.
-    pot_a = PowerLaw(4, 0.0005)
-    ring_a = mill_ring(pot_a, 100, 0.01)
-    cfg_a = SimConfig(model="propulsion", potential=pot_a, n=100, t_final=2000.0,
-                      propulsion=Propulsion(1.0, 1.0 / 0.01 ** 2),
+    cfg_a = SimConfig(model="propulsion", potential=PowerLaw(4, 0.0005), n=100,
+                      t_final=2000.0, propulsion=Propulsion(1.0, 1.0 / 0.01 ** 2),
                       sample_every=500.0, seed=4)
-    state_a = ic_mill_ring(
-        ring_a,
-        perturbation=RandomNoise(1e-3 * ring_a.radius, 1e-3 * 0.01),
-        rng=np.random.default_rng(4),
-    )
-    res_a = integrate(cfg_a, state_a, reference=ring_a)
-    pol_a = float(res_a.metrics.polarization[-1])
-    am_a = float(res_a.metrics.angular_momentum[-1])
-    mill_to_flock = pol_a > 0.9
+    (res_a,) = _sweep(cfg_a, "b", [0.0005], ic_kind="mill", ic_speed=0.01)
+    kind_a, pol_a, am_a = end_state(res_a)
+    mill_to_flock = kind_a == "flock"
 
     ok = flock_to_mill and mill_to_flock
     _conclude(12, "pattern switching", ok,
@@ -374,5 +369,6 @@ def test_criterion_12_pattern_switching():
               f"{mills} mill / {flocks} flock / {others} other, mill fraction "
               f"{mills / K:.2f} (95% CI {mill_lo:.2f}-{mill_hi:.2f}), need >=1 mill: {flock_to_mill}; "
               f"mill->flock pol {pol_a:.3f} (>0.9): {mill_to_flock} "
-              f"(final am {am_a:.3f})",
+              f"(final am {am_a:.3f}); ufuncs {_ufunc_fingerprint()[:16]}, "
+              f"{workers} workers",
               started, 600.0)

@@ -269,9 +269,10 @@ class TestBlocks:
                 "gamma": fixed.get("gamma", 1.0), "speed": fixed.get("speed", 0.0)}
         for cell in cells:
             if scan is scan_speed_b:
-                alone = regions._cell(cell.x, cell.y, model, 5.0, cell.y, {**lone, "speed": cell.x})
+                alone = regions._block(model, lone, cell.x, [(cell.x, cell.y, 5.0, cell.y)])[0]
             else:
-                alone = regions._cell(cell.x, cell.y, model, cell.x, cell.y, lone)
+                alone = regions._block(model, lone, lone["speed"],
+                                       [(cell.x, cell.y, cell.x, cell.y)])[0]
             assert outcome(cell) == outcome(alone)
         assert any(cell.error == "requires b < a" for cell in cells)
 

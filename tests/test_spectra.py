@@ -5,14 +5,14 @@ import pytest
 
 import swarmlab.spectra as spectra_module
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
-from swarmlab.regions import _cell
+from swarmlab.regions import _block
 from swarmlab.rings import RadiusProblem, _sines, flock_ring, ring_positions, solve_radius
 from swarmlab.spectra import (
     Classification,
     ModeMatrix,
     ShapeMatrix,
     _weight_vectors,
-    _worst_mode,
+    _worst_modes,
     alignment_damping,
     classify,
     cs_flock_mode_matrix,
@@ -61,6 +61,24 @@ class TestPairWeights:
             pair_weights(4, 2, 1.0, 8, 8)
         with pytest.raises(ValueError):
             pair_weights(2, 3, 1.0, 8, 1)
+
+    @pytest.mark.parametrize("fn, args, named", [
+        (pair_weights, (math.inf, 1, 1.0, 10, 1), "a=inf"),
+        (pair_weights, (5, math.nan, 1.0, 10, 1), "b=nan"),
+        (pair_weights, (5, 1, math.nan, 10, 1), "radius=nan"),
+        (pair_weights, (5, 1, math.inf, 10, 1), "radius=inf"),
+        (pair_weights, (5, 1, 0.0, 10, 1), "radius=0.0"),
+        (pair_weights, (5, 1, -1.0, 10, 1), "radius=-1.0"),
+        (mode_self_coupling, (math.inf, 1, 1.0, 10, 2), "a=inf"),
+        (mode_cross_coupling, (5, 1, math.nan, 10, 2), "radius=nan"),
+        (alignment_damping, (1.0, math.nan, 10, 2, 1), "radius=nan"),
+        (alignment_damping, (1.0, math.inf, 10, 2, 1), "radius=inf"),
+        (alignment_damping, (1.0, 0.0, 10, 2, 1), "radius=0.0"),
+    ])
+    def test_unusable_input_is_named(self, fn, args, named):
+        # these used to return (nan, nan) or fail inside math.fsum
+        with pytest.raises(ValueError, match=named):
+            fn(*args)
 
 
 class TestCouplings:
@@ -380,7 +398,7 @@ class TestEnvelope:
                 repr(mode_envelope("flock", 5, 1.25, 201)),
                 repr(mode_envelope("flock-cs", 5, 1.25, 201, gamma=0.7)),
                 repr(mode_envelope("mill", 5, 1.25, 201, speed=0.5)),
-                repr(_worst_mode("flock", 5, 1.25, 201, 100)),
+                repr(_worst_modes("flock", 5, 1.25, 201, 100)[0]),
             ]
 
         expected = cases()
@@ -457,7 +475,7 @@ def block_stack(roots):
 
 @pytest.fixture
 def solved_rows(monkeypatch):
-    """The matrices _worst_mode eigensolves, in call order."""
+    """The matrices _worst_modes eigensolves, in call order."""
     rows, top_real = [], spectra_module._top_real
 
     def recording(A):
@@ -480,7 +498,7 @@ class TestWorstModeCertificate:
         ranked = 0
         for a in (3.0, 4.2, 5.4, 7.0):
             for b in (0.5, 1.1, 1.7, 2.5):
-                got = _worst_mode(model, a, b, n, (n - 1) // 2, **kw)
+                got = _worst_modes(model, a, b, n, (n - 1) // 2, **kw)[0]
                 ms, A, bands = assembled_stack(model, a, b, n, **kw)
                 assert (got[0], repr(got[1]), got[2]) == full_solve(ms, A, bands)
                 ranked += len(ms)
@@ -515,7 +533,7 @@ class TestWorstModeCertificate:
 
             monkeypatch.setattr(spectra_module, "_mode_stack", with_copy)
             solved_rows.clear()
-            got = _worst_mode(model, a, b, n, ms[-1], **kw)
+            got = _worst_modes(model, a, b, n, ms[-1], **kw)[0]
             assert (got[0], repr(got[1]), got[2]) == full_solve(ms, patched, bands)
             assert got[0] == expected_mode
             assert any(np.array_equal(row, copy) for row in solved_rows)
@@ -533,7 +551,7 @@ class TestWorstModeCertificate:
         A = block_stack(roots)
         tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
         monkeypatch.setattr(spectra_module, "_mode_stack", lambda *args: (A.copy(), tol, None))
-        got = _worst_mode("mill", 5.0, 1.2, 64, 31, speed=0.1)
+        got = _worst_modes("mill", 5.0, 1.2, 64, 31, speed=0.1)[0]
         assert (got[0], repr(got[1]), got[2]) == full_solve(ms, A, None)
         assert got[2] is Classification.MARGINAL
         assert len(solved_rows) < len(ms)
@@ -555,7 +573,7 @@ class TestWorstModeCertificate:
         with pytest.raises(np.linalg.LinAlgError) as solved:
             np.linalg.eigvals(A)
         fixed = {"n": 200, "m_max": 99, "alpha": 1.0, "gamma": 1.0, "speed": 0.2}
-        cell = _cell(5.0, 1.2, model, 5.0, 1.2, fixed)
+        cell = _block(model, fixed, fixed["speed"], [(5.0, 1.2, 5.0, 1.2)])[0]
         assert cell.classification is Classification.INVALID
         assert cell.error == str(solved.value)
 
