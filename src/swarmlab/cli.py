@@ -296,7 +296,7 @@ def _perturbation_from_json(data):
     kind = data.get("kind")
     if kind == "mode":
         return ModePerturbation(
-            m=int(data["m"]),
+            m=data["m"],
             xi_plus=complex(data.get("xi_plus", 0.0)),
             xi_minus=complex(data.get("xi_minus", 0.0)),
         )
@@ -322,7 +322,7 @@ def _load_sim_config(args):
     config = SimConfig(
         model=data["model"],
         potential=_potential_from_json(data["potential"]),
-        n=int(data["n"]),
+        n=data["n"],
         t_final=float(data["t_final"]),
         propulsion=Propulsion(**data["propulsion"]) if "propulsion" in data else None,
         alignment=AlignmentKernel(**data["alignment"]) if "alignment" in data else None,

@@ -10,9 +10,10 @@ k'(r) > 0 attractive: the force on j points toward a neighbour at distance r
 whenever k'(r) > 0.  The alignment variant replaces the propulsion term with
 a Cucker-Smale average (1/N) sum_l g(|x_j - x_l|)(v_l - v_j).
 
-The potential family is closed: a power-law difference and a Morse pair.
-Everything downstream (ring radii, mode matrices, scans) assumes one of
-these two; there is no hook for user-defined potentials.
+The potential family is closed: a power-law difference and a Morse pair,
+with no hook for user-defined potentials.  Simulations, mode matrices and
+scans take power laws only.  Morse reaches the ring radius solvers (with an
+explicit bracket) and the full interaction Hessian.
 """
 
 from __future__ import annotations
@@ -28,6 +29,14 @@ __all__ = [
     "Propulsion",
     "AlignmentKernel",
 ]
+
+
+def _require_positive(obj, label, *names):
+    """Refuse a named parameter that is not finite and > 0, naming its value."""
+    for name in names:
+        value = getattr(obj, name)
+        if not 0 < value < math.inf:
+            raise ValueError(f"{label} needs finite {name} > 0, got {name}={value}")
 
 
 @dataclass(frozen=True)
@@ -55,28 +64,18 @@ class PowerLaw:
     def value(self, r):
         return np.asarray(r) ** self.a / self.a - np.asarray(r) ** self.b / self.b
 
-    def deriv(self, r, out=None, work=None):
+    def deriv(self, r):
         """k'(r) = r^(a-1) - r^(b-1), exact analytic form.
 
-        ``out`` takes the result and ``work`` (same shape) the second power;
-        with both given, no temporary array is made.
+        Two np.power calls with scalar exponents, as the simulator's pair
+        kernel makes them.
         """
         r = np.asarray(r, dtype=float)
-        return np.subtract(
-            np.power(r, self.a - 1.0, out=out),
-            np.power(r, self.b - 1.0, out=work),
-            out=out,
-        )
+        return np.power(r, self.a - 1.0) - np.power(r, self.b - 1.0)
 
     def second_deriv(self, r):
         r = np.asarray(r, dtype=float)
         return (self.a - 1.0) * r ** (self.a - 2.0) - (self.b - 1.0) * r ** (self.b - 2.0)
-
-
-def _scaled_exp(r, c, length, out=None):
-    """c exp(-r / length), computed in ``out`` when it is given."""
-    e = np.divide(np.negative(r, out=out), length, out=out)
-    return np.multiply(c, np.exp(e, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -95,25 +94,18 @@ class Morse:
     l_R: float
 
     def __post_init__(self):
-        for name in ("C_A", "C_R", "l_A", "l_R"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"Morse parameter {name} must be positive")
+        _require_positive(self, "Morse potential", "C_A", "C_R", "l_A", "l_R")
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
         return self.C_R * np.exp(-r / self.l_R) - self.C_A * np.exp(-r / self.l_A)
 
-    def deriv(self, r, out=None, work=None):
-        """k'(r) = (C_A/l_A) exp(-r/l_A) - (C_R/l_R) exp(-r/l_R).
-
-        ``out`` and ``work`` as in :meth:`PowerLaw.deriv`.
-        """
+    def deriv(self, r):
+        """k'(r) = (C_A/l_A) exp(-r/l_A) - (C_R/l_R) exp(-r/l_R)."""
         r = np.asarray(r, dtype=float)
-        return np.subtract(
-            _scaled_exp(r, self.C_A / self.l_A, self.l_A, out),
-            _scaled_exp(r, self.C_R / self.l_R, self.l_R, work),
-            out=out,
-        )
+        return (self.C_A / self.l_A) * np.exp(-r / self.l_A) - (
+            self.C_R / self.l_R
+        ) * np.exp(-r / self.l_R)
 
     def second_deriv(self, r):
         r = np.asarray(r, dtype=float)
@@ -133,8 +125,7 @@ class Propulsion:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("propulsion needs alpha > 0 and beta > 0")
+        _require_positive(self, "propulsion", "alpha", "beta")
 
     @property
     def asymptotic_speed(self):
@@ -151,8 +142,7 @@ class AlignmentKernel:
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"alignment kernel needs finite gamma > 0, got gamma={self.gamma}")
+        _require_positive(self, "alignment kernel", "gamma")
 
     def value(self, r, out=None):
         """g(r); with ``out`` given, the result is written there in place."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import Classification, _worst_modes, mode_envelope
+from .spectra import Classification, _require_modes, _worst_modes, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -240,10 +240,11 @@ def _block(model, fixed, speed, cells):
 
 
 def _resolve_m_max(n, m_max):
-    """The top mode of a scan, (n-1)//2 by default; modes start at 2."""
+    """The top mode of a scan, (n-1)//2 by default; modes run from 2 to n - 2."""
     m_max = (n - 1) // 2 if m_max is None else m_max
     if m_max < 2:
         raise ValueError(f"need m_max >= 2, got m_max={m_max} for n={n}")
+    _require_modes(n, m_max)
     return m_max
 
 
@@ -254,9 +255,10 @@ def _scan(spec, label, model, workers, a=None):
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
     Consecutive cells at one speed are cut into blocks of at most
     _BLOCK_MODES modes, but at least one block per pool thread.  A fixed
-    key outside _FIXED_KEYS, m_max < 2, an alpha or gamma that is not
-    finite and positive, a speed that is not finite and nonnegative, or a
-    bad worker count is a ValueError, raised before any cell runs.
+    key outside _FIXED_KEYS, m_max outside [2, n - 2], an alpha or gamma
+    that is not finite and positive, a speed that is not finite and
+    nonnegative, or a bad worker count is a ValueError, raised before any
+    cell runs.
     """
     start = time.perf_counter()
     f = spec.fixed
@@ -333,8 +335,9 @@ def separatrix_check(a_values, n, m_max=None, steps=40):
     point, then bisect ``steps`` times on the stable/unstable transition
     below it.  Returns rows (a, b_boundary, a/(a-1), gap) with signed
     gap = b_boundary - a/(a-1); nan boundary when no stable b exists in
-    the window.  An m_max (default (n-1)//2) below 2, any a <= 1 (no
-    limit curve) or steps < 0 is a ValueError, raised before any solve.
+    the window.  An m_max (default (n-1)//2) outside [2, n - 2], any
+    a <= 1 (no limit curve) or steps < 0 is a ValueError, raised before
+    any solve.
     """
     m_max = _resolve_m_max(n, m_max)
     a_values = [float(a) for a in a_values]

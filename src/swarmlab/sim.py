@@ -47,11 +47,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
+from .potentials import AlignmentKernel, PowerLaw, Propulsion
 from .regions import map_stacks
 from .rings import flock_ring, mill_ring
 
@@ -107,10 +108,13 @@ _MODELS = ("propulsion", "cucker-smale")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run setup; exactly one of propulsion / alignment must match the model."""
+    """Run setup; exactly one of propulsion / alignment must match the model.
+
+    The potential is a PowerLaw, whose exponents the pair kernel takes.
+    """
 
     model: str
-    potential: object
+    potential: PowerLaw
     n: int
     t_final: float
     propulsion: Propulsion | None = None
@@ -124,14 +128,18 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in _MODELS:
             raise ValueError(f"model must be one of {_MODELS}")
-        if not isinstance(self.potential, (PowerLaw, Morse)):
-            raise TypeError("potential must be PowerLaw or Morse")
+        if not isinstance(self.potential, PowerLaw):
+            raise TypeError(
+                f"simulations take a PowerLaw potential, got {type(self.potential).__name__}"
+            )
         if self.model == "propulsion" and self.propulsion is None:
             raise ValueError("propulsion model needs a Propulsion")
         if self.model == "cucker-smale" and self.alignment is None:
             raise ValueError("cucker-smale model needs an AlignmentKernel")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"need an integer n, got n={self.n!r}")
         if self.n < 1:
-            raise ValueError("need n >= 1")
+            raise ValueError(f"need n >= 1, got n={self.n}")
         for key in ("t_final", "rtol", "atol", "sample_every"):
             value = getattr(self, key)
             if not 0 < value < math.inf:
@@ -156,8 +164,11 @@ class ModePerturbation:
     xi_minus: complex = 0.0
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("mode perturbations need m >= 2")
+        m, xi = self.m, (self.xi_plus, self.xi_minus)
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
+            raise ValueError(f"mode perturbations need an integer m >= 2, got m={m!r}")
+        if not np.all(np.isfinite(xi)):
+            raise ValueError(f"need finite amplitudes, got xi_plus={xi[0]!r}, xi_minus={xi[1]!r}")
 
 
 @dataclass(frozen=True)
@@ -168,8 +179,10 @@ class RandomNoise:
     sigma_vel: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_pos < 0 or self.sigma_vel < 0:
-            raise ValueError("noise amplitudes must be nonnegative")
+        for key in ("sigma_pos", "sigma_vel"):
+            value = getattr(self, key)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"need a finite {key} >= 0, got {key}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -235,19 +248,6 @@ def _triangle(n):
     return upper, pair
 
 
-@functools.lru_cache(maxsize=32)
-def _unit_weight(kernel):
-    """k'(1)/1 of a potential or g(1) of an alignment kernel.
-
-    This is the weight on the diagonal of f, where the offsets are zero.
-    It comes from the same ufuncs as the pair weights, so each diagonal
-    product is the same signed zero as in a full (n, n) evaluation.
-    """
-    one = np.ones(1)
-    w = kernel.value(one) if isinstance(kernel, AlignmentKernel) else kernel.deriv(one) / one
-    return float(w[0])
-
-
 def _groups(values):
     """(rows, value) for each run of consecutive members with equal values."""
     groups, start = [], 0
@@ -279,15 +279,15 @@ class _Kernel:
     offsets hold the positions, then under Cucker-Smale the velocities.
     Distances and weights are evaluated once per pair l < j, packed in row
     order per member, and mirrored into the symmetric weights (see the
-    module docstring for why this is bit for bit).  Power-law weights
+    module docstring for why this is bit for bit).  The potential weights
     take one np.power call per run of consecutive members with equal a - 1
     and one per run with equal b - 1, each with the scalar exponent
     PowerLaw.deriv passes (numpy has separate loops for some scalar
     exponents, so per-row exponents would change results), then one
-    subtract and one divide over the stack.  Other potentials and the
-    alignment kernels take one call per run of equal values.  Every buffer
-    entry is written before it is read, so no result depends on earlier
-    calls or on the other members.
+    subtract and one divide over the stack.  The alignment kernels take
+    one value call per run of equal kernels.  Every buffer entry is
+    written before it is read, so no result depends on earlier calls or on
+    the other members.
     """
 
     def __init__(self, n, model, size):
@@ -295,14 +295,14 @@ class _Kernel:
         self.propulsion = model == "propulsion"
         self.upper, self.pair = _triangle(n)
         m = self.upper.size
-        blocks = 1 if self.propulsion else 2
+        self.blocks = 1 if self.propulsion else 2
         # flat buffers that bind views as the arrays of its K members:
         # offsets, weights, packed pairs (per member a value for each pair
         # and a slot for the diagonal, in two rows: dx and dy, then the
         # potential and the alignment weights), distances (with an inf
         # slot, so that one particle finds no pair) and pair sums
         self.buffers = [np.empty(size * words) for words in
-                        (2 * n * n, n * n, 2 * (m + 1), m + 1, blocks * 2 * n)]
+                        (2 * n * n, n * n, 2 * (m + 1), m + 1, self.blocks * 2 * n)]
         # take's indices, which bind rebuilds for its K members (K(m + 1 +
         # n^2) words): new, writeable arrays, since np.take copies a
         # read-only one on each call
@@ -312,23 +312,14 @@ class _Kernel:
         """Set the members, in stack order: their configs and guard distances."""
         k, n, m = len(configs), self.n, self.upper.size
         self.guard = np.array(guards, dtype=float)
-        potentials = [c.potential for c in configs]
-        if all(isinstance(p, PowerLaw) for p in potentials):
-            self.derivs = []
-            self.powers = (_groups([p.a - 1.0 for p in potentials]),
-                           _groups([p.b - 1.0 for p in potentials]))
-        else:
-            self.derivs, self.powers = _groups(potentials), None
+        self.powers = (_groups([c.potential.a - 1.0 for c in configs]),
+                       _groups([c.potential.b - 1.0 for c in configs]))
         if self.propulsion:
-            kernels = [(c.potential,) for c in configs]
             self.alpha = np.array([[c.propulsion.alpha] for c in configs])
             self.beta = np.array([[c.propulsion.beta] for c in configs])
         else:
-            kernels = [(c.potential, c.alignment) for c in configs]
             self.alignments = _groups([c.alignment for c in configs])
-        # the weight at distance 1 of each block: the slot the diagonal reads
-        self.units = np.array([[_unit_weight(kernel) for kernel in ks] for ks in kernels]).T
-        shapes = ((2, n, k, n), (n, k, n), (2, k, m + 1), (k, m + 1), (len(self.units), 2, k, n))
+        shapes = ((2, n, k, n), (n, k, n), (2, k, m + 1), (k, m + 1), (self.blocks, 2, k, n))
         self.offsets, self.weights, self.pairs, self.dist, self.sums = (
             _prefix(buffer, *shape) for buffer, shape in zip(self.buffers, shapes))
         # pairs[c, k, p] = offsets[c, l, k, j] for pair p = (l, j), at the
@@ -385,19 +376,20 @@ class _Kernel:
                 f"below the guard {self.guard[r]:.3e}"
             )
             d[r] = 1.0
-        for rows, potential in self.derivs:
-            potential.deriv(d[rows], out=w[rows], work=work[rows])
-        if self.powers:
-            for rows, exponent in self.powers[0]:
-                np.power(d[rows], exponent, out=w[rows])
-            for rows, exponent in self.powers[1]:
-                np.power(d[rows], exponent, out=work[rows])
-            np.subtract(w, work, out=w)
+        for rows, exponent in self.powers[0]:
+            np.power(d[rows], exponent, out=w[rows])
+        for rows, exponent in self.powers[1]:
+            np.power(d[rows], exponent, out=work[rows])
+        np.subtract(w, work, out=w)
         w /= d
         if not self.propulsion:
             for rows, alignment in self.alignments:
                 alignment.value(d[rows], out=work[rows])
-        pairs[: len(self.units), :, -1] = self.units
+        # The diagonal's weight only multiplies u_j - u_j, which is +0.0 for
+        # finite u and NaN whatever the weight otherwise.  An evaluation on
+        # all n^2 entries puts k'(1)/1 = 1 - 1 = 0.0 or g(1) > 0 there, so
+        # its diagonal products are +0.0 too, and a zero slot is bit for bit.
+        pairs[:, :, -1] = 0.0
         self._pair_sum(sums[0])
         if not self.propulsion:
             pairs[0] = pairs[1]  # the alignment weights, where the mirror reads
@@ -911,8 +903,6 @@ def _sweep_member(config, parameter, value, index, ic_kind, perturbation, ic_spe
     pot = config.potential
     prop = config.propulsion
     if parameter == "b":
-        if not isinstance(pot, PowerLaw):
-            raise TypeError("b sweeps need a PowerLaw potential")
         pot = replace(pot, b=float(value))
     else:
         if prop is None:

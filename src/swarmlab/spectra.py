@@ -622,6 +622,15 @@ def _routh_below(A, c):
         return ok & (b[0] > 2.0 * eb[0])
 
 
+def _require_modes(n, m_max):
+    """Refuse n < 3 or a top mode past n - 2 before any mode array is made:
+    modes n - 1 and n fold onto the translation and the uniform mode."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got n={n}")
+    if m_max > n - 2:
+        raise ValueError(f"need m_max <= n - 2, got m_max={m_max} for n={n}")
+
+
 def _top_real(A):
     """Largest eigenvalue real part of each matrix in the stack: the one
     _sorted_eigs puts first."""
@@ -698,6 +707,7 @@ def mode_envelope(
     n - m mirrors mode m, so the default m_max = (n-1)//2 leaves out only
     the self-conjugate mode n/2 of an even ring.  m_min = 1 takes in the
     translation mode, whose structural zero the cosine tables give exactly.
+    n < 3 or an m_max past n - 2 is a ValueError (_require_modes).
     """
     if model not in _ENVELOPE_MODELS:
         raise ValueError(f"model must be one of {_ENVELOPE_MODELS}")
@@ -705,6 +715,7 @@ def mode_envelope(
         m_max = (n - 1) // 2
     if not 1 <= m_min <= m_max:
         raise ValueError("need 1 <= m_min <= m_max")
+    _require_modes(n, m_max)
     ms = np.arange(m_min, m_max + 1)
     A, tol, severity = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
     vals = _sorted_eigs(np.linalg.eigvals(A))

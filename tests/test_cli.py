@@ -292,11 +292,19 @@ class TestSimulate:
         ("sample_every", float("inf"), "sample_every=inf"),
         ("rtol", float("inf"), "rtol=inf"),
         ("atol", float("inf"), "atol=inf"),
+        ("n", 20.7, "n=20.7"),
+        ("propulsion", {"alpha": float("inf"), "beta": 4.0}, "alpha=inf"),
+        ("ic", {"kind": "flock", "perturbation": {"kind": "noise", "sigma_pos": float("nan")}},
+         "sigma_pos=nan"),
+        ("ic", {"kind": "flock", "perturbation": {"kind": "mode", "m": 2.5, "xi_plus": 1e-3}},
+         "m=2.5"),
     ])
     def test_bad_config_value_is_usage_error(self, key, value, needle, in_tmp, capsys):
         # each used to run: a guard of -1, NaN or true turned into no guard
         # or a guard of 1, sample_every inf gave exit 0, an infinite guard or
-        # t_final exit 3, and an infinite rtol stepped forever
+        # t_final exit 3, and an infinite rtol stepped forever; n 20.7 ran
+        # n = 20 and mode 2.5 ran mode 2, an infinite alpha was exit 3 and a
+        # NaN sigma exit 2 with a message that named neither
         cfg = sim_config(in_tmp, **{key: value})
         assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
         err = capsys.readouterr().err
@@ -440,6 +448,21 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                   "--alpha", "inf"], "alpha=inf", id="spectrum-flock-infinite-alpha"),
     pytest.param(["spectrum", "--model", "flock-cs", "--a", "4", "--b", "2", "--n", "20",
                   "--gamma", "inf"], "gamma=inf", id="spectrum-flock-cs-infinite-gamma"),
+    pytest.param(["radius", "--morse", "inf", "1", "2", "0.5", "--n", "100",
+                  "--bracket", "0.1", "10"], "C_A=inf", id="radius-morse-infinite-C_A"),
+    # modes n - 1 and n fold onto the translation and the uniform mode
+    *(pytest.param([arg.format(m_max) for arg in argv],
+                   f"m_max <= n - 2, got m_max={m_max} for n=10", id=f"{label}-m_max{m_max}")
+      for m_max in (9, 12)
+      for label, argv in (
+          ("region", ["region", "--model", "flock", "--grid", "a:4:5:2", "b:1.5:2:2",
+                      "--fixed", "n=10", "m_max={}"]),
+          ("separatrix", ["separatrix", "--a-list", "3", "--n", "10", "--m-max", "{}"]),
+          ("spectrum", ["spectrum", "--model", "flock", "--a", "4", "--b", "1.5", "--n", "10",
+                        "--m-max", "{}"]),
+          ("spectrum-m", ["spectrum", "--model", "flock", "--a", "4", "--b", "1.5", "--n", "10",
+                          "--m", "{}"]),
+      )),
 ])
 def test_usage_error_exit_code(argv, needle, in_tmp, capsys):
     assert main(argv) == 2

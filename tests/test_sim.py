@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -119,8 +120,7 @@ class TestRhs:
         with pytest.raises(SimulationError, match="particles 0 and 3 at distance 5.000e-01"):
             rhs(st, cfg)
 
-    @pytest.mark.parametrize("pot", [PowerLaw(4.5, 1.75),
-                                     Morse(C_A=1.5, C_R=2.0, l_A=2.5, l_R=0.5)])
+    @pytest.mark.parametrize("pot", [PowerLaw(4.5, 1.75)])
     def test_pair_weights_evaluated_once_per_pair(self, monkeypatch, pot):
         n = 9
         rng = np.random.default_rng(4)
@@ -128,11 +128,8 @@ class TestRhs:
                         velocities=rng.standard_normal((n, 2)))
         cfg = SimConfig(model="cucker-smale", potential=pot, n=n, t_final=1.0,
                         alignment=AlignmentKernel(0.75))
-        # the first RHS for a potential and a kernel also caches their weight
-        # at distance 1, which fills the diagonal of the weight matrix
-        rhs(st, cfg)
         sizes = {"deriv": [], "value": [], "power": []}
-        for cls, name in ((type(pot), "deriv"), (AlignmentKernel, "value")):
+        for cls, name in ((PowerLaw, "deriv"), (AlignmentKernel, "value")):
             def spy(self, r, *args, _method=getattr(cls, name), _name=name, **kw):
                 sizes[_name].append(np.size(r))
                 return _method(self, r, *args, **kw)
@@ -144,17 +141,13 @@ class TestRhs:
 
         monkeypatch.setattr(np, "power", power)
         rhs(st, cfg)
-        # k'(r) is one deriv call, or for a power law one np.power per
-        # exponent; g(r) is one value call, which makes one np.power
+        # k'(r) is one np.power per exponent, with no deriv call; g(r) is
+        # one value call, which makes one np.power
         m = n * (n - 1) // 2
-        if isinstance(pot, PowerLaw):
-            assert sizes == {"deriv": [], "value": [m], "power": [m, m, m]}
-        else:
-            assert sizes == {"deriv": [m], "value": [m], "power": [m]}
+        assert sizes == {"deriv": [], "value": [m], "power": [m, m, m]}
 
     @pytest.mark.parametrize("model, pot", [
         ("propulsion", PowerLaw(5, 1.25)),
-        ("propulsion", Morse(C_A=1.0, C_R=2.0, l_A=2.0, l_R=0.5)),
         ("cucker-smale", PowerLaw(5, 1.25)),
     ])
     def test_pair_terms_summed_left_to_right(self, model, pot):
@@ -194,12 +187,21 @@ class TestRhs:
         assert np.array_equal(out[0, 2 * n :].reshape(n, 2), left_to_right_dv(x2, v2, cfg))
         # the weight matrix of the first member, weights[:, 0] in the
         # [l, member, j] layout (of the last block: velocities under
-        # Cucker-Smale), holds the weight at distance 1 on its diagonal, where
-        # the offsets are zero, as an evaluation on all n^2 entries does
-        one = np.ones(1)
-        unit = cfg.alignment.value(one) if cfg.alignment else pot.deriv(one) / one
+        # Cucker-Smale), holds +0.0 on its diagonal, where the offsets are zero
         assert kernel.weights.shape == (n, 2, n)
-        assert np.array_equal(np.diag(kernel.weights[:, 0]), np.full(n, unit[0]))
+        diagonal = np.diag(kernel.weights[:, 0])
+        assert np.array_equal(diagonal, np.zeros(n)) and not np.signbit(diagonal).any()
+
+    def test_morse_config_rejected(self):
+        # the pair kernel evaluates k'(r) through power-law exponents only
+        morse = Morse(C_A=1.0, C_R=2.0, l_A=2.0, l_R=0.5)
+        with pytest.raises(TypeError, match="got Morse"):
+            propulsion_config(morse, 8, 1.0)
+
+    @pytest.mark.parametrize("n", [20.7, 20.0, True, "20"])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ValueError, match=f"got n={n!r}"):
+            propulsion_config(PowerLaw(5, 1.5), n, 1.0)
 
     def test_cs_rhs_matches_direct_sum(self):
         pot = PowerLaw(3, 1.5)
@@ -493,6 +495,25 @@ class TestInitialConditions:
             ic_flock_ring(ring, perturbation=ModePerturbation(m=15, xi_plus=1e-3))
         with pytest.raises(ValueError):
             ModePerturbation(m=1, xi_plus=1e-3)
+
+    @pytest.mark.parametrize("kwargs, needle", [
+        ({"m": 2.5}, "m=2.5"),
+        ({"m": True}, "m=True"),
+        ({"m": 3, "xi_plus": math.nan}, "xi_plus=nan"),
+        ({"m": 3, "xi_minus": complex(0.0, math.inf)}, "xi_minus=infj"),
+    ])
+    def test_mode_perturbation_inputs_named(self, kwargs, needle):
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            ModePerturbation(**kwargs)
+
+    @pytest.mark.parametrize("sigmas, needle", [
+        ((math.nan, 0.0), "sigma_pos=nan"),
+        ((0.0, math.inf), "sigma_vel=inf"),
+        ((-1e-3, 0.0), "sigma_pos=-0.001"),
+    ])
+    def test_noise_amplitudes_named(self, sigmas, needle):
+        with pytest.raises(ValueError, match=needle):
+            RandomNoise(*sigmas)
 
     def test_noise_centered_exactly(self):
         ring = flock_ring(PowerLaw(4, 2), 25, speed=0.4)
