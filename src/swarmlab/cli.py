@@ -351,8 +351,8 @@ def _ring_and_state(config, ic_data):
         state = ic_flock_ring(ring, direction=direction, perturbation=perturbation, rng=rng)
     elif kind == "mill":
         ring = mill_ring(config.potential, config.n, float(speed))
-        orientation = int(ic_data.get("orientation", 1))
-        state = ic_mill_ring(ring, orientation=orientation, perturbation=perturbation, rng=rng)
+        state = ic_mill_ring(ring, orientation=ic_data.get("orientation", 1),
+                             perturbation=perturbation, rng=rng)
     else:
         raise ValueError(f"unknown ic kind {kind!r}")
     return ring, state

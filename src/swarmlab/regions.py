@@ -240,7 +240,13 @@ def _block(model, fixed, speed, cells):
 
 
 def _resolve_m_max(n, m_max):
-    """The top mode of a scan, (n-1)//2 by default; modes run from 2 to n - 2."""
+    """The top mode of a scan, (n-1)//2 by default; modes run from 2 to n - 2.
+
+    A bool or non-integer n or m_max is a ValueError that names it.
+    """
+    for key, value in (("n", n), ("m_max", m_max)):
+        if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
+            raise ValueError(f"need an integer {key}, got {key}={value!r}")
     m_max = (n - 1) // 2 if m_max is None else m_max
     if m_max < 2:
         raise ValueError(f"need m_max >= 2, got m_max={m_max} for n={n}")
@@ -255,17 +261,17 @@ def _scan(spec, label, model, workers, a=None):
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
     Consecutive cells at one speed are cut into blocks of at most
     _BLOCK_MODES modes, but at least one block per pool thread.  A fixed
-    key outside _FIXED_KEYS, m_max outside [2, n - 2], an alpha or gamma
-    that is not finite and positive, a speed that is not finite and
-    nonnegative, or a bad worker count is a ValueError, raised before any
-    cell runs.
+    key outside _FIXED_KEYS, a non-integer n or m_max, m_max outside
+    [2, n - 2], an alpha or gamma that is not finite and positive, a speed
+    that is not finite and nonnegative, or a bad worker count is a
+    ValueError, raised before any cell runs.
     """
     start = time.perf_counter()
     f = spec.fixed
     unknown = sorted(set(f) - set(_FIXED_KEYS))
     if unknown:
         raise ValueError(f"unknown fixed keys {unknown}; allowed: {', '.join(_FIXED_KEYS)}")
-    n = int(f.get("n", 1000))
+    n = f.get("n", 1000)
     fixed = {
         "n": n, "m_max": _resolve_m_max(n, f.get("m_max")),
         "alpha": float(f.get("alpha", 1.0)), "gamma": float(f.get("gamma", 1.0)),
@@ -335,9 +341,9 @@ def separatrix_check(a_values, n, m_max=None, steps=40):
     point, then bisect ``steps`` times on the stable/unstable transition
     below it.  Returns rows (a, b_boundary, a/(a-1), gap) with signed
     gap = b_boundary - a/(a-1); nan boundary when no stable b exists in
-    the window.  An m_max (default (n-1)//2) outside [2, n - 2], any
-    a <= 1 (no limit curve) or steps < 0 is a ValueError, raised before
-    any solve.
+    the window.  A non-integer n or m_max, an m_max (default (n-1)//2)
+    outside [2, n - 2], any a <= 1 (no limit curve) or steps < 0 is a
+    ValueError, raised before any solve.
     """
     m_max = _resolve_m_max(n, m_max)
     a_values = [float(a) for a in a_values]

@@ -16,10 +16,9 @@ mirrors the weights into a symmetric (n, n) matrix.  That this matches
 an evaluation over all n^2 entries bit for bit rests on the exact
 antisymmetry of IEEE subtraction (x_l - x_j = -(x_j - x_l)), on hypot
 being even, and on elementwise ufunc results that do not depend on an
-element's position in the array.  The kernel writes into buffers that
-one stack allocates for all its RHS evaluations (``rhs`` allocates its
-own); every entry is written before it is read, so results do not depend
-on them.
+element's position in the array.  A stack builds one kernel for its
+members and a new one whenever a member leaves (``rhs`` builds one per
+call); every entry of a kernel's arrays is written before it is read.
 
 Runs are integrated as stacks that step in lockstep: ``integrate`` is a
 stack of one, and a seeded ensemble (``_sweep``, which bifurcation_sweep
@@ -258,17 +257,12 @@ def _groups(values):
     return groups
 
 
-def _prefix(buffer, *shape):
-    """The leading entries of a flat buffer, as a C-ordered array of this shape."""
-    return buffer[: math.prod(shape)].reshape(shape)
-
-
 class _Kernel:
-    """The pair kernel of a stack of up to ``size`` runs of n particles.
+    """The pair kernel of a stack of K runs of n particles, one per config.
 
-    One call takes the states (K, 4n) of the K members bound last, each its
-    positions then its velocities flattened, and writes their derivatives.
-    The full offsets and weights are laid out [component, l, member, j]:
+    One call takes the states (K, 4n) of its members, each its positions
+    then its velocities flattened, and writes their derivatives.  The full
+    offsets and weights are laid out [component, l, member, j]:
     offsets[c, l, k, j] = u_l - u_j of member k and weights[l, k, j].  So
     the multiply and the add.reduce over l run on K*n-long inner loops, and
     l, never the innermost axis, is summed in index order for each
@@ -285,32 +279,17 @@ class _Kernel:
     PowerLaw.deriv passes (numpy has separate loops for some scalar
     exponents, so per-row exponents would change results), then one
     subtract and one divide over the stack.  The alignment kernels take
-    one value call per run of equal kernels.  Every buffer entry is
-    written before it is read, so no result depends on earlier calls or on
-    the other members.
+    one value call per run of equal kernels.  Every array entry is written
+    before it is read, so no result depends on earlier calls or on the
+    other members.  A stack whose members change builds a new kernel.
     """
 
-    def __init__(self, n, model, size):
+    def __init__(self, configs, guards):
+        k, n = len(configs), configs[0].n
         self.n = n
-        self.propulsion = model == "propulsion"
+        self.propulsion = configs[0].model == "propulsion"
         self.upper, self.pair = _triangle(n)
         m = self.upper.size
-        self.blocks = 1 if self.propulsion else 2
-        # flat buffers that bind views as the arrays of its K members:
-        # offsets, weights, packed pairs (per member a value for each pair
-        # and a slot for the diagonal, in two rows: dx and dy, then the
-        # potential and the alignment weights), distances (with an inf
-        # slot, so that one particle finds no pair) and pair sums
-        self.buffers = [np.empty(size * words) for words in
-                        (2 * n * n, n * n, 2 * (m + 1), m + 1, self.blocks * 2 * n)]
-        # take's indices, which bind rebuilds for its K members (K(m + 1 +
-        # n^2) words): new, writeable arrays, since np.take copies a
-        # read-only one on each call
-        self.indices = [np.empty(size * words, dtype=np.intp) for words in (m + 1, n * n)]
-
-    def bind(self, configs, guards):
-        """Set the members, in stack order: their configs and guard distances."""
-        k, n, m = len(configs), self.n, self.upper.size
         self.guard = np.array(guards, dtype=float)
         self.powers = (_groups([c.potential.a - 1.0 for c in configs]),
                        _groups([c.potential.b - 1.0 for c in configs]))
@@ -319,14 +298,19 @@ class _Kernel:
             self.beta = np.array([[c.propulsion.beta] for c in configs])
         else:
             self.alignments = _groups([c.alignment for c in configs])
-        shapes = ((2, n, k, n), (n, k, n), (2, k, m + 1), (k, m + 1), (self.blocks, 2, k, n))
-        self.offsets, self.weights, self.pairs, self.dist, self.sums = (
-            _prefix(buffer, *shape) for buffer, shape in zip(self.buffers, shapes))
-        # pairs[c, k, p] = offsets[c, l, k, j] for pair p = (l, j), at the
-        # flat index l*K*n + k*n + j = upper[p] + l*(K - 1)*n + k*n, and
-        # weights[l, k, j] = pairs[0, k, pair[l, j]]; built in place, so
-        # that no index-sized temporary is made
-        gather, mirror = _prefix(self.indices[0], k, m + 1), _prefix(self.indices[1], n, k, n)
+        # the offsets, weights, packed pairs (per member a value for each
+        # pair and a slot for the diagonal, in two rows: dx and dy, then
+        # the potential and the alignment weights), distances (with an inf
+        # slot, so that one particle finds no pair) and pair sums
+        self.offsets, self.weights = np.empty((2, n, k, n)), np.empty((n, k, n))
+        self.pairs, self.dist = np.empty((2, k, m + 1)), np.empty((k, m + 1))
+        self.sums = np.empty((1 if self.propulsion else 2, 2, k, n))
+        # take's indices: new, writeable arrays, since np.take copies a
+        # read-only one on each call.  pairs[c, k, p] = offsets[c, l, k, j]
+        # for pair p = (l, j), at the flat index l*K*n + k*n + j = upper[p]
+        # + l*(K - 1)*n + k*n, and weights[l, k, j] = pairs[0, k, pair[l, j]];
+        # built in place, so that no index-sized temporary is made
+        gather, mirror = np.empty((k, m + 1), dtype=np.intp), np.empty((n, k, n), dtype=np.intp)
         np.floor_divide(self.upper, n, out=gather[0, :m])
         gather[0, :m] *= (k - 1) * n
         gather[0, :m] += self.upper
@@ -419,11 +403,11 @@ def _default_guard(config, x0):
 def rhs(state, config):
     """Time derivatives (dx, dv) of the chosen model at the given state."""
     n = state.n
-    kernel = _Kernel(n, config.model, 1)
-    kernel.bind([config], [_default_guard(config, state.positions)])
+    if n != config.n:
+        raise ValueError(f"state has n={n}, config says n={config.n}")
     y = np.concatenate([state.positions.ravel(), state.velocities.ravel()])[None]
     out = np.empty_like(y)
-    _, failed = kernel(y, out)
+    _, failed = _Kernel([config], [_default_guard(config, state.positions)])(y, out)
     if failed:
         raise failed[0]
     return state.velocities.copy(), out[0, 2 * n :].reshape(n, 2)
@@ -669,8 +653,7 @@ def _integrate(runs):
         return
     cfg = runs[0].config
     n, rtol, atol = cfg.n, cfg.rtol, cfg.atol
-    kernel = _Kernel(n, cfg.model, len(runs))
-    kernel.bind([run.config for run in runs], [run.guard for run in runs])
+    kernel = _Kernel([run.config for run in runs], [run.guard for run in runs])
     active = list(range(len(runs)))  # the stack's rows, as indices into runs
     y = np.array([run.y0 for run in runs])
     stages = np.empty((len(runs), 7, 4 * n))
@@ -686,7 +669,7 @@ def _integrate(runs):
 
     def prune():
         """Drop the runs that failed or finished."""
-        nonlocal active, y, stages, closest
+        nonlocal kernel, active, y, stages, closest
         keep = []
         for row, i in enumerate(active):
             run = runs[i]
@@ -697,8 +680,9 @@ def _integrate(runs):
         if len(keep) < len(active):
             active = [active[row] for row in keep]
             y, stages, closest = y[keep], stages[keep], closest[keep]
+            kernel = None  # freed before its successor is built, which bounds the peak memory
             if active:
-                kernel.bind([runs[i].config for i in active], [runs[i].guard for i in active])
+                kernel = _Kernel([runs[i].config for i in active], [runs[i].guard for i in active])
 
     evaluate(y, stages[:, 0])
     spans = [run.tf - run.t for run in runs]
@@ -803,8 +787,8 @@ def ic_mill_ring(ring, orientation=1, perturbation=None, rng=None):
     orientation +1 rotates counter-clockwise, -1 clockwise; the tangent
     is taken at the perturbed positions.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
+    if isinstance(orientation, bool) or orientation not in (1, -1):
+        raise ValueError(f"orientation must be +1 or -1, got orientation={orientation!r}")
     positions, vel_noise = _apply_perturbation(ring, perturbation, rng)
     radii = np.hypot(positions[:, 0], positions[:, 1])
     tangent = np.column_stack([-positions[:, 1], positions[:, 0]]) / radii[:, None]
@@ -893,8 +877,7 @@ _SWEEP_METRICS = {"cluster": "mu_rel", "fatten": "eta_rel",
 # cap (two stacks of 32) and 1.06 and 1.03 s under 2^16 and 2^17, while 12
 # propulsion members at n = 100 took 0.87 s (stacks of 3) against 0.72 and
 # 0.65 s.  A larger cap would slow n = 32, so the cap stays where small n
-# is fastest.  At the cap the kernel buffers and indices take about
-# 1.5 MiB.
+# is fastest.  At the cap the kernel arrays and indices take about 1.5 MiB.
 _STACK_ENTRIES = 2**15
 
 

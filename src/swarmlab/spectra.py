@@ -784,18 +784,15 @@ def full_hessian(potential, positions):
     return H
 
 
-def full_flock_jacobian(hessian, prop, direction=(1.0, 0.0)):
+def full_flock_jacobian(hessian, prop):
     """4N x 4N Jacobian [[0, Id], [hessian, -2 beta u0 u0^T]] of the flock.
 
-    The drift direction is rotated to the first axis by default; the
-    per-particle damping block is -2 alpha e e^T with e the unit drift
-    direction (beta |u0|^2 = alpha).
+    The drift runs along the first axis, so the per-particle damping block
+    is -2 alpha e1 e1^T (beta |u0|^2 = alpha).
     """
     H = np.asarray(hessian, dtype=float)
     two_n = H.shape[0]
-    e = np.asarray(direction, dtype=float)
-    e = e / np.linalg.norm(e)
-    damp = -2.0 * prop.alpha * np.outer(e, e)
+    damp = -2.0 * prop.alpha * np.diag([1.0, 0.0])
     L = np.zeros((2 * two_n, 2 * two_n))
     L[:two_n, two_n:] = np.eye(two_n)
     L[two_n:, :two_n] = H
@@ -832,8 +829,13 @@ def full_cs_jacobian(hessian, kernel, positions):
     return L
 
 
+# The dense oracles' size cap: dense_eigvals takes matrices up to this
+# order, and theorem_witness rings whose 4n x 4n Jacobian fits it.
+_DENSE_ORDER = 128
+
+
 def dense_eigvals(matrix):
-    """Eigenvalues of a real matrix up to 128 x 128.
+    """Eigenvalues of a real matrix up to _DENSE_ORDER x _DENSE_ORDER.
 
     Symmetric inputs (to 1e-12 relative) take the symmetric path and
     return real eigenvalues sorted descending; general inputs return
@@ -843,8 +845,8 @@ def dense_eigvals(matrix):
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("dense_eigvals expects a square matrix")
-    if A.shape[0] > 128:
-        raise ValueError("dense_eigvals is capped at 128 x 128")
+    if A.shape[0] > _DENSE_ORDER:
+        raise ValueError(f"dense_eigvals is capped at {_DENSE_ORDER} x {_DENSE_ORDER}")
     scale = max(1.0, float(np.max(np.abs(A))))
     symmetric = np.max(np.abs(A - A.T)) <= 1e-12 * scale
     return _sorted_eigs(np.linalg.eigvalsh(A) if symmetric else np.linalg.eigvals(A))
@@ -861,8 +863,8 @@ def theorem_witness(a, b, n, coupling):
     rotation, whose defective zeros split by roughly sqrt(eps) under
     finite-precision eigensolvers; hence the wider 1e-6 band on L).
     """
-    if n > 32:
-        raise ValueError("theorem_witness is a small-N oracle; use n <= 32")
+    if 4 * n > _DENSE_ORDER:
+        raise ValueError(f"theorem_witness is a small-N oracle; use n <= {_DENSE_ORDER // 4}")
     pot = PowerLaw(a, b)
     sol = solve_radius(RadiusProblem(potential=pot, n=n, speed=0.0))
     x = ring_positions(sol)

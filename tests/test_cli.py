@@ -298,13 +298,16 @@ class TestSimulate:
          "sigma_pos=nan"),
         ("ic", {"kind": "flock", "perturbation": {"kind": "mode", "m": 2.5, "xi_plus": 1e-3}},
          "m=2.5"),
+        ("ic", {"kind": "mill", "orientation": 1.7}, "orientation=1.7"),
+        ("ic", {"kind": "mill", "orientation": True}, "orientation=True"),
     ])
     def test_bad_config_value_is_usage_error(self, key, value, needle, in_tmp, capsys):
         # each used to run: a guard of -1, NaN or true turned into no guard
         # or a guard of 1, sample_every inf gave exit 0, an infinite guard or
         # t_final exit 3, and an infinite rtol stepped forever; n 20.7 ran
         # n = 20 and mode 2.5 ran mode 2, an infinite alpha was exit 3 and a
-        # NaN sigma exit 2 with a message that named neither
+        # NaN sigma exit 2 with a message that named neither; orientation
+        # 1.7 or true ran a counter-clockwise mill
         cfg = sim_config(in_tmp, **{key: value})
         assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
         err = capsys.readouterr().err

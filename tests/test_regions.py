@@ -116,6 +116,24 @@ class TestScanFlock:
             _pool_size(workers, 10, 2)
         assert _pool_size(np.int64(2), 10, 4) == 2
 
+    # n 20.7 used to scan n = 20, m_max 5.5 died with an IndexError, and n
+    # true asked for m_max >= 2
+    @pytest.mark.parametrize("run, needle", [
+        (lambda: scan_flock(GridSpec("a", 4, 5, 2, "b", 1.5, 2, 2, fixed={"n": 20.7})), "n=20.7"),
+        (lambda: scan_flock(GridSpec("a", 4, 5, 2, "b", 1.5, 2, 2, fixed={"n": True})), "n=True"),
+        (lambda: scan_flock(GridSpec("a", 4, 5, 2, "b", 1.5, 2, 2, fixed={"n": 20, "m_max": 5.5})),
+         "m_max=5.5"),
+        (lambda: separatrix_check([3.0], 40, m_max=5.5), "m_max=5.5"),
+    ], ids=["scan-n-float", "scan-n-bool", "scan-m_max-float", "separatrix-m_max-float"])
+    def test_non_integer_n_or_m_max_rejected_before_any_cell(self, run, needle, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(regions, "_block", no_solve)
+        monkeypatch.setattr(regions, "_mode_range_stable", no_solve)
+        with pytest.raises(ValueError, match=re.escape(f"got {needle}")):
+            run()
+
     def test_subgrid_cells_match_full_grid(self):
         full = scan_flock(small_spec(n=100))
         sub = scan_flock(GridSpec("a", 3.0, 7.0, 2, "b", 0.5, 2.5, 2, fixed={"n": 100}))

@@ -165,21 +165,18 @@ class TestRhs:
                             alignment=AlignmentKernel(1.0))
         _, dv = rhs(SwarmState(t=0.0, positions=x, velocities=v), cfg)
         assert np.array_equal(dv, left_to_right_dv(x, v, cfg))
-        # states back to back through one stack kernel whose buffers start
-        # as NaN, alone and then stacked with another: nothing of the
-        # earlier contents or of the other member reaches any result
-        kernel = sim_module._Kernel(n, cfg.model, 2)
-        for array in kernel.buffers:
-            array.fill(np.nan)
-        for index in kernel.indices:
-            index.fill(-1)  # take's mode="clip" would read entry 0 if bind missed one
+        # states through kernels whose arrays start as NaN, one member alone
+        # and then stacked with another: nothing of the arrays' earlier
+        # contents or of the other member reaches any result
         x2, v2 = 1.3 * x[::-1], -v
         states = [(x, v), (x2, v2)]
         y = np.array([np.concatenate([xs.ravel(), vs.ravel()]) for xs, vs in states])
-        out = np.empty_like(y)
         for rows in ([0], [1, 0]):
-            kernel.bind([cfg] * len(rows), [0.0] * len(rows))
-            kernel(y[rows], out[: len(rows)])
+            kernel = sim_module._Kernel([cfg] * len(rows), [0.0] * len(rows))
+            for array in (kernel.offsets, kernel.weights, kernel.pairs, kernel.dist, kernel.sums):
+                array.fill(np.nan)
+            out = np.full((len(rows), 4 * n), np.nan)
+            kernel(y[rows], out)
             for row, i in enumerate(rows):
                 xs, vs = states[i]
                 _, dv_fresh = rhs(SwarmState(t=0.0, positions=xs, velocities=vs), cfg)
@@ -191,6 +188,14 @@ class TestRhs:
         assert kernel.weights.shape == (n, 2, n)
         diagonal = np.diag(kernel.weights[:, 0])
         assert np.array_equal(diagonal, np.zeros(n)) and not np.signbit(diagonal).any()
+
+    def test_state_n_must_match_config(self):
+        # the kernel is built for the config's n
+        cfg = propulsion_config(PowerLaw(2, 1), 3, 1.0)
+        st = SwarmState(t=0.0, positions=np.array([[0.0, 0.0], [1.0, 0.0]]),
+                        velocities=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="state has n=2, config says n=3"):
+            rhs(st, cfg)
 
     def test_morse_config_rejected(self):
         # the pair kernel evaluates k'(r) through power-law exponents only
@@ -693,8 +698,7 @@ class TestBifurcationSweep:
                         alignment=AlignmentKernel(1.0), seed=5, sample_every=1.5)
         inputs = sweep_inputs(cfg, "b", values, "flock", ic_speed=0.8)
         # one np.power call per run of equal a - 1 and per run of equal b - 1
-        kernel = sim_module._Kernel(cfg.n, cfg.model, len(values))
-        kernel.bind([member for member, _, _ in inputs], [0.0] * len(values))
+        kernel = sim_module._Kernel([member for member, _, _ in inputs], [0.0] * len(values))
         first, second = kernel.powers
         assert [(rows.start, rows.stop) for rows, _ in first] == [(0, 6)]
         assert [(rows.start, rows.stop) for rows, _ in second] == [
@@ -710,11 +714,24 @@ class TestBifurcationSweep:
                                 sample_every=1.0)
         assert_stack_equals_separate_runs(sweep_inputs(cfg, "b", [1.5, 1.25, 1.5], "flock"))
 
-    def test_mill_speed_stack_equals_separate_runs(self):
+    def test_mill_speed_stack_equals_separate_runs(self, monkeypatch):
         cfg = propulsion_config(PowerLaw(5, 1.25), 20, 4.0, alpha=1.0, beta=4.0, seed=4,
                                 sample_every=0.75)
         values = [0.3, 0.45, 0.6, 0.8]
+        built, init = [], sim_module._Kernel.__init__
+
+        def counted(self, configs, guards):
+            built.append(len(configs))
+            init(self, configs, guards)
+
+        monkeypatch.setattr(sim_module._Kernel, "__init__", counted)
         alone = assert_stack_equals_separate_runs(sweep_inputs(cfg, "speed", values, "mill"))
+        # the stack builds a kernel for its four members, then one for the
+        # members left each time some finish; each separate run builds one
+        finishes = len({res.stats["rhs_evals"] for res in alone})
+        stack = built[:finishes]
+        assert finishes > 1 and stack[0] == 4 and stack == sorted(set(stack), reverse=True)
+        assert built[finishes:] == [1] * len(values)
         rows = bifurcation_sweep(cfg, "speed", values, ic_kind="mill", metric="angular_momentum")
         assert rows == [(v, res.metrics.angular_momentum[-1]) for v, res in zip(values, alone)]
 
@@ -810,7 +827,7 @@ class TestBifurcationSweep:
 
     def test_worker_count_invariance(self):
         # two workers cut the members into two stacks (at n = 64 one stack
-        # would hold eight of the ten), each with its own kernel buffers, so
+        # would hold eight of the ten), each with its own kernels, so
         # stacks that run at once on the thread pool cannot disturb each other
         pot = PowerLaw(5, 1.5)
         cases = ((20, 2.0, [1.2, 1.5]), (120, 1.0, [1.2, 1.5]),

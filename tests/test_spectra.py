@@ -7,6 +7,7 @@ import swarmlab.spectra as spectra_module
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from swarmlab.regions import _block
 from swarmlab.rings import RadiusProblem, _sines, flock_ring, ring_positions, solve_radius
+from swarmlab.sim import ModePerturbation, SimConfig, ic_flock_ring, integrate
 from swarmlab.spectra import (
     Classification,
     ModeMatrix,
@@ -739,6 +740,25 @@ class TestFullSystem:
             assert abs(resid) < 1e-6 * scale * max(1.0, abs(lam) ** 2)
             checked += 1
         assert checked >= 12
+
+    def test_simulated_flock_grows_at_the_full_jacobian_rate(self):
+        # a mode-3 seed of an unstable flock grows at the top real part of
+        # the full linearization (0.0817), far below the 4x4 route's 0.2441:
+        # the propulsion damping acts along the drift, which couples mode m
+        # with m +- 2, so the 4x4 is not exact for the flock
+        pot, n, prop = PowerLaw(5, 1.9), 64, Propulsion(1.0, 1.0)
+        ring = flock_ring(pot, n, prop.asymptotic_speed)
+        cfg = SimConfig(model="propulsion", potential=pot, n=n, t_final=60.0, propulsion=prop,
+                        rtol=1e-10, atol=1e-13)
+        seeded = ic_flock_ring(ring, perturbation=ModePerturbation(3, 1e-8))
+        metrics = integrate(cfg, seeded, reference=ring).metrics
+        late = metrics.t >= 30.0
+        simulated = np.polyfit(metrics.t[late], np.log(metrics.eta_rel[late]), 1)[0]
+        L = full_flock_jacobian(full_hessian(pot, ring_positions(ring)), prop)
+        full = float(np.max(np.linalg.eigvals(L).real))
+        reduced = float(eig4(flock_mode_matrix(5, 1.9, n, 3, prop))[0].real)
+        assert abs(simulated - full) < 0.05 * full
+        assert simulated < 0.5 * reduced
 
     def test_dense_eigvals_symmetric_descending(self):
         A = np.diag([3.0, -1.0, 2.0])
