@@ -297,13 +297,13 @@ def _perturbation_from_json(data):
     if kind == "mode":
         return ModePerturbation(
             m=data["m"],
-            xi_plus=complex(data.get("xi_plus", 0.0)),
-            xi_minus=complex(data.get("xi_minus", 0.0)),
+            xi_plus=data.get("xi_plus", 0.0),
+            xi_minus=data.get("xi_minus", 0.0),
         )
     if kind == "noise":
         return RandomNoise(
-            sigma_pos=float(data.get("sigma_pos", 0.0)),
-            sigma_vel=float(data.get("sigma_vel", 0.0)),
+            sigma_pos=data.get("sigma_pos", 0.0),
+            sigma_vel=data.get("sigma_vel", 0.0),
         )
     raise ValueError(f"unknown perturbation kind {kind!r}")
 
@@ -323,13 +323,13 @@ def _load_sim_config(args):
         model=data["model"],
         potential=_potential_from_json(data["potential"]),
         n=data["n"],
-        t_final=float(data["t_final"]),
+        t_final=data["t_final"],
         propulsion=Propulsion(**data["propulsion"]) if "propulsion" in data else None,
         alignment=AlignmentKernel(**data["alignment"]) if "alignment" in data else None,
-        rtol=float(data.get("rtol", 1e-6)),
-        atol=float(data.get("atol", 1e-9)),
-        seed=int(data.get("seed", 0)),
-        sample_every=float(data.get("sample_every", 1.0)),
+        rtol=data.get("rtol", 1e-6),
+        atol=data.get("atol", 1e-9),
+        seed=data.get("seed", 0),
+        sample_every=data.get("sample_every", 1.0),
         min_distance_guard=data.get("min_distance_guard"),
     )
     data.update({key: getattr(config, key) for key in _SIM_OVERRIDES})
@@ -346,11 +346,11 @@ def _ring_and_state(config, ic_data):
     perturbation = _perturbation_from_json(ic_data.get("perturbation"))
     rng = np.random.default_rng(config.seed)
     if kind == "flock":
-        ring = flock_ring(config.potential, config.n, float(speed))
+        ring = flock_ring(config.potential, config.n, speed)
         direction = ic_data.get("direction", (1.0, 0.0))
         state = ic_flock_ring(ring, direction=direction, perturbation=perturbation, rng=rng)
     elif kind == "mill":
-        ring = mill_ring(config.potential, config.n, float(speed))
+        ring = mill_ring(config.potential, config.n, speed)
         state = ic_mill_ring(ring, orientation=ic_data.get("orientation", 1),
                              perturbation=perturbation, rng=rng)
     else:

@@ -14,6 +14,10 @@ The potential family is closed: a power-law difference and a Morse pair,
 with no hook for user-defined potentials.  Simulations, mode matrices and
 scans take power laws only.  Morse reaches the ring radius solvers (with an
 explicit bracket) and the full interaction Hessian.
+
+Every number that comes from outside (a config, a flag, a grid, a
+caller) passes one check, :func:`_number`, which every module imports
+from here; its docstring states the rule.
 """
 
 from __future__ import annotations
@@ -31,12 +35,41 @@ __all__ = [
 ]
 
 
-def _require_positive(obj, label, *names):
-    """Refuse a named parameter that is not finite and > 0, naming its value."""
+# the types _number takes for an integer field and for a real one
+_INTEGERS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
+
+
+def _number(name, value, *, gt=None, ge=None, integer=False):
+    """The field ``name``'s ``value``, checked by the one rule for numbers
+    from outside:
+
+    - it is an int, a float or a numpy real scalar; a bool is refused;
+    - it is finite, and > ``gt`` or >= ``ge`` when that bound is given;
+    - an integer field (``integer``) needs an integral type, so 12.0 is
+      refused.
+
+    Strings are refused, not parsed: the CLI parses its flag strings and
+    passes JSON values through unchanged.  Returns the value as a float,
+    or as an int for an integer field; otherwise raises a ValueError that
+    names the field and its value.
+    """
+    if (
+        isinstance(value, _INTEGERS if integer else _REALS) and not isinstance(value, bool)
+        and -math.inf < value < math.inf
+        and (gt is None or value > gt) and (ge is None or value >= ge)
+    ):
+        return int(value) if integer else float(value)
+    bound = f" > {gt}" if gt is not None else f" >= {ge}" if ge is not None else ""
+    kind = "an integer" if integer else "finite"
+    raise ValueError(f"need {kind} {name}{bound}, got {name}={value!r}")
+
+
+def _check_fields(obj, *names, gt=None, ge=None, integer=False):
+    """Store each named field of a frozen dataclass as _number returns it."""
     for name in names:
-        value = getattr(obj, name)
-        if not 0 < value < math.inf:
-            raise ValueError(f"{label} needs finite {name} > 0, got {name}={value}")
+        value = _number(name, getattr(obj, name), gt=gt, ge=ge, integer=integer)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -52,14 +85,8 @@ class PowerLaw:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(
-                f"power-law exponents must be finite, got a={self.a}, b={self.b}"
-            )
-        if not (self.a > self.b > 0):
-            raise ValueError(
-                f"power-law exponents need a > b > 0, got a={self.a}, b={self.b}"
-            )
+        _check_fields(self, "b", gt=0)
+        _check_fields(self, "a", gt=self.b)
 
     def value(self, r):
         return np.asarray(r) ** self.a / self.a - np.asarray(r) ** self.b / self.b
@@ -94,7 +121,7 @@ class Morse:
     l_R: float
 
     def __post_init__(self):
-        _require_positive(self, "Morse potential", "C_A", "C_R", "l_A", "l_R")
+        _check_fields(self, "C_A", "C_R", "l_A", "l_R", gt=0)
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -125,7 +152,7 @@ class Propulsion:
     beta: float
 
     def __post_init__(self):
-        _require_positive(self, "propulsion", "alpha", "beta")
+        _check_fields(self, "alpha", "beta", gt=0)
 
     @property
     def asymptotic_speed(self):
@@ -142,7 +169,7 @@ class AlignmentKernel:
     gamma: float
 
     def __post_init__(self):
-        _require_positive(self, "alignment kernel", "gamma")
+        _check_fields(self, "gamma", gt=0)
 
     def value(self, r, out=None):
         """g(r); with ``out`` given, the result is written there in place."""

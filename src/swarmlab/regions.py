@@ -20,8 +20,6 @@ from __future__ import annotations
 import datetime
 import itertools
 import json
-import math
-import numbers
 import os
 import time
 from collections import Counter
@@ -30,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .potentials import _check_fields, _number
 from .spectra import Classification, _require_modes, _worst_modes, mode_envelope
 
 __all__ = [
@@ -83,8 +82,9 @@ class GridSpec:
     fixed: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.x_count < 2 or self.y_count < 2:
-            raise ValueError("grid axes need at least 2 points")
+        _check_fields(self, "x_count", "y_count", ge=2, integer=True)
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            _number(name, getattr(self, name))  # checked, kept as given for the sidecar
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("grid ranges need min < max")
 
@@ -174,13 +174,9 @@ def _metadata(model, m_max, cells, seconds):
 def _pool_size(workers, jobs, cpus):
     """Threads for a pool: the requested count, capped by jobs and cores.
 
-    A bool, a count that is not an integer, or one below 1 is a ValueError.
+    A count that is not an integer >= 1 (or is a bool) is a ValueError.
     """
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral):
-        raise ValueError(f"need an integer worker count, got workers={workers!r}")
-    if not workers >= 1:
-        raise ValueError(f"need workers >= 1, got workers={workers!r}")
-    return max(1, min(workers, jobs, cpus))
+    return max(1, min(_number("workers", workers, ge=1, integer=True), jobs, cpus))
 
 
 def map_stacks(fn, items, cap, workers, key=lambda item: None):
@@ -244,12 +240,8 @@ def _resolve_m_max(n, m_max):
 
     A bool or non-integer n or m_max is a ValueError that names it.
     """
-    for key, value in (("n", n), ("m_max", m_max)):
-        if isinstance(value, bool) or not isinstance(value, (numbers.Integral, type(None))):
-            raise ValueError(f"need an integer {key}, got {key}={value!r}")
-    m_max = (n - 1) // 2 if m_max is None else m_max
-    if m_max < 2:
-        raise ValueError(f"need m_max >= 2, got m_max={m_max} for n={n}")
+    n = _number("n", n, integer=True)
+    m_max = _number("m_max", (n - 1) // 2 if m_max is None else m_max, ge=2, integer=True)
     _require_modes(n, m_max)
     return m_max
 
@@ -274,14 +266,10 @@ def _scan(spec, label, model, workers, a=None):
     n = f.get("n", 1000)
     fixed = {
         "n": n, "m_max": _resolve_m_max(n, f.get("m_max")),
-        "alpha": float(f.get("alpha", 1.0)), "gamma": float(f.get("gamma", 1.0)),
-        "speed": float(f.get("speed", 0.0)),
+        "alpha": _number("alpha", f.get("alpha", 1.0), gt=0),
+        "gamma": _number("gamma", f.get("gamma", 1.0), gt=0),
+        "speed": _number("speed", f.get("speed", 0.0), ge=0),
     }
-    for key in ("alpha", "gamma"):
-        if not 0 < fixed[key] < math.inf:
-            raise ValueError(f"need finite {key} > 0, got {key}={fixed[key]}")
-    if not 0 <= fixed["speed"] < math.inf:
-        raise ValueError(f"need finite speed >= 0, got speed={fixed['speed']}")
     points = [(float(x), float(y)) for x in spec.x_values for y in spec.y_values]
     if a is None:
         grid, speed = [(x, y, x, y) for x, y in points], lambda cell: fixed["speed"]
@@ -327,7 +315,7 @@ def scan_speed_b(spec, workers=1):
     The speed-0 column is the flock problem and, through spectra._worst_modes
     as in scan_mill, takes the flock criterion.
     """
-    return _scan(spec, "mill-speed-b", "mill", workers, a=float(spec.fixed["a"]))
+    return _scan(spec, "mill-speed-b", "mill", workers, a=_number("a", spec.fixed["a"], gt=0))
 
 
 def _mode_range_stable(a, b, n, m_max):
@@ -342,15 +330,13 @@ def separatrix_check(a_values, n, m_max=None, steps=40):
     below it.  Returns rows (a, b_boundary, a/(a-1), gap) with signed
     gap = b_boundary - a/(a-1); nan boundary when no stable b exists in
     the window.  A non-integer n or m_max, an m_max (default (n-1)//2)
-    outside [2, n - 2], any a <= 1 (no limit curve) or steps < 0 is a
-    ValueError, raised before any solve.
+    outside [2, n - 2], any a that is not finite and > 1 (no limit curve)
+    or steps that is not an integer >= 0 is a ValueError, raised before
+    any solve.
     """
     m_max = _resolve_m_max(n, m_max)
-    a_values = [float(a) for a in a_values]
-    if not all(a > 1.0 for a in a_values):
-        raise ValueError(f"separatrix needs every a > 1, got {a_values}")
-    if steps < 0:
-        raise ValueError(f"need steps >= 0, got steps={steps}")
+    a_values = [_number("a", a, gt=1) for a in a_values]
+    steps = _number("steps", steps, ge=0, integer=True)
     rows = []
     for a in a_values:
         target = a / (a - 1.0)
@@ -384,9 +370,7 @@ def gamma_sweep(a, b, n, m, gamma_values):
     The magnitude varies with gamma; the sign never does.
     """
     rows = []
-    for gamma in gamma_values:
-        summary, _ = mode_envelope(
-            "flock-cs", a, b, n, gamma=float(gamma), m_min=m, m_max=m
-        )
-        rows.append((float(gamma), summary.max_real))
+    for gamma in [_number("gamma", g, gt=0) for g in gamma_values]:
+        summary, _ = mode_envelope("flock-cs", a, b, n, gamma=gamma, m_min=m, m_max=m)
+        rows.append((gamma, summary.max_real))
     return rows

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import Morse, PowerLaw
+from .potentials import Morse, PowerLaw, _check_fields, _number
 
 __all__ = [
     "RingSolution",
@@ -77,12 +77,9 @@ class RingSolution:
     kind: str
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("ring needs n >= 3 particles")
-        if not self.radius > 0:
-            raise ValueError("ring radius must be positive")
-        if self.speed < 0:
-            raise ValueError("ring speed must be nonnegative")
+        _check_fields(self, "n", ge=3, integer=True)
+        _check_fields(self, "radius", gt=0)
+        _check_fields(self, "speed", ge=0)
         if self.kind not in ("flock", "mill"):
             raise ValueError(f"ring kind must be 'flock' or 'mill', got {self.kind!r}")
         if self.kind == "flock" and self.omega != 0.0:
@@ -98,7 +95,8 @@ class RadiusProblem:
 
     ``speed`` is the centrifugal speed R*omega entering the balance (0 for
     flocks).  ``bracket`` of None means the default power-law interval with
-    geometric expansion; Morse problems must supply one explicitly.
+    geometric expansion; Morse problems must supply one explicitly, with
+    finite ends 0 < lo < hi.
     """
 
     potential: object
@@ -109,14 +107,12 @@ class RadiusProblem:
     def __post_init__(self):
         if not isinstance(self.potential, (PowerLaw, Morse)):
             raise TypeError("potential must be PowerLaw or Morse")
-        if self.n < 3:
-            raise ValueError("need n >= 3")
-        if not 0 <= self.speed < math.inf:
-            raise ValueError(f"speed must be finite and nonnegative, got speed={self.speed}")
+        _check_fields(self, "n", ge=3, integer=True)
+        _check_fields(self, "speed", ge=0)
         if self.bracket is not None:
             lo, hi = self.bracket
-            if not (0 < lo < hi):
-                raise ValueError("bracket needs 0 < lo < hi")
+            lo = _number("lo", lo, gt=0)
+            object.__setattr__(self, "bracket", (lo, _number("hi", hi, gt=lo)))
 
 
 @functools.lru_cache(maxsize=2)
@@ -173,12 +169,8 @@ def trig_moment(n, alpha):
     :func:`_exact_sum`, so the result equals ``math.fsum`` over Python's
     ``pow`` terms bit for bit and depends on the C library.
     """
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if not math.isfinite(alpha):
-        raise ValueError(f"need a finite alpha, got {alpha}")
-    if alpha < 0:
-        raise ValueError("need alpha >= 0")
+    n = _number("n", n, ge=3, integer=True)
+    alpha = _number("alpha", alpha, ge=0)
     if alpha == int(alpha) and int(alpha) % 2 == 0 and n > alpha // 2:
         k = int(alpha) // 2
         return math.comb(2 * k, k) / 4**k
@@ -314,7 +306,7 @@ def solve_radius(problem):
     """
     residual, residual_deriv = _residual_fn(problem.potential, problem.n, problem.speed)
     if problem.bracket is not None:
-        lo, hi = float(problem.bracket[0]), float(problem.bracket[1])
+        lo, hi = problem.bracket
         f_lo, f_hi = residual(lo), residual(hi)
         if f_lo == 0.0:
             return _make_ring(problem, lo)
@@ -343,7 +335,7 @@ def solve_radius_all(problem):
     if problem.bracket is None:
         raise ValueError("solve_radius_all needs an explicit bracket")
     residual, residual_deriv = _residual_fn(problem.potential, problem.n, problem.speed)
-    lo, hi = float(problem.bracket[0]), float(problem.bracket[1])
+    lo, hi = problem.bracket
     grid = np.linspace(lo, hi, _SEGMENTS + 1)
     values = [residual(float(x)) for x in grid]
     roots = []
@@ -378,9 +370,8 @@ def flock_ring(potential, n, speed=0.0):
 
 
 def mill_ring(potential, n, speed):
-    """Mill ring rotating at omega = speed / radius."""
-    if not speed > 0:
-        raise ValueError("mill rings need speed > 0")
+    """Mill ring rotating at omega = speed / radius; the speed must be > 0."""
+    speed = _number("speed", speed, gt=0)
     return solve_radius(RadiusProblem(potential=potential, n=n, speed=speed))
 
 

@@ -43,6 +43,7 @@ parameter value under a fixed seed policy.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .potentials import AlignmentKernel, PowerLaw, Propulsion
+from .potentials import AlignmentKernel, PowerLaw, Propulsion, _check_fields, _number
 from .regions import map_stacks
 from .rings import flock_ring, mill_ring
 
@@ -135,19 +136,11 @@ class SimConfig:
             raise ValueError("propulsion model needs a Propulsion")
         if self.model == "cucker-smale" and self.alignment is None:
             raise ValueError("cucker-smale model needs an AlignmentKernel")
-        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
-            raise ValueError(f"need an integer n, got n={self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got n={self.n}")
-        for key in ("t_final", "rtol", "atol", "sample_every"):
-            value = getattr(self, key)
-            if not 0 < value < math.inf:
-                raise ValueError(f"need finite {key} > 0, got {key}={value!r}")
-        guard = self.min_distance_guard
-        if guard is not None and (isinstance(guard, bool) or not 0 <= guard < math.inf):
-            raise ValueError(
-                f"need min_distance_guard None or finite >= 0, got min_distance_guard={guard!r}"
-            )
+        _check_fields(self, "n", ge=1, integer=True)
+        _check_fields(self, "seed", ge=0, integer=True)
+        _check_fields(self, "t_final", "rtol", "atol", "sample_every", gt=0)
+        if self.min_distance_guard is not None:
+            _check_fields(self, "min_distance_guard", ge=0)
 
 
 @dataclass(frozen=True)
@@ -163,11 +156,11 @@ class ModePerturbation:
     xi_minus: complex = 0.0
 
     def __post_init__(self):
-        m, xi = self.m, (self.xi_plus, self.xi_minus)
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
-            raise ValueError(f"mode perturbations need an integer m >= 2, got m={m!r}")
-        if not np.all(np.isfinite(xi)):
-            raise ValueError(f"need finite amplitudes, got xi_plus={xi[0]!r}, xi_minus={xi[1]!r}")
+        _check_fields(self, "m", ge=2, integer=True)
+        for key in ("xi_plus", "xi_minus"):
+            xi = getattr(self, key)
+            if isinstance(xi, bool) or not (isinstance(xi, numbers.Complex) and cmath.isfinite(xi)):
+                raise ValueError(f"need a finite complex {key}, got {key}={xi!r}")
 
 
 @dataclass(frozen=True)
@@ -178,10 +171,7 @@ class RandomNoise:
     sigma_vel: float = 0.0
 
     def __post_init__(self):
-        for key in ("sigma_pos", "sigma_vel"):
-            value = getattr(self, key)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"need a finite {key} >= 0, got {key}={value!r}")
+        _check_fields(self, "sigma_pos", "sigma_vel", ge=0)
 
 
 @dataclass(frozen=True)
@@ -771,10 +761,10 @@ def _apply_perturbation(ring, perturbation, rng):
 
 def ic_flock_ring(ring, direction=(1.0, 0.0), perturbation=None, rng=None):
     """Ring positions with all velocities speed * direction (plus noise)."""
-    e = np.asarray(direction, dtype=float)
+    e = np.array([_number(f"direction[{i}]", x) for i, x in enumerate(direction)])
     norm = float(np.linalg.norm(e))
-    if norm == 0:
-        raise ValueError("direction must be a nonzero vector")
+    if e.shape != (2,) or norm == 0:
+        raise ValueError(f"need a nonzero 2-vector direction, got direction={direction!r}")
     e = e / norm
     positions, vel_noise = _apply_perturbation(ring, perturbation, rng)
     velocities = np.tile(ring.speed * e, (ring.n, 1)) + vel_noise
@@ -886,27 +876,25 @@ def _sweep_member(config, parameter, value, index, ic_kind, perturbation, ic_spe
     pot = config.potential
     prop = config.propulsion
     if parameter == "b":
-        pot = replace(pot, b=float(value))
+        pot = replace(pot, b=value)
     else:
         if prop is None:
             raise ValueError("speed sweeps need the propulsion model")
-        prop = replace(prop, alpha=float(value) ** 2 * prop.beta)
+        prop = replace(prop, alpha=value**2 * prop.beta)
     cfg = replace(config, potential=pot, propulsion=prop, seed=config.seed + index)
     if ic_speed is not None:
-        speed = float(ic_speed) if parameter != "speed" else float(value)
+        ic_speed = _number("ic_speed", ic_speed, ge=0)
+        speed = ic_speed if parameter != "speed" else value
     elif prop is not None:
         speed = prop.asymptotic_speed
     else:
         raise ValueError("cucker-smale sweeps need ic_speed")
-    rng = np.random.default_rng(cfg.seed)
     if ic_kind == "flock":
-        ring = flock_ring(pot, cfg.n, speed)
-        pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
-        state = ic_flock_ring(ring, perturbation=pert, rng=rng)
+        ring, start = flock_ring(pot, cfg.n, speed), ic_flock_ring
     else:
-        ring = mill_ring(pot, cfg.n, speed)
-        pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
-        state = ic_mill_ring(ring, perturbation=pert, rng=rng)
+        ring, start = mill_ring(pot, cfg.n, speed), ic_mill_ring
+    pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
+    state = start(ring, perturbation=pert, rng=np.random.default_rng(cfg.seed))
     return _Run(cfg, state, ring)
 
 
@@ -942,7 +930,7 @@ def _sweep(config, parameter, values, ic_kind="flock", perturbation=None, ic_spe
             raise setup_error
         return results
 
-    members = [(i, float(v)) for i, v in enumerate(values)]
+    members = list(enumerate(values))
     return map_stacks(stack, members, _STACK_ENTRIES // config.n**2, workers)
 
 
@@ -961,12 +949,12 @@ def bifurcation_sweep(
     Member i runs at values[i], seeded config.seed + i, from centered noise
     of 1e-3 of the ring's radius and speed unless ``perturbation`` is given.
     ``_sweep`` stacks the members, so the rows do not depend on the worker
-    count.  A bad ``parameter``, ``ic_kind``, ``metric`` or worker count is
-    a ValueError before any member runs.
+    count.  A bad ``parameter``, ``ic_kind``, ``metric``, value or worker
+    count is a ValueError before any member runs.
     """
     if metric not in _SWEEP_METRICS:
         raise ValueError(f"metric must be one of {', '.join(_SWEEP_METRICS)}")
-    values = [float(v) for v in values]
+    values = [_number(parameter, v) for v in values]
     results = _sweep(config, parameter, values, ic_kind, perturbation, ic_speed, workers)
     column = _SWEEP_METRICS[metric]
     return [(v, float(getattr(res.metrics, column)[-1])) for v, res in zip(values, results)]

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
+from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion, _number
 from .rings import RadiusProblem, _sines, ring_positions, solve_radius
 
 __all__ = [
@@ -144,8 +144,7 @@ def pair_weights(a, b, radius, n, p):
     PowerLaw refuses and a radius not finite and > 0 are a ValueError.
     """
     PowerLaw(a, b)
-    if not 0 < radius < math.inf:
-        raise ValueError(f"need finite radius > 0, got radius={radius}")
+    radius = _number("radius", radius, gt=0)
     if not 1 <= p <= n - 1:
         raise ValueError("chord index p must satisfy 1 <= p <= n-1")
     d = 2.0 * radius * math.sin(p * math.pi / n)
@@ -286,8 +285,7 @@ def alignment_damping(gamma, radius, n, m, sign):
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if not 0 < radius < math.inf:
-        raise ValueError(f"need finite radius > 0, got radius={radius}")
+    radius = _number("radius", radius, gt=0)
     kernel = AlignmentKernel(gamma)
     g = [float(kernel.value(2.0 * radius * math.sin(p * math.pi / n))) for p in range(1, n)]
     return _phase_sum(g, n, m + sign, 0, "alignment_damping") / n
@@ -305,8 +303,8 @@ def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     diagonal.  A block's omega has one entry per cell, which broadcasts
     against the couplings' last (cell) axis.
     """
-    if model != "flock-cs" and not 0 < alpha < math.inf:
-        raise ValueError(f"need alpha > 0 and finite, got alpha={alpha}")
+    if model != "flock-cs":
+        alpha = _number("alpha", alpha, gt=0)
     i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
     spinning = model == "mill" and np.any(omega != 0.0)
     A = np.zeros(i1p.shape + (4, 4), dtype=complex if spinning else float)
@@ -336,11 +334,14 @@ def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
 
 
 def _direct_couplings(a, b, R, n, m):
-    """I1(m), I1(-m), I2(m) by direct summation (the reference route)."""
+    """I1(m), I1(-m), I2(m) by direct summation (the reference route): the
+    phase sums of mode_self_coupling and mode_cross_coupling over one pass
+    of pair_weights."""
+    w1, w2 = zip(*(pair_weights(a, b, R, n, p) for p in range(1, n)))
     return (
-        mode_self_coupling(a, b, R, n, m),
-        mode_self_coupling(a, b, R, n, -m),
-        mode_cross_coupling(a, b, R, n, m),
+        _phase_sum(w1, n, 0, m + 1, "mode_self_coupling"),
+        _phase_sum(w1, n, 0, -m + 1, "mode_self_coupling"),
+        _phase_sum(w2, n, m, 1, "mode_cross_coupling"),
     )
 
 
@@ -400,8 +401,6 @@ def mill_mode_matrix(a, b, n, m, alpha, speed):
     Real at speed 0, where the velocity block degenerates to
     [[-alpha, alpha], [alpha, -alpha]].
     """
-    if speed < 0:
-        raise ValueError("speed must be nonnegative")
     R = _ring_radius(PowerLaw(a, b), n, speed)
     w = speed / R
     entries = _assemble(
@@ -707,14 +706,13 @@ def mode_envelope(
     n - m mirrors mode m, so the default m_max = (n-1)//2 leaves out only
     the self-conjugate mode n/2 of an even ring.  m_min = 1 takes in the
     translation mode, whose structural zero the cosine tables give exactly.
-    n < 3 or an m_max past n - 2 is a ValueError (_require_modes).
+    A non-integer m_min or m_max, m_min < 1, m_max < m_min, n < 3 or an
+    m_max past n - 2 is a ValueError.
     """
     if model not in _ENVELOPE_MODELS:
         raise ValueError(f"model must be one of {_ENVELOPE_MODELS}")
-    if m_max is None:
-        m_max = (n - 1) // 2
-    if not 1 <= m_min <= m_max:
-        raise ValueError("need 1 <= m_min <= m_max")
+    m_min = _number("m_min", m_min, ge=1, integer=True)
+    m_max = _number("m_max", (n - 1) // 2 if m_max is None else m_max, ge=m_min, integer=True)
     _require_modes(n, m_max)
     ms = np.arange(m_min, m_max + 1)
     A, tol, severity = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)

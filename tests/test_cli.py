@@ -136,7 +136,8 @@ class TestSpectrum:
         for model, m in (("flock", "1"), ("mill", "1"), ("mill", "3")):
             assert main(["spectrum", "--model", model, "--a", "4", "--b", "1.5",
                          "--n", "20", "--m", m, "--alpha", "-1", "--speed", "0.3"]) == 2
-            assert capsys.readouterr().err.startswith("error: need alpha > 0")
+            assert capsys.readouterr().err.startswith(
+                "error: need finite alpha > 0, got alpha=-1.0")
 
 
 class TestRegion:
@@ -300,6 +301,20 @@ class TestSimulate:
          "m=2.5"),
         ("ic", {"kind": "mill", "orientation": 1.7}, "orientation=1.7"),
         ("ic", {"kind": "mill", "orientation": True}, "orientation=True"),
+        ("seed", 2.7, "seed=2.7"),
+        ("seed", True, "seed=True"),
+        ("t_final", True, "t_final=True"),
+        ("t_final", "1.5", "t_final='1.5'"),
+        ("rtol", "1e-6", "rtol='1e-6'"),
+        ("propulsion", {"alpha": True, "beta": 4.0}, "alpha=True"),
+        ("potential", {"kind": "power-law", "a": True, "b": 0.5}, "a=True"),
+        ("ic", {"kind": "flock", "perturbation": {"kind": "noise", "sigma_pos": True}},
+         "sigma_pos=True"),
+        ("ic", {"kind": "flock", "speed": True}, "speed=True"),
+        ("ic", {"kind": "flock", "direction": [True, False]}, "direction[0]=True"),
+        ("ic", {"kind": "flock", "perturbation": {"kind": "mode", "m": 3, "xi_plus": True}},
+         "xi_plus=True"),
+        ("ic", {"kind": "flock", "direction": [1.0]}, "direction=[1.0]"),
     ])
     def test_bad_config_value_is_usage_error(self, key, value, needle, in_tmp, capsys):
         # each used to run: a guard of -1, NaN or true turned into no guard
@@ -307,7 +322,10 @@ class TestSimulate:
         # t_final exit 3, and an infinite rtol stepped forever; n 20.7 ran
         # n = 20 and mode 2.5 ran mode 2, an infinite alpha was exit 3 and a
         # NaN sigma exit 2 with a message that named neither; orientation
-        # 1.7 or true ran a counter-clockwise mill
+        # 1.7 or true ran a counter-clockwise mill; seed 2.7 ran seed 2, a
+        # true seed, t_final, alpha, a, sigma_pos, speed or direction entry
+        # ran as 1 (xi_plus too), string numbers were parsed, and a
+        # one-entry direction drifted diagonally
         cfg = sim_config(in_tmp, **{key: value})
         assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
         err = capsys.readouterr().err
@@ -353,6 +371,15 @@ class TestBifurcate:
                   "--values", "1.0"])
         assert exc.value.code == 2
 
+
+    def test_bool_ic_speed_is_usage_error(self, in_tmp, capsys):
+        # a true ic.speed used to start every member at speed 1
+        cfg = sim_config(in_tmp, ic={"kind": "flock", "speed": True})
+        assert main(["bifurcate", "--config", str(cfg), "--param", "b",
+                     "--values", "1.2,1.5", "--out", "bif"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ic_speed=True" in err
+        assert not (in_tmp / "bif.csv").exists()
 
     @pytest.mark.parametrize("key, value", [("orientation", -1), ("direction", [0.0, 1.0])])
     def test_ic_keys_the_sweep_cannot_honour_rejected(self, key, value, in_tmp, capsys):
@@ -439,7 +466,7 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
     pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=20", "speed=nan"],
                  "need finite speed >= 0, got speed=nan", id="mill-nan-speed"),
     pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=20", "speed=0.5",
-                  "--workers", "-5"], "need workers >= 1, got workers=-5",
+                  "--workers", "-5"], "need an integer workers >= 1, got workers=-5",
                  id="region-negative-workers"),
     pytest.param(["radius", "--a", "4", "--b", "2", "--n", "20", "--speed", "inf"], "speed=inf",
                  id="radius-infinite-speed"),
@@ -453,6 +480,12 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
                   "--gamma", "inf"], "gamma=inf", id="spectrum-flock-cs-infinite-gamma"),
     pytest.param(["radius", "--morse", "inf", "1", "2", "0.5", "--n", "100",
                   "--bracket", "0.1", "10"], "C_A=inf", id="radius-morse-infinite-C_A"),
+    # printed R=inf residual=nan and exited 0
+    pytest.param(["radius", "--a", "4", "--b", "2", "--n", "20", "--bracket", "0.1", "inf"],
+                 "hi=inf", id="radius-infinite-bracket"),
+    # scanned NaN and infinite cells, marked them invalid and exited 0
+    pytest.param(["region", "--model", "flock", "--grid", "a:3:inf:3", "b:0.5:2.5:3",
+                  "--fixed", "n=50"], "x_max=inf", id="region-infinite-grid-bound"),
     # modes n - 1 and n fold onto the translation and the uniform mode
     *(pytest.param([arg.format(m_max) for arg in argv],
                    f"m_max <= n - 2, got m_max={m_max} for n=10", id=f"{label}-m_max{m_max}")

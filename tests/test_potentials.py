@@ -58,7 +58,7 @@ class TestPowerLaw:
         (math.inf, 1.0, "a=inf"), (3.0, math.nan, "b=nan"), (math.nan, 1.0, "a=nan"),
     ])
     def test_non_finite_exponent_is_named(self, a, b, named):
-        with pytest.raises(ValueError, match=f"must be finite, .*{named}"):
+        with pytest.raises(ValueError, match=f"need finite [ab] > .*, got {named}"):
             PowerLaw(a, b)
 
 

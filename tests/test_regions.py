@@ -100,7 +100,8 @@ class TestScanFlock:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(regions, "_block", no_block)
-        with pytest.raises(ValueError, match=f"need workers >= 1, got workers={workers}"):
+        with pytest.raises(ValueError, match="need an integer workers >= 1, "
+                                             f"got workers={workers}"):
             scan_mill(small_spec(n=50, speed=0.5), workers=workers)
 
     @pytest.mark.parametrize("workers", [2.5, 1.0, True, "2"])
@@ -112,7 +113,8 @@ class TestScanFlock:
         for scan in (scan_flock, scan_mill):
             with pytest.raises(ValueError, match=re.escape(f"got workers={workers!r}")):
                 scan(small_spec(n=50, speed=0.5), workers=workers)
-        with pytest.raises(ValueError, match="integer worker count"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need an integer workers >= 1, got workers={workers!r}")):
             _pool_size(workers, 10, 2)
         assert _pool_size(np.int64(2), 10, 4) == 2
 
@@ -126,6 +128,28 @@ class TestScanFlock:
         (lambda: separatrix_check([3.0], 40, m_max=5.5), "m_max=5.5"),
     ], ids=["scan-n-float", "scan-n-bool", "scan-m_max-float", "separatrix-m_max-float"])
     def test_non_integer_n_or_m_max_rejected_before_any_cell(self, run, needle, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(regions, "_block", no_solve)
+        monkeypatch.setattr(regions, "_mode_range_stable", no_solve)
+        with pytest.raises(ValueError, match=re.escape(f"got {needle}")):
+            run()
+
+    # a true alpha and speed used to scan at 1, a true a at a = 1, steps
+    # 2.5 bisected three times, a true gamma ran gamma 1 and a true grid
+    # bound spanned the axis from 1
+    @pytest.mark.parametrize("run, needle", [
+        (lambda: scan_flock(GridSpec("a", 4, 5, 2, "b", 1.5, 2, 2,
+                                     fixed={"n": 20, "alpha": True, "speed": True})), "alpha=True"),
+        (lambda: scan_speed_b(GridSpec("speed", 0, 1, 2, "b", 1.5, 2, 2,
+                                       fixed={"n": 20, "a": True})), "a=True"),
+        (lambda: separatrix_check([3.0], 40, steps=2.5), "steps=2.5"),
+        (lambda: gamma_sweep(4, 2, 20, 3, [1.0, True]), "gamma=True"),
+        (lambda: GridSpec("a", 4, 5, 2, "b", True, 2, 2, fixed={"n": 20}), "y_min=True"),
+    ], ids=["scan-alpha-bool", "speed-b-a-bool", "separatrix-steps-float", "gamma-sweep-bool",
+            "grid-bound-bool"])
+    def test_unusable_number_rejected_before_any_cell(self, run, needle, monkeypatch):
         def no_solve(*args):
             raise AssertionError("a cell ran")
 

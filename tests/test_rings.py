@@ -93,7 +93,7 @@ class TestTrigMoment:
     def test_non_finite_alpha_is_named(self):
         for moment in (trig_moment, rings._moment):
             for alpha in (math.inf, math.nan):
-                with pytest.raises(ValueError, match=f"finite alpha, got {alpha}"):
+                with pytest.raises(ValueError, match=f"need finite alpha >= 0, got alpha={alpha}"):
                     moment(10, alpha)
 
     def test_equals_fsum_of_pow_bit_for_bit(self):
@@ -305,6 +305,16 @@ class TestRingConstructors:
             RadiusProblem(potential=PowerLaw(4, 2), n=10, bracket=(2.0, 1.0))
         with pytest.raises(ValueError):
             RadiusProblem(potential=PowerLaw(4, 2), n=10, speed=-0.5)
+
+    @pytest.mark.parametrize("run, needle", [
+        (lambda: RadiusProblem(PowerLaw(5, 1.5), 20.5), "n=20.5"),
+        (lambda: flock_ring(PowerLaw(4, 2), 10, math.nan), "speed=nan"),
+        (lambda: RadiusProblem(PowerLaw(4, 2), 10, bracket=(0.1, math.inf)), "hi=inf"),
+    ], ids=["radius-problem-n-float", "flock-ring-speed-nan", "bracket-hi-inf"])
+    def test_unusable_number_is_named(self, run, needle):
+        # n 20.5 used to solve at (4, 2), and a NaN speed came back on the ring
+        with pytest.raises(ValueError, match=f"got {needle}"):
+            run()
 
 
 def test_repeated_separatrix_rows_identical():

@@ -900,6 +900,12 @@ class TestBifurcationSweep:
             with pytest.raises(ValueError, match=f"got workers={workers}"):
                 bifurcation_sweep(cfg, "b", [1.0, 1.2], workers=workers)
 
+    def test_bool_ic_speed_rejected(self):
+        # ic_speed true used to start every member at speed 1
+        cfg = propulsion_config(PowerLaw(5, 1.5), 10, 1.0)
+        with pytest.raises(ValueError, match="got ic_speed=True"):
+            bifurcation_sweep(cfg, "b", [1.2, 1.4], ic_speed=True)
+
     @pytest.mark.parametrize("workers", [1.5, True])
     def test_non_integer_workers_rejected_before_any_member(self, workers, monkeypatch):
         def no_integrate(*args, **kwargs):

@@ -6,8 +6,10 @@ import pytest
 import swarmlab.spectra as spectra_module
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from swarmlab.regions import _block
-from swarmlab.rings import RadiusProblem, _sines, flock_ring, ring_positions, solve_radius
-from swarmlab.sim import ModePerturbation, SimConfig, ic_flock_ring, integrate
+from swarmlab.rings import (
+    RadiusProblem, _sines, flock_ring, mill_ring, ring_positions, solve_radius,
+)
+from swarmlab.sim import ModePerturbation, SimConfig, ic_flock_ring, ic_mill_ring, integrate
 from swarmlab.spectra import (
     Classification,
     ModeMatrix,
@@ -428,6 +430,11 @@ class TestEnvelope:
             mode_envelope("flock", 4, 2, 10, m_min=5, m_max=3)
         with pytest.raises(ValueError):
             mode_envelope("flock", 4, 2, 10, m_min=0, m_max=3)
+        # m_max 4.5 used to die with an IndexError and m_min true ran mode 1
+        with pytest.raises(ValueError, match="got m_max=4.5"):
+            mode_envelope("flock", 4, 2, 20, m_max=4.5)
+        with pytest.raises(ValueError, match="got m_min=True"):
+            mode_envelope("flock", 4, 2, 20, m_min=True, m_max=3)
 
 
 VERDICTS = (Classification.STABLE, Classification.MARGINAL, Classification.UNSTABLE)
@@ -759,6 +766,21 @@ class TestFullSystem:
         reduced = float(eig4(flock_mode_matrix(5, 1.9, n, 3, prop))[0].real)
         assert abs(simulated - full) < 0.05 * full
         assert simulated < 0.5 * reduced
+
+    def test_simulated_mill_grows_at_the_4x4_rate(self):
+        # in the co-rotating frame the mill's Jacobian commutes with rotation,
+        # so its mode-m 4x4 is exact: a mode-3 seed grows at the 4x4's top
+        # real part (0.12724; the next mode sits at 0.0099), unlike the flock
+        pot, n, prop = PowerLaw(6, 2.5), 24, Propulsion(1.0, 1.0)
+        ring = mill_ring(pot, n, 1.0)
+        cfg = SimConfig(model="propulsion", potential=pot, n=n, t_final=40.0, propulsion=prop,
+                        rtol=1e-8, atol=1e-11)
+        seeded = ic_mill_ring(ring, perturbation=ModePerturbation(3, 1e-8))
+        metrics = integrate(cfg, seeded, reference=ring).metrics
+        late = metrics.t >= 15.0
+        simulated = np.polyfit(metrics.t[late], np.log(metrics.eta_rel[late]), 1)[0]
+        summary, _ = mode_envelope("mill", 6, 2.5, n, alpha=1.0, speed=1.0, m_min=3, m_max=3)
+        assert abs(simulated - summary.max_real) < 0.02 * summary.max_real
 
     def test_dense_eigvals_symmetric_descending(self):
         A = np.diag([3.0, -1.0, 2.0])
