@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .potentials import _check_fields, _number
+from .rings import _workspace
 from .spectra import Classification, _require_modes, _worst_modes, mode_envelope
 
 __all__ = [
@@ -322,6 +323,7 @@ def _mode_range_stable(a, b, n, m_max):
     return _worst_modes("flock", a, b, n, m_max)[0][2] is Classification.STABLE
 
 
+@_workspace()
 def separatrix_check(a_values, n, m_max=None, steps=40):
     """Locate the lower stability boundary in b and compare to a/(a-1).
 
@@ -332,7 +334,8 @@ def separatrix_check(a_values, n, m_max=None, steps=40):
     the window.  A non-integer n or m_max, an m_max (default (n-1)//2)
     outside [2, n - 2], any a that is not finite and > 1 (no limit curve)
     or steps that is not an integer >= 0 is a ValueError, raised before
-    any solve.
+    any solve.  Each call's solves share one rings._workspace, dropped on
+    return.
     """
     m_max = _resolve_m_max(n, m_max)
     a_values = [_number("a", a, gt=1) for a in a_values]

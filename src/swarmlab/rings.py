@@ -25,12 +25,22 @@ equals Python's ``pow``), and add the terms exactly, to the value
 Morse chord sum and every chord of the coupling weights that
 :mod:`swarmlab.spectra` builds from the radius; those weights take their
 powers from ``np.power``, so they also depend on the numpy build.
+
+Work arrays: the n-length terms of a moment and the chord, weight and
+rfft arrays of :mod:`swarmlab.spectra` come from :func:`_scratch`.  Inside
+a :func:`_workspace` (``separatrix_check`` opens one per call) it hands
+the calling thread the same buffer for the same shape every time, so a
+call's ~88 solves at n = 1e5 map their arrays once; outside one it
+returns a fresh ``np.empty``.  Either way the same ufuncs run on the same
+values in the same order, so the bytes of every result are the same.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from array import array
 from dataclasses import dataclass
 
@@ -115,6 +125,45 @@ class RadiusProblem:
             object.__setattr__(self, "bracket", (lo, _number("hi", hi, gt=lo)))
 
 
+# the open workspace of each thread: {shape: buffer}, or no attribute
+_workspaces = threading.local()
+
+
+@contextlib.contextmanager
+def _workspace():
+    """Let :func:`_scratch` reuse one buffer per shape in this thread until
+    the outermost ``with`` exits, which drops them all; a nested one reuses
+    the open workspace."""
+    if hasattr(_workspaces, "buffers"):
+        yield
+        return
+    _workspaces.buffers = {}
+    try:
+        yield
+    finally:
+        del _workspaces.buffers
+
+
+def _scratch(shape):
+    """An uninitialized float array of this shape: the open workspace's
+    buffer for it, or a new one when none is open.  A caller may not keep
+    it past its own return, since the next caller of that shape writes
+    over it."""
+    buffers = getattr(_workspaces, "buffers", None)
+    if buffers is None:
+        return np.empty(shape)
+    if shape not in buffers:
+        buffers[shape] = np.empty(shape)
+    return buffers[shape]
+
+
+def _pair_rows(n, cells=()):
+    """A (2,) + cells + (2 (n//2 + 1),) scratch buffer: two rows of n
+    terms per cell, or (viewed as complex) of the n//2 + 1 bins of an rfft
+    of length n."""
+    return _scratch((2,) + cells + (2 * (n // 2 + 1),))
+
+
 @functools.lru_cache(maxsize=2)
 def _sines(n):
     """sin(p pi / n) for p = 0..n-1 from libm, one table per recent n.
@@ -124,9 +173,10 @@ def _sines(n):
     return array("d", (math.sin(p * math.pi / n) for p in range(n)))
 
 
-def _exact_sum(r):
+def _exact_sum(r, hi):
     """Correctly rounded sum of float64 terms with |r| <= 1 (the value
-    ``math.fsum`` gives over them); ``r`` is overwritten.
+    ``math.fsum`` gives over them); ``r`` and the work array ``hi``, of
+    r's size, are overwritten.
 
     An error-free level split: each level rounds the remainder to
     multiples of ulp(c) as hi = (r + c) - c, adds hi, and keeps r - hi.
@@ -135,11 +185,10 @@ def _exact_sum(r):
     is a multiple of ulp(c_k) below 2^52 ulps, so ``hi.sum()`` is exact in
     any order.  The step 2^(L - 53) must shrink as n grows: with the same
     first c, a fixed step of 2^-32 keeps this bound only below 2^21 terms,
-    and the split needs n < 2^52.  At most one n-length buffer is allocated.
+    and the split needs n < 2^52.  Nothing n-length is allocated here.
     """
     L = r.size.bit_length()
     c = 1.5 * 2.0**L
-    hi = np.empty_like(r)
     sums = []
     # once ulp(c) <= 2^-1074 a level takes every remainder whole, so the
     # loop ends with r == 0 within this many levels
@@ -167,19 +216,24 @@ def trig_moment(n, alpha):
     The terms are libm ``sin`` and ``pow`` values (``np.float_power``
     calls the C library's ``pow`` per element) and the sum is
     :func:`_exact_sum`, so the result equals ``math.fsum`` over Python's
-    ``pow`` terms bit for bit and depends on the C library.
+    ``pow`` terms bit for bit and depends on the C library.  The terms
+    and the sum's work array are the two rows of :func:`_pair_rows`.
     """
     n = _number("n", n, ge=3, integer=True)
     alpha = _number("alpha", alpha, ge=0)
     if alpha == int(alpha) and int(alpha) % 2 == 0 and n > alpha // 2:
         k = int(alpha) // 2
         return math.comb(2 * k, k) / 4**k
-    return _exact_sum(np.float_power(np.frombuffer(_sines(n)), alpha)) / n
+    terms, hi = _pair_rows(n)[:, :n]
+    np.float_power(np.frombuffer(_sines(n)), alpha, out=terms)
+    return _exact_sum(terms, hi) / n
 
 
-# moments for the radius solves: a scan at fixed a reuses S_a, while the
-# ~45 distinct S_b of one separatrix pass evict everything older
-_moment = functools.lru_cache(maxsize=8)(trig_moment)
+# moments for the radius solves: an x-major (a, b) scan keeps one column's
+# S_b (20 b values on the bench grid) and its S_a across rows, while the
+# ~88 distinct moments of one separatrix pass still evict everything older,
+# so repeated passes never hit across passes
+_moment = functools.lru_cache(maxsize=32)(trig_moment)
 
 
 def _residual_fn(potential, n, speed):

@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion, _number
-from .rings import RadiusProblem, _sines, ring_positions, solve_radius
+from .rings import RadiusProblem, _pair_rows, _scratch, _sines, ring_positions, solve_radius
 
 __all__ = [
     "Classification",
@@ -143,16 +143,25 @@ def pair_weights(a, b, radius, n, p):
     self-coupling phase factors, w2 the cross-coupling ones.  Exponents
     PowerLaw refuses and a radius not finite and > 0 are a ValueError.
     """
-    PowerLaw(a, b)
-    radius = _number("radius", radius, gt=0)
     if not 1 <= p <= n - 1:
         raise ValueError("chord index p must satisfy 1 <= p <= n-1")
-    d = 2.0 * radius * math.sin(p * math.pi / n)
-    da = d ** (a - 2.0)
-    db = d ** (b - 2.0)
-    w1 = (-a * da + b * db) / (2.0 * n)
-    w2 = (-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n)
-    return w1, w2
+    return _chord_weights(a, b, radius, n, [p])[0]
+
+
+def _chord_weights(a, b, radius, n, chords):
+    """pair_weights' (w1, w2) at each chord index p in ``chords``, with a,
+    b and the radius checked once."""
+    PowerLaw(a, b)
+    radius = _number("radius", radius, gt=0)
+    weights = []
+    for p in chords:
+        d = 2.0 * radius * math.sin(p * math.pi / n)
+        da = d ** (a - 2.0)
+        db = d ** (b - 2.0)
+        w1 = (-a * da + b * db) / (2.0 * n)
+        w2 = (-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n)
+        weights.append((w1, w2))
+    return weights
 
 
 def _phase_sum(w, n, j, k, label):
@@ -178,14 +187,14 @@ def _phase_sum(w, n, j, k, label):
 def mode_self_coupling(a, b, radius, n, m):
     """Diagonal entry I1(m) of the shape matrix (I1(-m) for negated m):
     the phase sum of the w1 weights at j = 0, k = m + 1."""
-    w1 = [pair_weights(a, b, radius, n, p)[0] for p in range(1, n)]
+    w1, _ = zip(*_chord_weights(a, b, radius, n, range(1, n)))
     return _phase_sum(w1, n, 0, m + 1, "mode_self_coupling")
 
 
 def mode_cross_coupling(a, b, radius, n, m):
     """Off-diagonal entry I2(m) of the shape matrix, even in m and zero at
     m = 1: the phase sum of the w2 weights at j = m, k = 1."""
-    w2 = [pair_weights(a, b, radius, n, p)[1] for p in range(1, n)]
+    _, w2 = zip(*_chord_weights(a, b, radius, n, range(1, n)))
     return _phase_sum(w2, n, m, 1, "mode_cross_coupling")
 
 
@@ -200,22 +209,27 @@ def _fold(k, n):
     return np.minimum(k, n - k)
 
 
-def _chords(R, n):
+def _chords(R, n, out=None):
     """Chord lengths 2R sin(p pi / n), p = 1..n-1, from the radius solve's
-    libm sine table (read, never written)."""
-    return 2.0 * R * np.frombuffer(_sines(n))[1:]
+    libm sine table (read, never written), into ``out`` when given."""
+    return np.multiply(2.0 * R, np.frombuffer(_sines(n))[1:], out=out)
 
 
 def _weight_vectors(a, b, radius, n, w=None):
     # w1 = (-a d^(a-2) + b d^(b-2)) / 2n, w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / 2n,
-    # zero at p = 0, built in place in that operation order, into the zeroed
-    # (2, n) rows ``w`` when given.  The chords are libm sines, but ``**``
-    # (np.power) follows the numpy build, unlike the radius moments' libm
-    # pow through np.float_power.
-    d = _chords(radius, n)
-    da = d ** (a - 2.0)
+    # zero at p = 0, built in place in that operation order into the (2, n)
+    # rows ``w`` (scratch rows when None).  d and d^(a-2) take the first
+    # n - 1 entries of the two _pair_rows; d^(a-2) raises a copy of d in
+    # place, as d^(b-2) raises d, so both take ``**``'s shortcut exponents.
+    # The chords are libm sines, but ``**`` (np.power) follows the numpy
+    # build, unlike the radius moments' libm pow through np.float_power.
+    d, da = _pair_rows(n)[:, : n - 1]
+    _chords(radius, n, out=d)
+    np.copyto(da, d)
+    da **= a - 2.0
     d **= b - 2.0
-    w = np.zeros((2, n)) if w is None else w
+    w = _scratch((2, n)) if w is None else w
+    w[:, 0] = 0.0
     w1, w2 = w[0, 1:], w[1, 1:]
     np.multiply(-a, da, out=w1)
     np.multiply(-(a - 2.0), da, out=w2)
@@ -238,18 +252,24 @@ def _ring_couplings(a, b, n, speed, ms):
     w1 rows and one over the w2 rows (the bytes of one rfft per row) give
     the cosine sums c[k] = sum_p w_p cos(2 pi p k / n); then
     I1(m) = c1[0] - c1[fold(m+1)] and I2(m) = c2[fold(m)] - c2[1].  Agrees
-    with the direct-summation route to roundoff (tested).
+    with the direct-summation route to roundoff (tested).  The weight rows
+    and rfft outputs are rings._scratch buffers (for one cell, the rfft
+    writes over the _pair_rows the solve and the weights used); R and the
+    couplings are new arrays.
     """
     a, b, speed = np.broadcast_arrays(a, b, speed)
     R = np.empty(a.shape)
-    w = np.zeros((2,) + a.shape + (n,))
+    w = _scratch((2,) + a.shape + (n,))
     rows = np.moveaxis(w, 0, -2)  # each cell's (2, n) weight rows
     for i in np.ndindex(a.shape):
         cell = float(a[i]), float(b[i])
         R[i] = _ring_radius(PowerLaw(*cell), n, float(speed[i]))
         _weight_vectors(*cell, R[i], n, rows[i])
     R = R[()]
-    c1, c2 = (np.fft.rfft(wk).real.T for wk in w)
+    c = _pair_rows(n, a.shape).view(complex)
+    for wk, ck in zip(w, c):
+        np.fft.rfft(wk, out=ck)
+    c1, c2 = (ck.real.T for ck in c)
     i1_plus = c1[0] - c1[_fold(ms + 1, n)]
     i1_minus = c1[0] - c1[_fold(ms - 1, n)]
     i2 = c2[_fold(ms, n)] - c2[1]
@@ -336,8 +356,8 @@ def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
 def _direct_couplings(a, b, R, n, m):
     """I1(m), I1(-m), I2(m) by direct summation (the reference route): the
     phase sums of mode_self_coupling and mode_cross_coupling over one pass
-    of pair_weights."""
-    w1, w2 = zip(*(pair_weights(a, b, R, n, p) for p in range(1, n)))
+    of pair_weights' weights."""
+    w1, w2 = zip(*_chord_weights(a, b, R, n, range(1, n)))
     return (
         _phase_sum(w1, n, 0, m + 1, "mode_self_coupling"),
         _phase_sum(w1, n, 0, -m + 1, "mode_self_coupling"),

@@ -1,5 +1,7 @@
 import json
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -392,6 +394,21 @@ class TestSeparatrix:
         # boundary sits below the m = infinity curve and rises toward it
         assert b_coarse < b_fine < target
         assert abs(gap_fine) < abs(gap_coarse) < 0.05
+
+    def test_threads_get_the_serial_rows(self):
+        # each thread solves in its own workspace; a short switch interval
+        # interleaves their solves between numpy calls
+        jobs = [[3.0, 4.5], [3.5], [2.5, 5.0], [4.0]]
+        serial = [separatrix_check(a, n=2001, steps=12) for a in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(separatrix_check, a, n=2001, steps=12) for a in jobs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
     def test_frozen_boundary_values(self):
         rows = separatrix_check([3.0], n=500, steps=30)

@@ -119,9 +119,19 @@ class TestTrigMoment:
             assert np.float_power(np.frombuffer(table), alpha).tobytes() == ref.tobytes(), alpha
 
     def test_caches_are_bounded(self):
-        for cached in (rings._sines, rings._moment):
-            maxsize = cached.cache_info().maxsize
-            assert maxsize is not None and maxsize <= 8
+        # _sines keeps n-length tables; _moment keeps floats, enough for one
+        # 20-value scan column and its S_a, but fewer than the ~88 distinct
+        # moments of a separatrix pass, so no pass hits an earlier one's
+        assert rings._sines.cache_info().maxsize <= 8
+        assert 21 <= rings._moment.cache_info().maxsize < 88
+
+    def test_an_a_row_reuses_the_previous_rows_s_b(self):
+        rings._moment.cache_clear()
+        for a in (3.5, 4.5):
+            for b in np.linspace(0.5, 2.5, 20).tolist():
+                flock_ring(PowerLaw(a, b), 500)
+        info = rings._moment.cache_info()
+        assert (info.hits, info.misses) == (58, 22)
 
     def test_solves_at_fixed_a_reuse_s_a(self):
         rings._moment.cache_clear()
@@ -131,10 +141,29 @@ class TestTrigMoment:
         assert (info.hits, info.misses) == (2, 4)
 
 
+class TestWorkspace:
+    def test_scratch_reuses_buffers_only_inside_a_workspace(self):
+        assert rings._scratch((3,)) is not rings._scratch((3,))
+        with rings._workspace():
+            x = rings._scratch((3,))
+            with rings._workspace():  # a nested one reuses the open one
+                assert rings._scratch((3,)) is x
+            assert rings._scratch((3,)) is x
+            assert rings._scratch((2, 3)) is not x
+        assert not hasattr(rings._workspaces, "buffers")
+
+    def test_moments_keep_their_bytes_in_a_workspace(self):
+        cases = [(100001, 1.37), (7, 0.5), (2000, 3.3), (2001, 0.9)]
+        fresh = [trig_moment(n, alpha) for n, alpha in cases]
+        with rings._workspace():
+            for _ in range(2):
+                assert [trig_moment(n, alpha) for n, alpha in cases] == fresh
+
+
 class TestExactSum:
     @staticmethod
     def check(x):
-        assert rings._exact_sum(x.copy()) == math.fsum(x.tolist())
+        assert rings._exact_sum(x.copy(), np.empty_like(x)) == math.fsum(x.tolist())
 
     def test_single_term_and_zeros(self):
         for x in ([0.7], [-1.0], [5e-324], [0.0], [0.0] * 1000):
@@ -145,7 +174,7 @@ class TestExactSum:
         # multiple of ulp(c) the constants allow, just below 2^52 ulps;
         # n = 2^21 starts the next L
         for n in (2**21 - 1, 2**21):
-            assert rings._exact_sum(np.ones(n)) == math.fsum(repeat(1.0, n)) == n
+            assert rings._exact_sum(np.ones(n), np.empty(n)) == math.fsum(repeat(1.0, n)) == n
 
     def test_terms_from_one_down_to_subnormals(self):
         rng = np.random.default_rng(5)

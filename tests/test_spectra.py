@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import swarmlab.spectra as spectra_module
+from swarmlab import rings
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from swarmlab.regions import _block
 from swarmlab.rings import (
@@ -123,6 +125,48 @@ class TestCouplings:
         assert mode_self_coupling(4, 2, R4, 12, 3) == pytest.approx(
             mode_self_coupling(4, 2, R4, 12, 3 + 12), rel=1e-12
         )
+
+
+class TestWorkspace:
+    ms = np.arange(2, 400)
+
+    @staticmethod
+    def raw(*arrays):
+        return [np.asarray(x).tobytes() for x in arrays]
+
+    @pytest.mark.parametrize("a, b, n, speed", [
+        (5.0, 1.37, 1001, 0.3),
+        (3.3, 1.2, 1000, 0.0),
+        (np.array([5.0, 3.3]), np.array([1.37, 1.2]), 1001, np.array([0.3, 0.0])),
+    ], ids=["odd-n", "even-n", "2-cell-block"])
+    def test_couplings_keep_their_bytes(self, a, b, n, speed):
+        fresh = self.raw(*spectra_module._ring_couplings(a, b, n, speed, self.ms))
+        with rings._workspace():
+            for _ in range(2):
+                got = spectra_module._ring_couplings(a, b, n, speed, self.ms)
+                assert self.raw(*got) == fresh
+
+    def test_results_do_not_alias_the_workspace(self):
+        with rings._workspace():
+            first = spectra_module._ring_couplings(5.0, 1.37, 1001, 0.3, self.ms)
+            kept = self.raw(*first)
+            spectra_module._ring_couplings(3.3, 1.2, 1001, 0.0, self.ms)
+            assert self.raw(*first) == kept
+
+    def test_repeat_solves_allocate_no_n_length_array(self):
+        # after the first solve, a cell with a new b (its moment summed
+        # afresh) writes every n-length array into the workspace's buffers
+        n = 20000
+        with rings._workspace():
+            _worst_modes("flock", 3.7, 1.31, n, 200)
+            rings._moment.cache_clear()
+            tracemalloc.start()
+            try:
+                _worst_modes("flock", 3.7, 1.37, n, 200)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * n
 
 
 class TestShapeMatrix:
