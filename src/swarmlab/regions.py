@@ -49,9 +49,11 @@ _COARSE = 9
 
 # Modes per scan block: cells per block = max(1, _BLOCK_MODES // modes per
 # cell).  Larger blocks spread each stage's per-call cost over more modes,
-# but a block's temporaries (about 0.75 KB per mode at their peak) add to
-# the peak RSS, and past a size that depends on the heap's history glibc
-# returns them after each block, which then faults them in again.  In
+# but a block's temporaries add to the peak RSS (tracemalloc peaks of a
+# spinning-mill block at n = 1000, speed 0.5: 350, 689 and 1,029 KB for
+# 1, 2 and 3 cells, about 0.68 KB per mode), and past a size that depends
+# on the heap's history glibc returns them after each block, which then
+# faults them in again.  In
 # 8-second bench/run.py scan-mill runs at n = 1000 (2 cores, numpy 2.4.6,
 # seeds 21-23, with and without PYTHONHASHSEED set) the parent read
 # 0.52-0.58 s; 1,536-mode blocks (3 cells) read 0.42-0.47 s and peaked

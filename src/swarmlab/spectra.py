@@ -15,15 +15,16 @@ frequency-shifted).  The shape matrix being negative definite
 (det > 0 and trace < 0) is equivalent to mode stability.
 
 Scans take one route, _worst_modes, over a block of cells at a time:
-one rfft per weight vector over the block's rows, one assembly, one
-eigensolve of the sampled modes, one certificate call and one eigensolve
-of the modes left open; only the radius solves and weight rows are per
-cell.  A lone cell is a block of one.  For flock-cs and the spinning mill it
-eigensolves a sample of modes and then only the modes that a
-Routh-Hurwitz certificate with a rigorous rounding-error bound
-(_routh_below) cannot place strictly below the sample's worst mode and
-band; each cell's output is that of solving every mode alone, bit for
-bit.  mode_envelope solves every mode, since it prints every mode.
+one rfft per weight vector over the block's rows, blocks for every mode,
+assembly only for the modes solved: one eigensolve of the sampled modes,
+one certificate call over the blocks and one eigensolve of the modes left
+open; only the radius solves and weight rows are per cell.  A lone cell
+is a block of one.  For flock-cs and the spinning mill it eigensolves a
+sample of modes and then only the modes that a Routh-Hurwitz certificate
+with a rigorous rounding-error bound (_routh_below) cannot place strictly
+below the sample's worst mode and band; each cell's output is that of
+solving every mode alone, bit for bit.  mode_envelope solves every mode,
+since it prints every mode.
 
 For cross-validation at small N the module also assembles the full
 2N x 2N interaction Hessian and the 4N x 4N Jacobians, whose spectra
@@ -186,14 +187,18 @@ def _phase_sum(w, n, j, k, label):
 
 def mode_self_coupling(a, b, radius, n, m):
     """Diagonal entry I1(m) of the shape matrix (I1(-m) for negated m):
-    the phase sum of the w1 weights at j = 0, k = m + 1."""
+    the phase sum of the w1 weights at j = 0, k = m + 1.  n must be an
+    integer >= 2."""
+    n = _number("n", n, ge=2, integer=True)
     w1, _ = zip(*_chord_weights(a, b, radius, n, range(1, n)))
     return _phase_sum(w1, n, 0, m + 1, "mode_self_coupling")
 
 
 def mode_cross_coupling(a, b, radius, n, m):
     """Off-diagonal entry I2(m) of the shape matrix, even in m and zero at
-    m = 1: the phase sum of the w2 weights at j = m, k = 1."""
+    m = 1: the phase sum of the w2 weights at j = m, k = 1.  n must be an
+    integer >= 2."""
+    n = _number("n", n, ge=2, integer=True)
     _, w2 = zip(*_chord_weights(a, b, radius, n, range(1, n)))
     return _phase_sum(w2, n, m, 1, "mode_cross_coupling")
 
@@ -311,45 +316,57 @@ def alignment_damping(gamma, radius, n, m, sign):
     return _phase_sum(g, n, m + sign, 0, "alignment_damping") / n
 
 
-def _assemble(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
-    """Stack of mode matrices (..., 4, 4) from coupling arrays (...).
+def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
+    """Shape and velocity blocks S, V (2, 2, ...) of rows 3-4 of the mode
+    matrices, from coupling arrays (...).
 
-    Rows 1-2 are [0 0 1 0], [0 0 0 1].  Rows 3-4 put the shape block
-    [[I1(m), I2(m)], [I2(m), I1(-m)]] beside the velocity block: flock
-    [[-alpha, -alpha], [-alpha, -alpha]], flock-cs diag(J+(m), J-(m)),
-    mill [[-alpha, alpha], [alpha, -alpha]].  At omega != 0 the mill stack
-    is complex: the rotating frame adds omega^2 to the shape diagonal,
-    -+ i omega alpha to shape rows 3/4 and -+ 2 i omega to the velocity
-    diagonal.  A block's omega has one entry per cell, which broadcasts
-    against the couplings' last (cell) axis.
+    S is the shape block [[I1(m), I2(m)], [I2(m), I1(-m)]] and V the
+    velocity block: flock [[-alpha, -alpha], [-alpha, -alpha]], flock-cs
+    diag(J+(m), J-(m)), mill [[-alpha, alpha], [alpha, -alpha]].  At
+    omega != 0 the mill blocks are complex: the rotating frame adds
+    omega^2 to the shape diagonal, -+ i omega alpha to shape rows 1/2 and
+    -+ 2 i omega to the velocity diagonal.  A block's omega has one entry
+    per cell, which broadcasts against the couplings' last (cell) axis.
     """
     if model != "flock-cs":
         alpha = _number("alpha", alpha, gt=0)
     i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
     spinning = model == "mill" and np.any(omega != 0.0)
-    A = np.zeros(i1p.shape + (4, 4), dtype=complex if spinning else float)
-    A[..., 0, 2] = A[..., 1, 3] = 1.0
-    A[..., 2, 0] = i1p
-    A[..., 2, 1] = A[..., 3, 0] = i2
-    A[..., 3, 1] = i1m
+    S, V = np.zeros((2, 2, 2) + i1p.shape, dtype=complex if spinning else float)
+    S[0, 0] = i1p
+    S[0, 1] = S[1, 0] = i2
+    S[1, 1] = i1m
     if model == "flock":
-        A[..., 2:, 2:] = -alpha
+        V[...] = -alpha
     elif model == "flock-cs":
-        A[..., 2, 2] = jp
-        A[..., 3, 3] = jm
+        V[0, 0] = jp
+        V[1, 1] = jm
     elif model == "mill":
-        A[..., 2, 2] = A[..., 3, 3] = -alpha
-        A[..., 2, 3] = A[..., 3, 2] = alpha
+        V[0, 0] = V[1, 1] = -alpha
+        V[0, 1] = V[1, 0] = alpha
         if spinning:
             w = omega
-            A[..., 2, 0] = -1j * w * alpha + w * w + i1p
-            A[..., 2, 1] = -1j * w * alpha + i2
-            A[..., 3, 0] = 1j * w * alpha + i2
-            A[..., 3, 1] = 1j * w * alpha + w * w + i1m
-            A[..., 2, 2] = -alpha - 2j * w
-            A[..., 3, 3] = -alpha + 2j * w
+            S[0, 0] = -1j * w * alpha + w * w + i1p
+            S[0, 1] = -1j * w * alpha + i2
+            S[1, 0] = 1j * w * alpha + i2
+            S[1, 1] = 1j * w * alpha + w * w + i1m
+            V[0, 0] = -alpha - 2j * w
+            V[1, 1] = -alpha + 2j * w
     else:
         raise ValueError(f"unknown model {model!r}")
+    return S, V
+
+
+def _assemble(S, V, solve=None):
+    """Mode matrices [[0, I], [S, V]] of blocks S, V (2, 2, ...): a (..., 4,
+    4) stack, or (k, 4, 4) of the k modes where the mask ``solve`` is True.
+    Rows 1-2 are [0 0 1 0], [0 0 0 1]."""
+    if solve is not None:
+        S, V = S[:, :, solve], V[:, :, solve]
+    A = np.zeros(S.shape[2:] + (4, 4), dtype=np.result_type(S, V))
+    A[..., 0, 2] = A[..., 1, 3] = 1.0
+    A[..., 2:, :2] = np.moveaxis(S, (0, 1), (-2, -1))
+    A[..., 2:, 2:] = np.moveaxis(V, (0, 1), (-2, -1))
     return A
 
 
@@ -383,7 +400,7 @@ def flock_mode_matrix(a, b, n, m, prop):
         raise TypeError("prop must be a Propulsion")
     R = _ring_radius(PowerLaw(a, b), n, 0.0)
     al = prop.alpha
-    entries = _assemble("flock", *_direct_couplings(a, b, R, n, m), alpha=al)[0]
+    entries = _assemble(*_blocks("flock", *_direct_couplings(a, b, R, n, m), alpha=al))[0]
     return ModeMatrix(
         entries=entries,
         model="flock",
@@ -402,9 +419,7 @@ def cs_flock_mode_matrix(a, b, n, m, gamma):
     R = _ring_radius(PowerLaw(a, b), n, 0.0)
     jp = alignment_damping(gamma, R, n, m, +1)
     jm = alignment_damping(gamma, R, n, m, -1)
-    entries = _assemble(
-        "flock-cs", *_direct_couplings(a, b, R, n, m), jp=jp, jm=jm
-    )[0]
+    entries = _assemble(*_blocks("flock-cs", *_direct_couplings(a, b, R, n, m), jp=jp, jm=jm))[0]
     return ModeMatrix(
         entries=entries,
         model="flock-cs",
@@ -423,9 +438,8 @@ def mill_mode_matrix(a, b, n, m, alpha, speed):
     """
     R = _ring_radius(PowerLaw(a, b), n, speed)
     w = speed / R
-    entries = _assemble(
-        "mill", *_direct_couplings(a, b, R, n, m), alpha=alpha, omega=w
-    )[0]
+    blocks = _blocks("mill", *_direct_couplings(a, b, R, n, m), alpha=alpha, omega=w)
+    entries = _assemble(*blocks)[0]
     return ModeMatrix(
         entries=entries,
         model="mill",
@@ -522,21 +536,25 @@ _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
 
 
 def _mode_stack(model, a, b, n, ms, alpha, gamma, speed):
-    """Mode matrices (k, 4, 4) of modes ``ms``, their tolerances and shape bands.
+    """Blocks S, V (2, 2, k) of modes ``ms``, their tolerances, shape bands
+    and largest shape eigenvalues mu1.
 
-    For a block (arrays a and b at one speed) the stack is [mode, cell],
-    (k, B, 4, 4).  The tolerance of mode m is 1e-8 max(1, |A_m|),
-    classify's rule, taken over rows 3-4: rows 1-2 hold only 0 and 1.
-    Rings at rest take their bands from _shape_severity; the spinning mill
-    gets None and bands its largest real parts at the tolerance.
+    For a block (arrays a and b at one speed) the modes lead and the cells
+    follow: S and V are (2, 2, k, B), the rest (k, B).  The tolerance of
+    mode m is 1e-8 max(1, |A_m|), classify's rule, taken over S and V, the
+    rows 3-4 of A_m = [[0, I], [S, V]]: rows 1-2 hold only 0 and 1.  Rings
+    at rest take their bands from _shape_severity; the spinning mill gets
+    None and bands its largest real parts at the tolerance.  mu1 is the
+    shape block's at rest, without the rotating frame's terms.
     """
     speed = speed if model == "mill" else 0.0
     R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
     jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
-    A = _assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
-    tol = 1e-8 * np.maximum(1.0, np.abs(A[..., 2:, :]).max(axis=(-2, -1)))
-    bands = _shape_severity(ms, n, i1p, i1m, i2)[1] if speed == 0.0 else None
-    return A, tol, bands
+    S, V = _blocks(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
+    norm = np.maximum(np.abs(S).max(axis=(0, 1)), np.abs(V).max(axis=(0, 1)))
+    tol = 1e-8 * np.maximum(1.0, norm)
+    mu1, bands = _shape_severity(ms, n, i1p, i1m, i2)
+    return S, V, tol, (bands if speed == 0.0 else None), mu1
 
 
 # unit roundoff of float64, and the relative error bounds of the
@@ -568,10 +586,11 @@ def _shifted_quartic(S, V, c, minus):
     return q
 
 
-def _routh_below(A, c):
-    """Whether every eigenvalue of A[i] has real part below c[i], certified.
+def _routh_below(S, V, c):
+    """Whether every eigenvalue of A_i = [[0, I], [S_i, V_i]] has real part
+    below c[i], certified; S and V are (2, 2, k) blocks.
 
-    A[i] = [[0, I], [S, V]] has characteristic polynomial
+    A_i has characteristic polynomial
     p(lambda) = det(lambda^2 I - lambda V - S).  Its roots lie left of c
     exactly when q(mu) = p(mu + c) is Hurwitz, and, as conjugation keeps
     real parts, exactly when the real degree-8 polynomial r = q q-bar is
@@ -602,8 +621,6 @@ def _routh_below(A, c):
     twice its bound, gives False, and the caller solves the mode.
     """
     k = len(c)
-    M = A[:, 2:].transpose(1, 2, 0)
-    S, V = M[:, :2], M[:, 2:]
     with np.errstate(all="ignore"):
         q = _shifted_quartic(S, V, c, np.subtract)
         err = _QUARTIC_ERR * _shifted_quartic(np.abs(S), np.abs(V), np.abs(c), np.add)
@@ -670,7 +687,9 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
     ties go to the lowest mode.
 
     The 4x4 route eigensolves only the modes it must.  It solves a sample
-    (modes 2, 3, m_max and every 25th), whose largest real part is best.
+    (modes 2, 3, m_max and the cell's argmax of the shape eigenvalue mu1,
+    which _mode_stack computes from the couplings it has in hand), whose
+    largest real part is best.
     Every other mode m gets c_m = min(best, edge) - tol_m, where tol_m is
     the mode's band tolerance and edge is the upper end of the sample's
     worst band (-tol_m stable, +tol_m marginal, +inf unstable; +inf for
@@ -682,28 +701,33 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
     1,960 modes of the n = 1000, speed 0.5 mill grid.  So a skipped mode
     would have ranked strictly below best, never tying, in no worse band:
     mode, max_real and verdict are those of solving every mode, bit for
-    bit.
+    bit.  That holds for any sample that is not empty, so the sample sets
+    only which modes are solved: a poor mu1 ranking costs time, never
+    bytes.  On the n = 1000, speed 0.5 mill grid mu1's argmax finds the
+    worst mode well enough that a cell solves 3.4 of its 498 modes.
     """
     ms = np.arange(2, m_max + 1)
     if model == "flock" or (model == "mill" and speed == 0.0):
         _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
         top, bands = _shape_severity(ms, n, i1p, i1m, i2)
     else:
-        A, tol, shape_bands = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
-        sample = np.zeros(tol.shape, dtype=bool)
-        sample[::25] = sample[:2] = sample[-1] = True
+        S, V, tol, shape_bands, mu1 = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
+        solve = np.zeros(tol.shape, dtype=bool)
+        solve[:2] = solve[-1] = True
+        np.put_along_axis(solve, mu1.argmax(axis=0)[None], True, axis=0)
         top = np.full(tol.shape, -np.inf)  # skipped modes stay at -inf, band 0
-        top[sample] = _top_real(A[sample])
+        top[solve] = _top_real(_assemble(S, V, solve))
         if shape_bands is None:
             edge = np.choose(_severity(top, tol).max(axis=0), (-tol, tol, np.inf))
         else:
             edge = np.inf
         c = np.minimum(top.max(axis=0), edge) - tol
-        rest = ~sample
-        A = A[rest]  # the full stack is freed before the certificate's arrays
-        certified = _routh_below(A, c[rest])
-        rest[rest] = ~certified
-        top[rest] = _top_real(A[~certified])
+        # the certificate reads every mode's blocks in place, the sampled
+        # ones too (their answers go unread): cheaper than a masked copy
+        flat = (2, 2, c.size)
+        certified = _routh_below(S.reshape(flat), V.reshape(flat), c.ravel())
+        solve = ~(solve | certified.reshape(c.shape))
+        top[solve] = _top_real(_assemble(S, V, solve))
         bands = _severity(top, tol) if shape_bands is None else shape_bands
     worst = top.argmax(axis=0)
     found = np.take_along_axis(top, worst[None], axis=0)[0]
@@ -735,8 +759,8 @@ def mode_envelope(
     m_max = _number("m_max", (n - 1) // 2 if m_max is None else m_max, ge=m_min, integer=True)
     _require_modes(n, m_max)
     ms = np.arange(m_min, m_max + 1)
-    A, tol, severity = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
-    vals = _sorted_eigs(np.linalg.eigvals(A))
+    S, V, tol, severity, _ = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
+    vals = _sorted_eigs(np.linalg.eigvals(_assemble(S, V)))
     max_re = vals[:, 0].real
     if severity is None:
         severity = _severity(max_re, tol)

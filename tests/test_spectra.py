@@ -85,6 +85,13 @@ class TestPairWeights:
         with pytest.raises(ValueError, match=named):
             fn(*args)
 
+    @pytest.mark.parametrize("fn", [mode_self_coupling, mode_cross_coupling])
+    @pytest.mark.parametrize("n", [1, 0, 2.5, True])
+    def test_ring_size_is_named(self, fn, n):
+        # n = 1 and 0 used to fail with "not enough values to unpack"
+        with pytest.raises(ValueError, match=f"n={n}"):
+            fn(4, 2, 1.0, n, 2)
+
 
 class TestCouplings:
     @pytest.mark.parametrize("a, b", [(4.0, 2.0), (3.0, 1.0), (2.5, 1.5), (3.7, 1.3), (5.2, 0.6)])
@@ -499,8 +506,9 @@ def full_solve(ms, A, shape_bands):
 
 
 def assembled_stack(model, a, b, n, alpha=1.0, gamma=1.0, speed=0.0):
-    """Modes 2..(n-1)//2, their matrices from _assemble, and the shape bands
-    of a ring at rest (None for the spinning mill)."""
+    """Modes 2..(n-1)//2, their matrices from _assemble, the shape bands of
+    a ring at rest (None for the spinning mill) and each mode's largest
+    shape eigenvalue mu1."""
     ms = np.arange(2, (n - 1) // 2 + 1)
     speed = speed if model == "mill" else 0.0
     R, i1p, i1m, i2 = spectra_module._ring_couplings(a, b, n, speed, ms)
@@ -508,9 +516,17 @@ def assembled_stack(model, a, b, n, alpha=1.0, gamma=1.0, speed=0.0):
         jp, jm = spectra_module._alignment_tables(gamma, R, n, ms)
     else:
         jp, jm = 0.0, 0.0
-    A = spectra_module._assemble(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
-    bands = spectra_module._shape_severity(ms, n, i1p, i1m, i2)[1] if speed == 0.0 else None
-    return ms, A, bands
+    blocks = spectra_module._blocks(
+        model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R
+    )
+    A = spectra_module._assemble(*blocks)
+    mu1, bands = spectra_module._shape_severity(ms, n, i1p, i1m, i2)
+    return ms, A, (bands if speed == 0.0 else None), mu1
+
+
+def split(A):
+    """Blocks S, V (2, 2, k) of a stack of mode matrices [[0, I], [S, V]]."""
+    return A[:, 2:, :2].transpose(1, 2, 0).copy(), A[:, 2:, 2:].transpose(1, 2, 0).copy()
 
 
 def block_stack(roots):
@@ -547,15 +563,22 @@ class TestWorstModeCertificate:
         ("flock-cs", 120, {"gamma": 0.5}),
     ])
     def test_equals_solving_every_mode(self, model, n, kw, solved_rows):
-        ranked = 0
+        ranked = cells = 0
         for a in (3.0, 4.2, 5.4, 7.0):
             for b in (0.5, 1.1, 1.7, 2.5):
+                start = len(solved_rows)
                 got = _worst_modes(model, a, b, n, (n - 1) // 2, **kw)[0]
-                ms, A, bands = assembled_stack(model, a, b, n, **kw)
+                ms, A, bands, mu1 = assembled_stack(model, a, b, n, **kw)
                 assert (got[0], repr(got[1]), got[2]) == full_solve(ms, A, bands)
+                # the mode of the largest shape eigenvalue is in the sample
+                top_shape = A[np.argmax(mu1)]
+                assert any(np.array_equal(row, top_shape) for row in solved_rows[start:])
                 ranked += len(ms)
-        # the certificate did skip modes
+                cells += 1
+        # the certificate did skip modes, and with mu1's argmax in the sample
+        # it leaves few besides the sample's three or four
         assert len(solved_rows) < 0.5 * ranked
+        assert len(solved_rows) <= 4 * cells
 
     @pytest.mark.parametrize("model, a, b, kw", [
         ("mill", 4.0, 1.0, {"speed": 0.2}),
@@ -564,9 +587,13 @@ class TestWorstModeCertificate:
     def test_a_mode_tied_with_or_near_the_worst_is_solved(self, model, a, b, kw, monkeypatch,
                                                           solved_rows):
         n, low = 200, 10  # low: a mode index the sample leaves out
-        ms, A, bands = assembled_stack(model, a, b, n, **kw)
+        ms, A, bands, _ = assembled_stack(model, a, b, n, **kw)
         worst = int(np.argmax(np.linalg.eigvals(A).real.max(axis=1)))
         assert worst > low
+        # mu1 puts the worst mode into the sample, so the sample's best is
+        # the tied value itself
+        mu1 = np.zeros(len(ms))
+        mu1[worst] = 1.0
         # the worst matrix with every eigenvalue moved left by half its
         # tolerance: V - 2 delta I and S + delta V - delta^2 I
         delta = 0.5e-8 * max(1.0, np.abs(A[worst]).max())
@@ -579,9 +606,9 @@ class TestWorstModeCertificate:
             patched[low] = copy
 
             def with_copy(*args, patched=patched):
-                _, tol, bands = stack(*args)
+                _, _, tol, bands, _ = stack(*args)
                 tol[low] = 1e-8 * max(1.0, np.abs(patched[low]).max())
-                return patched.copy(), tol, bands
+                return (*split(patched), tol, bands, mu1)
 
             monkeypatch.setattr(spectra_module, "_mode_stack", with_copy)
             solved_rows.clear()
@@ -592,9 +619,10 @@ class TestWorstModeCertificate:
             assert len(solved_rows) < len(ms) // 2
 
     def test_marginal_cell_with_per_mode_tolerances(self, monkeypatch, solved_rows):
-        # the sampled modes are stable at their tolerance 1e-8 |A| = 3e-8;
-        # mode 12 has entries near 1000, so its tolerance is 1e-5 and its
-        # largest real part -2e-6 is marginal: the cell is marginal
+        # the sampled modes (2, 3, 31 and 27, mu1's argmax) are stable at
+        # their tolerance 1e-8 |A| = 3e-8; mode 12 has entries near 1000, so
+        # its tolerance is 1e-5 and its largest real part -2e-6 is marginal:
+        # the cell is marginal
         ms = np.arange(2, 32)
         roots = [((-0.01 - 0.001 * i, -1.0), (-1.0, -2.0)) for i in range(len(ms))]
         for i in (0, 1, 25, 29):
@@ -602,7 +630,11 @@ class TestWorstModeCertificate:
         roots[10] = ((-2e-6, -1000.0), (-1.0, -2.0))
         A = block_stack(roots)
         tol = 1e-8 * np.maximum(1.0, np.abs(A).max(axis=(1, 2)))
-        monkeypatch.setattr(spectra_module, "_mode_stack", lambda *args: (A.copy(), tol, None))
+        mu1 = np.zeros(len(ms))
+        mu1[25] = 1.0
+        monkeypatch.setattr(
+            spectra_module, "_mode_stack", lambda *args: (*split(A), tol, None, mu1)
+        )
         got = _worst_modes("mill", 5.0, 1.2, 64, 31, speed=0.1)[0]
         assert (got[0], repr(got[1]), got[2]) == full_solve(ms, A, None)
         assert got[2] is Classification.MARGINAL
@@ -621,7 +653,7 @@ class TestWorstModeCertificate:
             return R, i1p, i1m, i2
 
         monkeypatch.setattr(spectra_module, "_ring_couplings", poisoned)
-        _, A, _ = assembled_stack(model, 5.0, 1.2, 200, speed=0.2)
+        _, A, _, _ = assembled_stack(model, 5.0, 1.2, 200, speed=0.2)
         with pytest.raises(np.linalg.LinAlgError) as solved:
             np.linalg.eigvals(A)
         fixed = {"n": 200, "m_max": 99, "alpha": 1.0, "gamma": 1.0, "speed": 0.2}
@@ -629,14 +661,32 @@ class TestWorstModeCertificate:
         assert cell.classification is Classification.INVALID
         assert cell.error == str(solved.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("model", ["mill", "flock-cs"])
+    def test_a_non_finite_mode_outside_the_sample_is_solved(self, model, bad, monkeypatch):
+        # a non-finite coupling makes its own mu1 the argmax, so the test
+        # above samples it; a non-finite velocity entry leaves mu1 finite,
+        # so the certificate must refuse the mode and eigvals reject it
+        stack, index = spectra_module._mode_stack, 10
+
+        def poisoned(*args):
+            S, V, tol, bands, mu1 = stack(*args)
+            assert np.argmax(mu1) != index
+            V[0, 1, index] = bad
+            return S, V, tol, bands, mu1
+
+        monkeypatch.setattr(spectra_module, "_mode_stack", poisoned)
+        with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+            _worst_modes(model, 5.0, 1.2, 200, 99, speed=0.2)
+
     @pytest.mark.parametrize("root, c", [(0.25 + 0.5j, 0.25), (0.5, 0.5), (-3.0 + 2.0j, -3.0)])
     def test_refuses_a_root_on_the_shifted_axis(self, root, c):
         A = block_stack([((root, -4.0), (-4.5 + 1.0j, -5.0))])
-        assert not spectra_module._routh_below(A, np.array([c]))[0]
-        assert not spectra_module._routh_below(A, np.array([c - 1e-9]))[0]
-        assert spectra_module._routh_below(A, np.array([c + 1e-6]))[0]
+        assert not spectra_module._routh_below(*split(A), np.array([c]))[0]
+        assert not spectra_module._routh_below(*split(A), np.array([c - 1e-9]))[0]
+        assert spectra_module._routh_below(*split(A), np.array([c + 1e-6]))[0]
         for bad in (math.nan, math.inf, -math.inf):
-            assert not spectra_module._routh_below(A, np.array([bad]))[0]
+            assert not spectra_module._routh_below(*split(A), np.array([bad]))[0]
 
     def test_refuses_exact_roots_on_the_axis_at_random(self):
         # dyadic roots with few bits make S and V exact, so one root lies on
@@ -650,8 +700,8 @@ class TestWorstModeCertificate:
         left = c[:, None] - rng.integers(1, 64, (k, 3)) / 16.0 + 1j * rng.integers(-64, 64, (k, 3)) / 16.0
         roots = [((r, x), (y, z)) for r, (x, y, z) in zip(on_axis, left)]
         A = block_stack(roots)
-        assert not spectra_module._routh_below(A, c).any()
-        assert spectra_module._routh_below(A, c + 1e-3).all()
+        assert not spectra_module._routh_below(*split(A), c).any()
+        assert spectra_module._routh_below(*split(A), c + 1e-3).all()
 
     def test_never_certifies_below_a_solved_root(self):
         # random complex and real mode matrices spanning six decades of scale;
@@ -666,8 +716,8 @@ class TestWorstModeCertificate:
         for stack, gap in ((A[:400], 1e-6), (A[400:].real.copy(), 1e-3)):
             top = np.linalg.eigvals(stack).real.max(axis=1)
             norm = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
-            assert not spectra_module._routh_below(stack, top - 1e-12 * norm).any()
-            assert spectra_module._routh_below(stack, top + gap * norm).mean() > 0.99
+            assert not spectra_module._routh_below(*split(stack), top - 1e-12 * norm).any()
+            assert spectra_module._routh_below(*split(stack), top + gap * norm).mean() > 0.99
 
 
 class TestCsReduction:
