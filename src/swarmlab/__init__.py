@@ -29,16 +29,9 @@ from .rings import (
     ring_positions,
 )
 from .spectra import (
-    ShapeMatrix,
     ModeMatrix,
     SpectralReport,
     Classification,
-    pair_weights,
-    mode_self_coupling,
-    mode_cross_coupling,
-    shape_matrix,
-    det_trace,
-    alignment_damping,
     flock_mode_matrix,
     cs_flock_mode_matrix,
     mill_mode_matrix,
@@ -54,6 +47,7 @@ from .spectra import (
 )
 from .regions import (
     GridSpec,
+    RegionCell,
     RegionMap,
     scan_flock,
     scan_cs_flock,

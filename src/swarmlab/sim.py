@@ -391,7 +391,12 @@ def _default_guard(config, x0):
 
 
 def rhs(state, config):
-    """Time derivatives (dx, dv) of the chosen model at the given state."""
+    """Time derivatives (dx, dv) of the chosen model at the given state.
+
+    Each call builds and binds a one-member _Kernel, whose set-up is a
+    share of the call's time that grows as n shrinks (integrate builds one
+    kernel per run).
+    """
     n = state.n
     if n != config.n:
         raise ValueError(f"state has n={n}, config says n={config.n}")

@@ -26,6 +26,13 @@ below the sample's worst mode and band; each cell's output is that of
 solving every mode alone, bit for bit.  mode_envelope solves every mode,
 since it prints every mode.
 
+The builders flock_mode_matrix, cs_flock_mode_matrix and mill_mode_matrix
+are the one public way into the reference route: one mode by math.fsum
+sums, sharing no code with the rfft tables.  Each coupling is an entry of
+the built matrix e: I1(m) = e[2, 0], I2(m) = e[2, 1], I1(-m) = e[3, 1] (so
+the shape matrix is e[2:, :2], bare but for a spinning mill), and for
+flock-cs J+(m) = e[2, 2], J-(m) = e[3, 3].
+
 For cross-validation at small N the module also assembles the full
 2N x 2N interaction Hessian and the 4N x 4N Jacobians, whose spectra
 must agree in sign with the reduced criterion (theorem_witness).
@@ -44,15 +51,8 @@ from .rings import RadiusProblem, _pair_rows, _scratch, _sines, ring_positions, 
 
 __all__ = [
     "Classification",
-    "ShapeMatrix",
     "ModeMatrix",
     "SpectralReport",
-    "pair_weights",
-    "mode_self_coupling",
-    "mode_cross_coupling",
-    "shape_matrix",
-    "det_trace",
-    "alignment_damping",
     "flock_mode_matrix",
     "cs_flock_mode_matrix",
     "mill_mode_matrix",
@@ -78,23 +78,6 @@ class Classification(str, Enum):
 
     def __str__(self):
         return self.value
-
-
-@dataclass(frozen=True)
-class ShapeMatrix:
-    """Symmetric 2x2 position block of a mode matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (2, 2):
-            raise ValueError("shape matrix must be 2x2")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("shape matrix entries must be finite")
-        if e[0, 1] != e[1, 0]:
-            raise ValueError("shape matrix must have equal off-diagonal entries")
-        object.__setattr__(self, "entries", e)
 
 
 @dataclass(frozen=True)
@@ -133,74 +116,6 @@ class SpectralReport:
     eigenvalues: tuple
     max_real: float
     classification: Classification
-
-
-def pair_weights(a, b, radius, n, p):
-    """Per-chord weights (w1, w2) entering the mode coupling sums.
-
-    With d = 2 radius sin(p pi / n) the weights are
-    w1 = (-a d^(a-2) + b d^(b-2)) / (2n) and
-    w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / (2n); w1 multiplies the
-    self-coupling phase factors, w2 the cross-coupling ones.  Exponents
-    PowerLaw refuses and a radius not finite and > 0 are a ValueError.
-    """
-    if not 1 <= p <= n - 1:
-        raise ValueError("chord index p must satisfy 1 <= p <= n-1")
-    return _chord_weights(a, b, radius, n, [p])[0]
-
-
-def _chord_weights(a, b, radius, n, chords):
-    """pair_weights' (w1, w2) at each chord index p in ``chords``, with a,
-    b and the radius checked once."""
-    PowerLaw(a, b)
-    radius = _number("radius", radius, gt=0)
-    weights = []
-    for p in chords:
-        d = 2.0 * radius * math.sin(p * math.pi / n)
-        da = d ** (a - 2.0)
-        db = d ** (b - 2.0)
-        w1 = (-a * da + b * db) / (2.0 * n)
-        w2 = (-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n)
-        weights.append((w1, w2))
-    return weights
-
-
-def _phase_sum(w, n, j, k, label):
-    """Re sum_p w_p (e^{2 pi i p j / n} - e^{2 pi i p k / n}) over p = 1..n-1.
-
-    The imaginary part cancels by the p <-> n-p symmetry; it must stay
-    within roundoff of sum |w_p|, then is discarded.  The real part
-    itself can be 0 (mode n - 1).
-    """
-    re, im = [], []
-    for p, wp in zip(range(1, n), w):
-        tj, tk = 2.0 * math.pi * p * j / n, 2.0 * math.pi * p * k / n
-        re.append(wp * (math.cos(tj) - math.cos(tk)))
-        im.append(wp * (math.sin(tj) - math.sin(tk)))
-    im, scale = math.fsum(im), math.fsum(map(abs, w))
-    if not abs(im) <= 1e-10 * scale:
-        raise ArithmeticError(
-            f"{label}: imaginary part {im:.3e} not negligible against weights {scale:.3e}"
-        )
-    return math.fsum(re)
-
-
-def mode_self_coupling(a, b, radius, n, m):
-    """Diagonal entry I1(m) of the shape matrix (I1(-m) for negated m):
-    the phase sum of the w1 weights at j = 0, k = m + 1.  n must be an
-    integer >= 2."""
-    n = _number("n", n, ge=2, integer=True)
-    w1, _ = zip(*_chord_weights(a, b, radius, n, range(1, n)))
-    return _phase_sum(w1, n, 0, m + 1, "mode_self_coupling")
-
-
-def mode_cross_coupling(a, b, radius, n, m):
-    """Off-diagonal entry I2(m) of the shape matrix, even in m and zero at
-    m = 1: the phase sum of the w2 weights at j = m, k = 1.  n must be an
-    integer >= 2."""
-    n = _number("n", n, ge=2, integer=True)
-    _, w2 = zip(*_chord_weights(a, b, radius, n, range(1, n)))
-    return _phase_sum(w2, n, m, 1, "mode_cross_coupling")
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +196,6 @@ def _ring_couplings(a, b, n, speed, ms):
     return R, i1_plus, i1_minus, i2
 
 
-def shape_matrix(a, b, n, m, speed=0.0):
-    """Shape matrix [[I1(m), I2(m)], [I2(m), I1(-m)]] at the solved radius.
-
-    ``speed`` > 0 solves the mill radius (centrifugal balance) first;
-    speed 0 gives the flock ring.
-    """
-    R = _ring_radius(PowerLaw(a, b), n, speed)
-    i1p, i1m, i2 = _direct_couplings(a, b, R, n, m)
-    return ShapeMatrix(entries=np.array([[i1p, i2], [i2, i1m]]))
-
-
-def det_trace(sm):
-    """Determinant and trace of a shape matrix; stability needs D>0 and T<0."""
-    e = sm.entries
-    return (
-        float(e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]),
-        float(e[0, 0] + e[1, 1]),
-    )
-
-
-def alignment_damping(gamma, radius, n, m, sign):
-    """Velocity-alignment damping J_+ (sign=+1) or J_- (sign=-1) at mode m.
-
-    (1/n) sum_p g(d_p) (cos(2 pi p (m+sign)/n) - 1) with d_p the true
-    chord length 2 radius sin(p pi / n); each term is <= 0.  The phase
-    sum's imaginary part cancels by symmetry and is asserted negligible.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    radius = _number("radius", radius, gt=0)
-    kernel = AlignmentKernel(gamma)
-    g = [float(kernel.value(2.0 * radius * math.sin(p * math.pi / n))) for p in range(1, n)]
-    return _phase_sum(g, n, m + sign, 0, "alignment_damping") / n
-
-
 def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     """Shape and velocity blocks S, V (2, 2, ...) of rows 3-4 of the mode
     matrices, from coupling arrays (...).
@@ -370,15 +250,43 @@ def _assemble(S, V, solve=None):
     return A
 
 
+def _phase_sum(w, n, j, k, label):
+    """Re sum_p w_p (e^{2 pi i p j / n} - e^{2 pi i p k / n}) over p = 1..n-1.
+
+    The imaginary part cancels by the p <-> n-p symmetry; it must stay
+    within roundoff of sum |w_p|, then is discarded.  The real part
+    itself can be 0 (mode n - 1).
+    """
+    re, im = [], []
+    for p, wp in zip(range(1, n), w):
+        tj, tk = 2.0 * math.pi * p * j / n, 2.0 * math.pi * p * k / n
+        re.append(wp * (math.cos(tj) - math.cos(tk)))
+        im.append(wp * (math.sin(tj) - math.sin(tk)))
+    im, scale = math.fsum(im), math.fsum(map(abs, w))
+    if not abs(im) <= 1e-10 * scale:
+        raise ArithmeticError(
+            f"{label}: imaginary part {im:.3e} not negligible against weights {scale:.3e}"
+        )
+    return math.fsum(re)
+
+
 def _direct_couplings(a, b, R, n, m):
-    """I1(m), I1(-m), I2(m) by direct summation (the reference route): the
-    phase sums of mode_self_coupling and mode_cross_coupling over one pass
-    of pair_weights' weights."""
-    w1, w2 = zip(*_chord_weights(a, b, R, n, range(1, n)))
+    """I1(m), I1(-m), I2(m) by direct summation: the pair weights
+    w1 = (-a d^(a-2) + b d^(b-2)) / (2n), w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / (2n)
+    at the chords d_p = 2 R sin(p pi / n), p = 1..n-1, in phase sums (I1(+-m):
+    w1 at j = 0, k = 1 +- m; I2(m): w2 at j = m, k = 1).  The builders take
+    R from _ring_radius, which has checked a, b and R."""
+    w1, w2 = [], []
+    for p in range(1, n):
+        d = 2.0 * R * math.sin(p * math.pi / n)
+        da = d ** (a - 2.0)
+        db = d ** (b - 2.0)
+        w1.append((-a * da + b * db) / (2.0 * n))
+        w2.append((-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n))
     return (
-        _phase_sum(w1, n, 0, m + 1, "mode_self_coupling"),
-        _phase_sum(w1, n, 0, -m + 1, "mode_self_coupling"),
-        _phase_sum(w2, n, m, 1, "mode_cross_coupling"),
+        _phase_sum(w1, n, 0, m + 1, "I1(m)"),
+        _phase_sum(w1, n, 0, -m + 1, "I1(-m)"),
+        _phase_sum(w2, n, m, 1, "I2(m)"),
     )
 
 
@@ -398,6 +306,7 @@ def flock_mode_matrix(a, b, n, m, prop):
     """
     if not isinstance(prop, Propulsion):
         raise TypeError("prop must be a Propulsion")
+    m = _number("m", m, integer=True)
     R = _ring_radius(PowerLaw(a, b), n, 0.0)
     al = prop.alpha
     entries = _assemble(*_blocks("flock", *_direct_couplings(a, b, R, n, m), alpha=al))[0]
@@ -412,18 +321,21 @@ def cs_flock_mode_matrix(a, b, n, m, gamma):
     """Mode matrix for the flock ring with velocity-alignment coupling.
 
     Rows 3-4: [I1(m), I2(m), J+(m), 0], [I2(m), I1(-m), 0, J-(m)];
-    the velocity block is diagonal by construction.
+    the velocity block is diagonal by construction.  With g the alignment
+    kernel at the chords d_p = 2 R sin(p pi / n),
+    J+-(m) = (1/n) sum_p g(d_p) (cos(2 pi p (m +- 1) / n) - 1) <= 0.
     """
-    if isinstance(gamma, AlignmentKernel):
-        gamma = gamma.gamma
+    m = _number("m", m, integer=True)
+    kernel = gamma if isinstance(gamma, AlignmentKernel) else AlignmentKernel(gamma)
     R = _ring_radius(PowerLaw(a, b), n, 0.0)
-    jp = alignment_damping(gamma, R, n, m, +1)
-    jm = alignment_damping(gamma, R, n, m, -1)
+    g = [float(kernel.value(2.0 * R * math.sin(p * math.pi / n))) for p in range(1, n)]
+    jp = _phase_sum(g, n, m + 1, 0, "J+(m)") / n
+    jm = _phase_sum(g, n, m - 1, 0, "J-(m)") / n
     entries = _assemble(*_blocks("flock-cs", *_direct_couplings(a, b, R, n, m), jp=jp, jm=jm))[0]
     return ModeMatrix(
         entries=entries,
         model="flock-cs",
-        params={"a": a, "b": b, "n": n, "m": m, "radius": R, "gamma": gamma},
+        params={"a": a, "b": b, "n": n, "m": m, "radius": R, "gamma": kernel.gamma},
     )
 
 
@@ -436,6 +348,7 @@ def mill_mode_matrix(a, b, n, m, alpha, speed):
     Real at speed 0, where the velocity block degenerates to
     [[-alpha, alpha], [alpha, -alpha]].
     """
+    m = _number("m", m, integer=True)
     R = _ring_radius(PowerLaw(a, b), n, speed)
     w = speed / R
     blocks = _blocks("mill", *_direct_couplings(a, b, R, n, m), alpha=alpha, omega=w)
@@ -779,9 +692,10 @@ def det_asymptotics(a, b, n, m_values):
 
     Returns (table, slope) with table rows (m, det).  The determinant
     decays like a power of m with exponent 1-b for b in (1,2), so there
-    is no spectral gap at large mode numbers.
+    is no spectral gap at large mode numbers.  A mode that is not an
+    integer (2.7, 3.0, True) or lies outside [2, n-2] is a ValueError.
     """
-    ms = np.asarray(sorted(int(m) for m in m_values))
+    ms = np.asarray(sorted(_number("m", m, integer=True) for m in m_values))
     if np.any(ms < 2) or np.any(ms > n - 2):
         raise ValueError("modes must lie in [2, n-2]")
     _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)

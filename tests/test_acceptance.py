@@ -28,12 +28,10 @@ from swarmlab.sim import (
 from swarmlab.spectra import (
     cs_flock_mode_matrix,
     det_asymptotics,
-    det_trace,
     eig4,
     flock_mode_matrix,
     mill_mode_matrix,
     mode_envelope,
-    shape_matrix,
     theorem_witness,
 )
 
@@ -123,7 +121,9 @@ def test_criterion_04_reduced_theorem_equivalence():
         if abs(max_re) <= 1e-8 * max(1.0, mat.max_norm):
             continue  # inside the tolerance band: no sign to compare
         decisive += 1
-        D, T = det_trace(shape_matrix(a, b, n, m))
+        # the shape matrix is the flock matrix's rows 3-4, columns 1-2
+        e = mat.entries
+        D, T = e[2, 0] * e[3, 1] - e[2, 1] * e[3, 0], e[2, 0] + e[3, 1]
         if (max_re < 0) != (D > 0 and T < 0):
             mismatches += 1
     ok = mismatches == 0 and decisive >= 140

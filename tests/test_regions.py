@@ -18,7 +18,7 @@ from swarmlab.regions import (
     separatrix_check,
 )
 from swarmlab import regions, spectra
-from swarmlab.spectra import Classification, mode_envelope, shape_matrix
+from swarmlab.spectra import Classification, mill_mode_matrix, mode_envelope
 
 
 def small_spec(**fixed):
@@ -262,8 +262,9 @@ class TestSpectrumAgreement:
         for cell in region.cells:
             if cell.classification is Classification.INVALID:
                 continue
-            sm = shape_matrix(cell.x, cell.y, 120, cell.critical_mode)
-            mu1 = np.linalg.eigvalsh(sm.entries)[-1]
+            # the shape matrix is the speed-0 mill's rows 3-4, columns 1-2
+            sm = mill_mode_matrix(cell.x, cell.y, 120, cell.critical_mode, 1.0, 0.0).entries[2:, :2]
+            mu1 = np.linalg.eigvalsh(sm)[-1]
             assert cell.max_real == pytest.approx(mu1, rel=1e-12)
 
     def test_scans_build_no_reports(self, monkeypatch):

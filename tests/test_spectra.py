@@ -15,82 +15,63 @@ from swarmlab.sim import ModePerturbation, SimConfig, ic_flock_ring, ic_mill_rin
 from swarmlab.spectra import (
     Classification,
     ModeMatrix,
-    ShapeMatrix,
     _weight_vectors,
     _worst_modes,
-    alignment_damping,
     classify,
     cs_flock_mode_matrix,
     dense_eigvals,
     det_asymptotics,
-    det_trace,
     eig4,
     flock_mode_matrix,
     full_cs_jacobian,
     full_flock_jacobian,
     full_hessian,
     mill_mode_matrix,
-    mode_cross_coupling,
     mode_envelope,
-    mode_self_coupling,
-    pair_weights,
-    shape_matrix,
     theorem_witness,
 )
 
-# four particles at the quartic/quadratic radius: every coupling is a short
-# rational expression that was worked out by hand
-R4 = 3.0**-0.5
+# the direct-sum builders, one mode each, for the input checks they share
+BUILDERS = {
+    "flock": lambda a, b, n, m: flock_mode_matrix(a, b, n, m, Propulsion(1.0, 1.0)),
+    "flock-cs": lambda a, b, n, m: cs_flock_mode_matrix(a, b, n, m, 1.0),
+    "mill": lambda a, b, n, m: mill_mode_matrix(a, b, n, m, 1.0, 0.3),
+}
 
 
-class TestPairWeights:
-    def test_hand_values_four_particles(self):
-        w1, w2 = pair_weights(4, 2, R4, 4, 1)
-        assert w1 == pytest.approx(-1.0 / 12.0, rel=1e-13)
-        assert w2 == pytest.approx(-1.0 / 6.0, rel=1e-13)
-        w1, w2 = pair_weights(4, 2, R4, 4, 2)
-        assert w1 == pytest.approx(-5.0 / 12.0, rel=1e-13)
-        assert w2 == pytest.approx(-1.0 / 3.0, rel=1e-13)
+def shape(a, b, n, m):
+    """The shape matrix [[I1(m), I2(m)], [I2(m), I1(-m)]] of the ring at
+    rest: rows 3-4, columns 1-2 of the speed-0 mill's mode matrix."""
+    return mill_mode_matrix(a, b, n, m, 1.0, 0.0).entries[2:, :2]
 
-    def test_chord_symmetry(self):
-        # d_p = d_{n-p}, so the weights repeat
-        for p in (1, 2, 3):
-            assert pair_weights(3.3, 1.1, 0.7, 8, p) == pytest.approx(
-                pair_weights(3.3, 1.1, 0.7, 8, 8 - p)
-            )
 
-    def test_chord_index_validation(self):
-        with pytest.raises(ValueError):
-            pair_weights(4, 2, 1.0, 8, 0)
-        with pytest.raises(ValueError):
-            pair_weights(4, 2, 1.0, 8, 8)
-        with pytest.raises(ValueError):
-            pair_weights(2, 3, 1.0, 8, 1)
+def det_and_trace(sm):
+    """Determinant and trace of a shape matrix; stability needs D > 0 and T < 0."""
+    return sm[0, 0] * sm[1, 1] - sm[0, 1] * sm[1, 0], sm[0, 0] + sm[1, 1]
 
-    @pytest.mark.parametrize("fn, args, named", [
-        (pair_weights, (math.inf, 1, 1.0, 10, 1), "a=inf"),
-        (pair_weights, (5, math.nan, 1.0, 10, 1), "b=nan"),
-        (pair_weights, (5, 1, math.nan, 10, 1), "radius=nan"),
-        (pair_weights, (5, 1, math.inf, 10, 1), "radius=inf"),
-        (pair_weights, (5, 1, 0.0, 10, 1), "radius=0.0"),
-        (pair_weights, (5, 1, -1.0, 10, 1), "radius=-1.0"),
-        (mode_self_coupling, (math.inf, 1, 1.0, 10, 2), "a=inf"),
-        (mode_cross_coupling, (5, 1, math.nan, 10, 2), "radius=nan"),
-        (alignment_damping, (1.0, math.nan, 10, 2, 1), "radius=nan"),
-        (alignment_damping, (1.0, math.inf, 10, 2, 1), "radius=inf"),
-        (alignment_damping, (1.0, 0.0, 10, 2, 1), "radius=0.0"),
+
+class TestBuilderInputs:
+    @pytest.mark.parametrize("a, b, named", [
+        (math.inf, 1, "a=inf"), (5, math.nan, "b=nan"), (2, 3, "a=2"),
     ])
-    def test_unusable_input_is_named(self, fn, args, named):
-        # these used to return (nan, nan) or fail inside math.fsum
+    @pytest.mark.parametrize("model", list(BUILDERS))
+    def test_unusable_input_is_named(self, model, a, b, named):
         with pytest.raises(ValueError, match=named):
-            fn(*args)
+            BUILDERS[model](a, b, 10, 2)
 
-    @pytest.mark.parametrize("fn", [mode_self_coupling, mode_cross_coupling])
     @pytest.mark.parametrize("n", [1, 0, 2.5, True])
-    def test_ring_size_is_named(self, fn, n):
-        # n = 1 and 0 used to fail with "not enough values to unpack"
+    @pytest.mark.parametrize("model", list(BUILDERS))
+    def test_ring_size_is_named(self, model, n):
         with pytest.raises(ValueError, match=f"n={n}"):
-            fn(4, 2, 1.0, n, 2)
+            BUILDERS[model](4, 2, n, 2)
+
+    @pytest.mark.parametrize("m", [True, 2.0, 2.5])
+    @pytest.mark.parametrize("model", list(BUILDERS))
+    def test_mode_is_named(self, model, m):
+        # True used to build mode 1, 2.0 mode 2, and 2.5 raised an
+        # ArithmeticError from the phase sum
+        with pytest.raises(ValueError, match=f"got m={m}$"):
+            BUILDERS[model](5, 1.5, 30, m)
 
 
 class TestCouplings:
@@ -108,30 +89,30 @@ class TestCouplings:
             assert got1.tobytes() == w1.tobytes() and got2.tobytes() == w2.tobytes()
 
     def test_hand_values_four_particles(self):
-        assert mode_self_coupling(4, 2, R4, 4, 2) == pytest.approx(-1.0, rel=1e-12)
-        assert mode_self_coupling(4, 2, R4, 4, -2) == pytest.approx(-1.0, rel=1e-12)
-        assert mode_cross_coupling(4, 2, R4, 4, 2) == pytest.approx(-1.0 / 3.0, rel=1e-12)
+        # four particles at the quartic/quadratic radius 3^-1/2: every
+        # coupling is a short rational expression that was worked out by hand
+        assert shape(4, 2, 4, 2)[0, 0] == pytest.approx(-1.0, rel=1e-12)
+        assert shape(4, 2, 4, -2)[0, 0] == pytest.approx(-1.0, rel=1e-12)
+        assert shape(4, 2, 4, 2)[0, 1] == pytest.approx(-1.0 / 3.0, rel=1e-12)
 
     def test_cross_coupling_zero_at_m1(self):
         # cos(m phi) - cos(phi) vanishes termwise
-        assert mode_cross_coupling(4, 2, R4, 4, 1) == 0.0
-        assert mode_cross_coupling(3.7, 0.9, 1.3, 17, 1) == 0.0
+        assert shape(4, 2, 4, 1)[0, 1] == 0.0
+        assert shape(3.7, 0.9, 17, 1)[0, 1] == 0.0
 
     def test_self_coupling_zero_at_minus_one(self):
         # the (m+1) phase is identically zero
-        assert mode_self_coupling(4, 2, R4, 4, -1) == 0.0
-        assert mode_self_coupling(5.1, 2.3, 0.8, 23, -1) == 0.0
+        assert shape(4, 2, 4, -1)[0, 0] == 0.0
+        assert shape(5.1, 2.3, 23, -1)[0, 0] == 0.0
 
     def test_cross_coupling_even_in_m(self):
         for m in (2, 3, 5, 9):
-            assert mode_cross_coupling(4.2, 1.7, 0.9, 21, m) == pytest.approx(
-                mode_cross_coupling(4.2, 1.7, 0.9, 21, -m), rel=1e-13
+            assert shape(4.2, 1.7, 21, m)[0, 1] == pytest.approx(
+                shape(4.2, 1.7, 21, -m)[0, 1], rel=1e-13
             )
 
     def test_periodicity_in_n(self):
-        assert mode_self_coupling(4, 2, R4, 12, 3) == pytest.approx(
-            mode_self_coupling(4, 2, R4, 12, 3 + 12), rel=1e-12
-        )
+        assert shape(4, 2, 12, 3)[0, 0] == pytest.approx(shape(4, 2, 12, 3 + 12)[0, 0], rel=1e-12)
 
 
 class TestWorkspace:
@@ -178,48 +159,40 @@ class TestWorkspace:
 
 class TestShapeMatrix:
     def test_hand_matrix_and_criterion(self):
-        sm = shape_matrix(4, 2, 4, 2)
-        assert np.allclose(
-            sm.entries, [[-1.0, -1.0 / 3.0], [-1.0 / 3.0, -1.0]], atol=1e-12
-        )
-        D, T = det_trace(sm)
+        sm = shape(4, 2, 4, 2)
+        assert np.allclose(sm, [[-1.0, -1.0 / 3.0], [-1.0 / 3.0, -1.0]], atol=1e-12)
+        D, T = det_and_trace(sm)
         assert D == pytest.approx(8.0 / 9.0, rel=1e-12)
         assert T == pytest.approx(-2.0, rel=1e-12)
 
     def test_m1_singular(self):
         for n in (7, 20, 101):
-            D, T = det_trace(shape_matrix(3.5, 1.2, n, 1))
+            D, T = det_and_trace(shape(3.5, 1.2, n, 1))
             assert abs(D) < 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ShapeMatrix(entries=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(ValueError):
-            ShapeMatrix(entries=np.zeros((3, 3)))
 
 
 class TestAlignmentDamping:
+    # J+(m) and J-(m) are the diagonal of the flock-cs velocity block
+
     def test_hand_value_four_particles(self):
-        assert alignment_damping(1.0, R4, 4, 2, +1) == pytest.approx(-18.0 / 35.0, rel=1e-12)
-        assert alignment_damping(1.0, R4, 4, 2, -1) == pytest.approx(-18.0 / 35.0, rel=1e-12)
+        e = cs_flock_mode_matrix(4, 2, 4, 2, 1.0).entries
+        assert e[2, 2] == pytest.approx(-18.0 / 35.0, rel=1e-12)
+        assert e[3, 3] == pytest.approx(-18.0 / 35.0, rel=1e-12)
 
     def test_zero_at_m1_minus(self):
         # cos(0) - 1 vanishes termwise
-        assert alignment_damping(1.0, 0.9, 12, 1, -1) == 0.0
-        assert alignment_damping(2.5, 1.7, 31, 1, -1) == 0.0
+        assert cs_flock_mode_matrix(4.5, 1.7, 12, 1, 1.0).entries[3, 3] == 0.0
+        assert cs_flock_mode_matrix(3.3, 0.7, 31, 1, 2.5).entries[3, 3] == 0.0
 
     def test_nonpositive(self, rng):
         for _ in range(10):
             gamma = rng.uniform(0.3, 3.0)
-            radius = rng.uniform(0.3, 2.0)
+            a = rng.uniform(2.5, 7.0)
+            b = rng.uniform(0.3, 0.8 * a)
             n = int(rng.integers(4, 40))
             m = int(rng.integers(1, n - 1))
-            sign = 1 if rng.random() < 0.5 else -1
-            assert alignment_damping(gamma, radius, n, m, sign) <= 0.0
-
-    def test_sign_validation(self):
-        with pytest.raises(ValueError):
-            alignment_damping(1.0, 1.0, 8, 2, 0)
+            e = cs_flock_mode_matrix(a, b, n, m, gamma).entries
+            assert e[2, 2] <= 0.0 and e[3, 3] <= 0.0
 
 
 class TestModeMatrices:
@@ -258,8 +231,8 @@ class TestModeMatrices:
         mat = mill_mode_matrix(5, 1.5, 24, 3, 0.8, 0.0)
         assert mat.entries.dtype == np.dtype(float)
         assert np.allclose(mat.entries[2:, 2:], [[-0.8, 0.8], [0.8, -0.8]])
-        sm = shape_matrix(5, 1.5, 24, 3)
-        assert np.allclose(mat.entries[2:, :2], sm.entries, atol=1e-12)
+        flock = flock_mode_matrix(5, 1.5, 24, 3, Propulsion(1.0, 1.0))
+        assert np.allclose(mat.entries[2:, :2], flock.entries[2:, :2], atol=1e-12)
 
     def test_mill_complex_assembly(self):
         a, b, n, m, alpha, speed = 5.0, 1.5, 24, 3, 0.8, 0.5
@@ -267,9 +240,11 @@ class TestModeMatrices:
         R = mat.params["radius"]
         w = speed / R
         assert mat.params["omega"] == pytest.approx(w)
-        i1p = mode_self_coupling(a, b, R, n, m)
-        i1m = mode_self_coupling(a, b, R, n, -m)
-        i2 = mode_cross_coupling(a, b, R, n, m)
+        # the couplings at the mill radius from the rfft route, which agrees
+        # with the direct sums to roundoff
+        R_fft, *couplings = spectra_module._ring_couplings(a, b, n, speed, np.array([m]))
+        assert R_fft == R
+        i1p, i1m, i2 = (float(c[0]) for c in couplings)
         expect = np.array(
             [
                 [-1j * w * alpha + w * w + i1p, -1j * w * alpha + i2, -alpha - 2j * w, alpha],
@@ -387,11 +362,11 @@ def assert_matches_direct(rep, mat):
         tol = 1e-8 * max(1.0, mat.max_norm)
         assert rep.classification == classify(direct, tol=tol)
         return
-    sm = shape_matrix(p["a"], p["b"], p["n"], rep.m)
+    sm = mat.entries[2:, :2]
     if rep.m == 1:
-        stable = sm.entries[0, 0] < 0
+        stable = sm[0, 0] < 0
     else:
-        D, T = det_trace(sm)
+        D, T = det_and_trace(sm)
         stable = D > 0 and T < 0
     # the cases below are decisive: no mode sits inside the tolerance band
     assert rep.classification == (Classification.STABLE if stable else Classification.UNSTABLE)
@@ -415,7 +390,7 @@ class TestEnvelope:
         assert all(r.max_real < 0 for r in reports)
         # the positions-only criterion is clean at the same parameters
         for m in (2, 10, 30, 49):
-            D, T = det_trace(shape_matrix(5, 1.5, 100, m))
+            D, T = det_and_trace(shape(5, 1.5, 100, m))
             assert D > 1e-8 and T < -1e-8
 
     def test_degenerate_family_reports_marginal(self):
@@ -641,7 +616,9 @@ class TestWorstModeCertificate:
         assert len(solved_rows) < len(ms)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    @pytest.mark.parametrize("index", [1, 10], ids=["sampled", "unsampled"])
+    # index 1 (mode 3) is in the fixed sample; index 10 (mode 12) gets a
+    # NaN or inf mu1, so mu1's argmax puts it into the sample
+    @pytest.mark.parametrize("index", [1, 10], ids=["fixed-sample", "mu1-argmax"])
     @pytest.mark.parametrize("model", ["mill", "flock-cs"])
     def test_non_finite_entries_give_the_eigvals_reason(self, model, index, bad, monkeypatch):
         couplings = spectra_module._ring_couplings
@@ -735,7 +712,7 @@ class TestCsReduction:
             if abs(max_re) <= 1e-8 * max(1.0, mat.max_norm):
                 continue  # inside the tolerance band: no sign to compare
             decisive += 1
-            D, T = det_trace(shape_matrix(a, b, n, m))
+            D, T = det_and_trace(mat.entries[2:, :2])
             mismatches += (max_re < 0) != (D > 0 and T < 0)
         assert mismatches == 0
         assert decisive >= 60
@@ -745,7 +722,7 @@ class TestDetAsymptotics:
     def test_table_matches_shape_matrices(self):
         table, _ = det_asymptotics(5, 1.5, 64, [2, 5, 11, 30])
         for m, det in table:
-            D, _ = det_trace(shape_matrix(5, 1.5, 64, m))
+            D, _ = det_and_trace(shape(5, 1.5, 64, m))
             assert det == pytest.approx(D, rel=1e-10, abs=1e-12)
 
     def test_mode_domain_validation(self):
@@ -753,6 +730,12 @@ class TestDetAsymptotics:
             det_asymptotics(5, 1.5, 64, [1, 5])
         with pytest.raises(ValueError):
             det_asymptotics(5, 1.5, 64, [2, 63])
+
+    @pytest.mark.parametrize("m", [2.7, 3.0, True])
+    def test_non_integer_mode_is_named(self, m):
+        # 2.7 used to run as mode 2, and True as mode 1
+        with pytest.raises(ValueError, match=f"got m={m}$"):
+            det_asymptotics(5, 1.5, 100, [m, 3, 4])
 
 
 class TestFullSystem:
