@@ -48,8 +48,6 @@ from .regions import (
 from .rings import (
     RadiusProblem,
     continuum_radius,
-    flock_ring,
-    mill_ring,
     radius_residual,
     solve_radius,
     trig_moment,
@@ -59,9 +57,8 @@ from .sim import (
     RandomNoise,
     SimConfig,
     SimulationError,
+    _start_ring,
     bifurcation_sweep,
-    ic_flock_ring,
-    ic_mill_ring,
     integrate,
 )
 from .spectra import (
@@ -305,6 +302,8 @@ def _perturbation_from_json(data):
 
 
 _SIM_OVERRIDES = ("t_final", "seed", "n", "rtol", "atol", "sample_every")
+# the SimConfig fields a config may leave out, to take SimConfig's defaults
+_SIM_OPTIONAL = ("rtol", "atol", "seed", "sample_every", "min_distance_guard")
 
 
 def _load_sim_config(args):
@@ -322,11 +321,7 @@ def _load_sim_config(args):
         t_final=data["t_final"],
         propulsion=Propulsion(**data["propulsion"]) if "propulsion" in data else None,
         alignment=AlignmentKernel(**data["alignment"]) if "alignment" in data else None,
-        rtol=data.get("rtol", 1e-6),
-        atol=data.get("atol", 1e-9),
-        seed=data.get("seed", 0),
-        sample_every=data.get("sample_every", 1.0),
-        min_distance_guard=data.get("min_distance_guard"),
+        **{key: data[key] for key in _SIM_OPTIONAL if key in data},
     )
     data.update({key: getattr(config, key) for key in _SIM_OVERRIDES})
     return config, data
@@ -334,24 +329,14 @@ def _load_sim_config(args):
 
 def _ring_and_state(config, ic_data):
     kind = ic_data.get("kind", "flock")
-    speed = ic_data.get("speed")
-    if speed is None:
-        if config.propulsion is None:
-            raise ValueError("cucker-smale configs need ic.speed")
-        speed = config.propulsion.asymptotic_speed
     perturbation = _perturbation_from_json(ic_data.get("perturbation"))
-    rng = np.random.default_rng(config.seed)
+    ring, start = _start_ring(config, kind, ic_data.get("speed"))
     if kind == "flock":
-        ring = flock_ring(config.potential, config.n, speed)
-        direction = ic_data.get("direction", (1.0, 0.0))
-        state = ic_flock_ring(ring, direction=direction, perturbation=perturbation, rng=rng)
-    elif kind == "mill":
-        ring = mill_ring(config.potential, config.n, speed)
-        state = ic_mill_ring(ring, orientation=ic_data.get("orientation", 1),
-                             perturbation=perturbation, rng=rng)
+        options = {"direction": ic_data.get("direction", (1.0, 0.0))}
     else:
-        raise ValueError(f"unknown ic kind {kind!r}")
-    return ring, state
+        options = {"orientation": ic_data.get("orientation", 1)}
+    rng = np.random.default_rng(config.seed)
+    return ring, start(ring, perturbation=perturbation, rng=rng, **options)
 
 
 def cmd_simulate(args):

@@ -279,10 +279,8 @@ def radius_residual(problem, R):
     Zero at a ring radius; negative when short-range repulsion (or the
     centrifugal term) wins, positive when attraction wins.
     """
-    if not R > 0:
-        raise ValueError("R must be positive")
     residual, _ = _residual_fn(problem.potential, problem.n, problem.speed)
-    return residual(float(R))
+    return residual(_number("R", R, gt=0))
 
 
 def _bisect(residual, lo, hi, f_lo, tol):
@@ -431,8 +429,7 @@ def mill_ring(potential, n, speed):
 
 def beta_fn(x, y):
     """Euler Beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y)."""
-    if not (x > 0 and y > 0):
-        raise ValueError("beta_fn needs positive arguments")
+    x, y = _number("x", x, gt=0), _number("y", y, gt=0)
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
@@ -442,8 +439,7 @@ def sine_moment_limit(alpha):
     Equals 2^(alpha-1)/pi * B((alpha+1)/2, 1/2); gives 1 at alpha=2,
     3 at alpha=4, 2/pi at alpha=1.
     """
-    if not alpha > 0:
-        raise ValueError("need alpha > 0")
+    alpha = _number("alpha", alpha, gt=0)
     return 2.0 ** (alpha - 1.0) / math.pi * beta_fn(0.5 * (alpha + 1.0), 0.5)
 
 
@@ -454,10 +450,8 @@ def continuum_radius(a, b, speed=0.0):
     form R = (1/2) (B((b+1)/2,1/2) / B((a+1)/2,1/2))^(1/(a-b)); with a
     centrifugal term the unique root is found numerically.
     """
-    if not a > b > 0:
-        raise ValueError("need a > b > 0")
-    if speed < 0:
-        raise ValueError("speed must be nonnegative")
+    potential = PowerLaw(a, b)
+    a, b, speed = potential.a, potential.b, _number("speed", speed, ge=0)
     if speed == 0.0:
         ratio = beta_fn(0.5 * (b + 1.0), 0.5) / beta_fn(0.5 * (a + 1.0), 0.5)
         return 0.5 * ratio ** (1.0 / (a - b))

@@ -791,6 +791,22 @@ def ic_mill_ring(ring, orientation=1, perturbation=None, rng=None):
     return SwarmState(t=0.0, positions=positions, velocities=velocities)
 
 
+def _start_ring(config, kind, speed=None):
+    """The ring a run of ``config`` starts on, and the ic function that
+    seeds its state: a ``kind`` ("flock" or "mill") ring at ``speed``, by
+    default the propulsion's asymptotic speed.  A Cucker-Smale config has
+    no speed of its own, so it needs one."""
+    if speed is None:
+        if config.propulsion is None:
+            raise ValueError("cucker-smale runs need a start speed (ic.speed, ic_speed)")
+        speed = config.propulsion.asymptotic_speed
+    if kind == "flock":
+        return flock_ring(config.potential, config.n, speed), ic_flock_ring
+    if kind == "mill":
+        return mill_ring(config.potential, config.n, speed), ic_mill_ring
+    raise ValueError(f"unknown ic kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -887,18 +903,9 @@ def _sweep_member(config, parameter, value, index, ic_kind, perturbation, ic_spe
             raise ValueError("speed sweeps need the propulsion model")
         prop = replace(prop, alpha=value**2 * prop.beta)
     cfg = replace(config, potential=pot, propulsion=prop, seed=config.seed + index)
-    if ic_speed is not None:
-        ic_speed = _number("ic_speed", ic_speed, ge=0)
-        speed = ic_speed if parameter != "speed" else value
-    elif prop is not None:
-        speed = prop.asymptotic_speed
-    else:
-        raise ValueError("cucker-smale sweeps need ic_speed")
-    if ic_kind == "flock":
-        ring, start = flock_ring(pot, cfg.n, speed), ic_flock_ring
-    else:
-        ring, start = mill_ring(pot, cfg.n, speed), ic_mill_ring
-    pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(speed, 1e-3))
+    speed = value if parameter == "speed" and ic_speed is not None else ic_speed
+    ring, start = _start_ring(cfg, ic_kind, speed)
+    pert = perturbation or RandomNoise(1e-3 * ring.radius, 1e-3 * max(ring.speed, 1e-3))
     state = start(ring, perturbation=pert, rng=np.random.default_rng(cfg.seed))
     return _Run(cfg, state, ring)
 
@@ -910,13 +917,15 @@ def _sweep(config, parameter, values, ic_kind="flock", perturbation=None, ic_spe
     Members are seeded config.seed + index and integrated in stacks of at
     most _STACK_ENTRIES // n^2 consecutive runs, at least one per pool
     thread; each result is the one ``integrate`` gives that run, for any
-    worker count.  A bad ``parameter``, ``ic_kind`` or worker count is a
-    ValueError before any member runs.
+    worker count.  A bad ``parameter``, ``ic_kind``, ``ic_speed`` or worker
+    count is a ValueError before any member runs.
     """
     if parameter not in ("b", "speed"):
         raise ValueError("parameter must be 'b' or 'speed'")
     if ic_kind not in ("flock", "mill"):
         raise ValueError("ic_kind must be 'flock' or 'mill'")
+    if ic_speed is not None:
+        ic_speed = _number("ic_speed", ic_speed, ge=0)
 
     def stack(members):
         # A member whose set-up fails ends the stack.  The members before it

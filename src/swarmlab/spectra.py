@@ -27,20 +27,21 @@ solving every mode alone, bit for bit.  mode_envelope solves every mode,
 since it prints every mode.
 
 The builders flock_mode_matrix, cs_flock_mode_matrix and mill_mode_matrix
-are the one public way into the reference route: one mode by math.fsum
-sums, sharing no code with the rfft tables.  Each coupling is an entry of
-the built matrix e: I1(m) = e[2, 0], I2(m) = e[2, 1], I1(-m) = e[3, 1] (so
-the shape matrix is e[2:, :2], bare but for a spinning mill), and for
-flock-cs J+(m) = e[2, 2], J-(m) = e[3, 3].
+are the one public way into the reference route, _row_couplings: one mode
+from one particle's Cartesian pair blocks (_pair_blocks) applied to the
+mode's displacements, sharing no code with the rfft tables.  Each coupling
+is an entry of the built matrix e: I1(m) = e[2, 0], I2(m) = e[2, 1],
+I1(-m) = e[3, 1] (so the shape matrix is e[2:, :2], bare but for a
+spinning mill), and for flock-cs J+(m) = e[2, 2], J-(m) = e[3, 3].
 
 For cross-validation at small N the module also assembles the full
-2N x 2N interaction Hessian and the 4N x 4N Jacobians, whose spectra
-must agree in sign with the reduced criterion (theorem_witness).
+2N x 2N interaction Hessian from the same pair blocks, and the 4N x 4N
+Jacobians, whose spectra must agree in sign with the reduced criterion
+(theorem_witness).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -172,7 +173,7 @@ def _ring_couplings(a, b, n, speed, ms):
     w1 rows and one over the w2 rows (the bytes of one rfft per row) give
     the cosine sums c[k] = sum_p w_p cos(2 pi p k / n); then
     I1(m) = c1[0] - c1[fold(m+1)] and I2(m) = c2[fold(m)] - c2[1].  Agrees
-    with the direct-summation route to roundoff (tested).  The weight rows
+    with the pair-block reference route to roundoff (tested).  The weight rows
     and rfft outputs are rings._scratch buffers (for one cell, the rfft
     writes over the _pair_rows the solve and the weights used); R and the
     couplings are new arrays.
@@ -250,51 +251,87 @@ def _assemble(S, V, solve=None):
     return A
 
 
-def _phase_sum(w, n, j, k, label):
-    """Re sum_p w_p (e^{2 pi i p j / n} - e^{2 pi i p k / n}) over p = 1..n-1.
+def _pair_blocks(potential, dx, n):
+    """Pair Hessian blocks (k''(r) rr^T + (k'(r)/r)(I - rr^T)) / n, (..., 2, 2),
+    of the offsets dx (..., 2), with r = |dx| and rr^T the outer product of
+    dx / r.  The block of x_j - x_l is the derivative of particle j's pair
+    acceleration in x_l: block (j, l) of the interaction Hessian."""
+    r = np.hypot(dx[..., 0], dx[..., 1])
+    rhat = dx / r[..., None]
+    rr = rhat[..., :, None] * rhat[..., None, :]
+    kd, kdd = potential.deriv(r), potential.second_deriv(r)
+    block = kdd[..., None, None] * rr + (kd / r)[..., None, None] * (np.eye(2) - rr)
+    block /= n
+    return block
 
-    The imaginary part cancels by the p <-> n-p symmetry; it must stay
-    within roundoff of sum |w_p|, then is discarded.  The real part
-    itself can be 0 (mode n - 1).
+
+def _alignment_blocks(kernel, dx, n):
+    """Alignment blocks g(|dx|) I / n, (..., 2, 2), of the offsets dx (..., 2):
+    the derivative of one particle's alignment acceleration in the other's
+    velocity."""
+    return (kernel.value(np.hypot(dx[..., 0], dx[..., 1])) / n)[..., None, None] * np.eye(2)
+
+
+def _mode_response(blocks, k):
+    """(A, B) of the response h(c) = sum_l B_l (u_l - u_n) = A c + B conj(c),
+    as complex numbers, of one particle with blocks B_1..B_(n-1) (n - 1, 2, 2)
+    to the input u_l = c e^(2 pi i (k l mod n) / n): A = (h(1) - i h(i)) / 2,
+    B = (h(1) + i h(i)) / 2.  With k l mod n in integers, k = 0 mod n is an
+    exact translation, and its A and B exact zeros.  A and B are real: an
+    imaginary part above 1e-10 of the blocks' summed moduli is an
+    ArithmeticError."""
+    n = len(blocks) + 1
+    d = np.exp(2j * np.pi * (k * np.arange(1, n) % n) / n) - 1.0  # u_l - u_n at c = 1
+    inputs = np.array([[d.real, d.imag], [-d.imag, d.real]])  # c = 1, c = i
+    h1, hi = np.einsum("lij,cjl->ci", blocks, inputs) @ (1, 1j)
+    readings = (h1 - 1j * hi) / 2.0, (h1 + 1j * hi) / 2.0
+    scale = float(np.abs(blocks).sum())
+    for h in readings:
+        if not abs(h.imag) <= 1e-10 * scale:
+            raise ArithmeticError(f"phase {k}: imaginary part {h.imag:.3e} not "
+                                  f"negligible against blocks {scale:.3e}")
+    return tuple(float(h.real) for h in readings)
+
+
+def _row_couplings(potential, ring, m, kernel=None):
+    """[I1(m), I1(-m), I2(m)], then J+(m), J-(m) with a kernel: the reference
+    route, one mode from the Cartesian blocks of one particle of the ring.
+
+    The particle is the last of ring_positions, at angle 2 pi, so its
+    (radial, tangential) frame is the lab frame.  Mode m moves particle l by
+    e^(i theta_l) (xi+ e^(i m theta_l) + xi- e^(-i m theta_l)): xi+ is the
+    input of phase k = 1 + m, xi- that of k = 1 - m.  Through _pair_blocks
+    the xi+ input reads A = I1(m), B = I2(m) and the xi- input A = I1(-m),
+    B = I2(m); through _alignment_blocks their A are J+(m) and J-(m).  I2(m)
+    is the xi- input's B unless the xi+ input is the translation
+    (m = -1 mod n), so every coupling of the translation is an exact zero.
+    No chord formula, sine table or rfft enters.
     """
-    re, im = [], []
-    for p, wp in zip(range(1, n), w):
-        tj, tk = 2.0 * math.pi * p * j / n, 2.0 * math.pi * p * k / n
-        re.append(wp * (math.cos(tj) - math.cos(tk)))
-        im.append(wp * (math.sin(tj) - math.sin(tk)))
-    im, scale = math.fsum(im), math.fsum(map(abs, w))
-    if not abs(im) <= 1e-10 * scale:
-        raise ArithmeticError(
-            f"{label}: imaginary part {im:.3e} not negligible against weights {scale:.3e}"
-        )
-    return math.fsum(re)
+    n = ring.n
+    x = ring_positions(ring)
+    dx = x[-1] - x[:-1]
+    blocks = _pair_blocks(potential, dx, n)
+    (i1p, i2p), (i1m, i2m) = (_mode_response(blocks, k) for k in (1 + m, 1 - m))
+    couplings = [i1p, i1m, i2p if (1 + m) % n == 0 else i2m]
+    if kernel is not None:
+        blocks = _alignment_blocks(kernel, dx, n)
+        couplings += [_mode_response(blocks, k)[0] for k in (1 + m, 1 - m)]
+    return couplings
 
 
-def _direct_couplings(a, b, R, n, m):
-    """I1(m), I1(-m), I2(m) by direct summation: the pair weights
-    w1 = (-a d^(a-2) + b d^(b-2)) / (2n), w2 = (-(a-2) d^(a-2) + (b-2) d^(b-2)) / (2n)
-    at the chords d_p = 2 R sin(p pi / n), p = 1..n-1, in phase sums (I1(+-m):
-    w1 at j = 0, k = 1 +- m; I2(m): w2 at j = m, k = 1).  The builders take
-    R from _ring_radius, which has checked a, b and R."""
-    w1, w2 = [], []
-    for p in range(1, n):
-        d = 2.0 * R * math.sin(p * math.pi / n)
-        da = d ** (a - 2.0)
-        db = d ** (b - 2.0)
-        w1.append((-a * da + b * db) / (2.0 * n))
-        w2.append((-(a - 2.0) * da + (b - 2.0) * db) / (2.0 * n))
-    return (
-        _phase_sum(w1, n, 0, m + 1, "I1(m)"),
-        _phase_sum(w1, n, 0, -m + 1, "I1(-m)"),
-        _phase_sum(w2, n, m, 1, "I2(m)"),
-    )
+def _reference_ring(a, b, n, m, speed=0.0):
+    """The checked mode m, the power law and its ring at ``speed``."""
+    m = _number("m", m, integer=True)
+    potential = PowerLaw(a, b)
+    return m, potential, solve_radius(RadiusProblem(potential=potential, n=n, speed=speed))
 
 
 def flock_mode_matrix(a, b, n, m, prop):
     """Mode matrix for the self-propelled flock ring.
 
     Rows 3-4: [I1(m), I2(m), -alpha, -alpha], [I2(m), I1(-m), -alpha,
-    -alpha].  The velocity block is the rank-1 propulsion damping
+    -alpha], with the couplings from the pair-block reference
+    _row_couplings.  The velocity block is the rank-1 propulsion damping
     projected onto the mode amplitudes; its trace -2 alpha matches
     -2 beta |u0|^2, so only alpha enters.
 
@@ -306,66 +343,55 @@ def flock_mode_matrix(a, b, n, m, prop):
     """
     if not isinstance(prop, Propulsion):
         raise TypeError("prop must be a Propulsion")
-    m = _number("m", m, integer=True)
-    R = _ring_radius(PowerLaw(a, b), n, 0.0)
+    m, pot, ring = _reference_ring(a, b, n, m)
     al = prop.alpha
-    entries = _assemble(*_blocks("flock", *_direct_couplings(a, b, R, n, m), alpha=al))[0]
+    entries = _assemble(*_blocks("flock", *_row_couplings(pot, ring, m), alpha=al))[0]
     return ModeMatrix(
         entries=entries,
         model="flock",
-        params={"a": a, "b": b, "n": n, "m": m, "radius": R, "alpha": al},
+        params={"a": a, "b": b, "n": n, "m": m, "radius": ring.radius, "alpha": al},
     )
 
 
 def cs_flock_mode_matrix(a, b, n, m, gamma):
     """Mode matrix for the flock ring with velocity-alignment coupling.
 
-    Rows 3-4: [I1(m), I2(m), J+(m), 0], [I2(m), I1(-m), 0, J-(m)];
-    the velocity block is diagonal by construction.  With g the alignment
-    kernel at the chords d_p = 2 R sin(p pi / n),
+    Rows 3-4: [I1(m), I2(m), J+(m), 0], [I2(m), I1(-m), 0, J-(m)], all from
+    _row_couplings; the velocity block is diagonal by construction.  With g
+    the alignment kernel at the chords d_p,
     J+-(m) = (1/n) sum_p g(d_p) (cos(2 pi p (m +- 1) / n) - 1) <= 0.
     """
-    m = _number("m", m, integer=True)
     kernel = gamma if isinstance(gamma, AlignmentKernel) else AlignmentKernel(gamma)
-    R = _ring_radius(PowerLaw(a, b), n, 0.0)
-    g = [float(kernel.value(2.0 * R * math.sin(p * math.pi / n))) for p in range(1, n)]
-    jp = _phase_sum(g, n, m + 1, 0, "J+(m)") / n
-    jm = _phase_sum(g, n, m - 1, 0, "J-(m)") / n
-    entries = _assemble(*_blocks("flock-cs", *_direct_couplings(a, b, R, n, m), jp=jp, jm=jm))[0]
+    m, pot, ring = _reference_ring(a, b, n, m)
+    i1p, i1m, i2, jp, jm = _row_couplings(pot, ring, m, kernel)
+    entries = _assemble(*_blocks("flock-cs", i1p, i1m, i2, jp=jp, jm=jm))[0]
     return ModeMatrix(
         entries=entries,
         model="flock-cs",
-        params={"a": a, "b": b, "n": n, "m": m, "radius": R, "gamma": kernel.gamma},
+        params={"a": a, "b": b, "n": n, "m": m, "radius": ring.radius, "gamma": kernel.gamma},
     )
 
 
 def mill_mode_matrix(a, b, n, m, alpha, speed):
     """Mode matrix for the rotating mill ring (counter-clockwise, omega > 0).
 
-    Rows 3-4:
+    Rows 3-4, with the couplings from _row_couplings and the rotating
+    frame's terms from _blocks:
       [-i omega alpha + omega^2 + I1(m), -i omega alpha + I2(m), -alpha - 2 i omega, alpha]
       [ i omega alpha + I2(m),  i omega alpha + omega^2 + I1(-m), alpha, -alpha + 2 i omega]
     Real at speed 0, where the velocity block degenerates to
     [[-alpha, alpha], [alpha, -alpha]].
     """
-    m = _number("m", m, integer=True)
-    R = _ring_radius(PowerLaw(a, b), n, speed)
+    m, pot, ring = _reference_ring(a, b, n, m, speed)
+    R = ring.radius
     w = speed / R
-    blocks = _blocks("mill", *_direct_couplings(a, b, R, n, m), alpha=alpha, omega=w)
+    blocks = _blocks("mill", *_row_couplings(pot, ring, m), alpha=alpha, omega=w)
     entries = _assemble(*blocks)[0]
     return ModeMatrix(
         entries=entries,
         model="mill",
-        params={
-            "a": a,
-            "b": b,
-            "n": n,
-            "m": m,
-            "radius": R,
-            "alpha": alpha,
-            "speed": speed,
-            "omega": w,
-        },
+        params={"a": a, "b": b, "n": n, "m": m, "radius": R, "alpha": alpha, "speed": speed,
+                "omega": w},
     )
 
 
@@ -709,35 +735,33 @@ def det_asymptotics(a, b, n, m_values):
 # ---------------------------------------------------------------------------
 
 
+def _pair_matrix(x, block):
+    """The 2N x 2N matrix of positions x (N, 2) whose block (j, l), j != l,
+    is block(x_j - x_l), offsets (..., 2) to blocks (..., 2, 2), and whose
+    diagonal blocks are minus their row's sum, so rigid translations are in
+    its kernel exactly.  l is not the innermost axis of the sum, so the
+    blocks are added in index order: the bytes are a loop's over pairs."""
+    n = x.shape[0]
+    pairs = ~np.eye(n, dtype=bool)
+    blocks = np.zeros((n, n, 2, 2))
+    blocks[pairs] = block((x[:, None] - x[None, :])[pairs])
+    diagonal = np.arange(n)
+    blocks[diagonal, diagonal] = np.subtract(0.0, np.add.reduce(blocks, axis=1))
+    return blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
+
+
 def full_hessian(potential, positions):
     """2N x 2N interaction Hessian at the given configuration.
 
-    Block (j,l), j != l, is hess(k)(x_j - x_l)/N where hess(k) is the
-    second derivative of the radial pair potential; diagonal blocks are
-    minus the row sums, so rigid translations are in the kernel exactly
-    and the matrix is symmetric by construction.
+    Block (j, l), j != l, is _pair_blocks of x_j - x_l: hess(k)(x_j - x_l)/N,
+    where hess(k) is the second derivative of the radial pair potential.
+    Diagonal blocks are minus the row sums (_pair_matrix), so the matrix is
+    symmetric by construction.
     """
     if not isinstance(potential, (PowerLaw, Morse)):
         raise TypeError("potential must be PowerLaw or Morse")
     x = np.asarray(positions, dtype=float)
-    n = x.shape[0]
-    H = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        for l in range(n):
-            if l == j:
-                continue
-            dx = x[j] - x[l]
-            r = float(np.hypot(dx[0], dx[1]))
-            rhat = dx / r
-            kd = float(potential.deriv(r))
-            kdd = float(potential.second_deriv(r))
-            block = kdd * np.outer(rhat, rhat) + (kd / r) * (
-                np.eye(2) - np.outer(rhat, rhat)
-            )
-            block /= n
-            H[2 * j : 2 * j + 2, 2 * l : 2 * l + 2] = block
-            H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] -= block
-    return H
+    return _pair_matrix(x, lambda dx: _pair_blocks(potential, dx, x.shape[0]))
 
 
 def full_flock_jacobian(hessian, prop):
@@ -768,16 +792,8 @@ def full_cs_jacobian(hessian, kernel, positions):
     n = x.shape[0]
     if H.shape[0] != 2 * n:
         raise ValueError("hessian size does not match positions")
-    G = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        for l in range(n):
-            if l == j:
-                continue
-            g = float(kernel.value(float(np.hypot(*(x[j] - x[l]))))) / n
-            G[2 * j, 2 * l] -= g
-            G[2 * j + 1, 2 * l + 1] -= g
-            G[2 * j, 2 * j] += g
-            G[2 * j + 1, 2 * j + 1] += g
+    # pair blocks 0 - g I / N keep +0.0 off their diagonals, as a loop's -= does
+    G = _pair_matrix(x, lambda dx: np.subtract(0.0, _alignment_blocks(kernel, dx, n)))
     L = np.zeros((4 * n, 4 * n))
     L[: 2 * n, 2 * n :] = np.eye(2 * n)
     L[2 * n :, : 2 * n] = H

@@ -213,6 +213,27 @@ class TestBetaAndLimits:
         assert sine_moment_limit(1.0) == pytest.approx(2.0 / math.pi, rel=1e-14)
 
 
+# one call per number from outside, named as its ValueError names it
+OUTSIDE = {
+    "a": lambda v: continuum_radius(v, 2),
+    "b": lambda v: continuum_radius(4, v),
+    "speed": lambda v: continuum_radius(4, 2, v),
+    "x": lambda v: beta_fn(v, 1),
+    "y": lambda v: beta_fn(1, v),
+    "alpha": sine_moment_limit,
+    "R": lambda v: radius_residual(RadiusProblem(potential=PowerLaw(4, 2), n=20), v),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+@pytest.mark.parametrize("name", list(OUTSIDE))
+def test_outside_numbers_are_named(name, bad):
+    # continuum_radius(4, 2, nan) returned 1000, beta_fn(inf, 1) and
+    # radius_residual(problem, inf) nan, and True ran as 1
+    with pytest.raises(ValueError, match=f"got {name}={bad!r}$"):
+        OUTSIDE[name](bad)
+
+
 class TestSolveRadius:
     def test_quartic_quadratic_closed_form(self):
         # (2R)^2 = S_2/S_4 = 4/3 for a=4, b=2, independent of n

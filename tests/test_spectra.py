@@ -31,7 +31,7 @@ from swarmlab.spectra import (
     theorem_witness,
 )
 
-# the direct-sum builders, one mode each, for the input checks they share
+# the pair-block reference builders, one mode each, for the input checks they share
 BUILDERS = {
     "flock": lambda a, b, n, m: flock_mode_matrix(a, b, n, m, Propulsion(1.0, 1.0)),
     "flock-cs": lambda a, b, n, m: cs_flock_mode_matrix(a, b, n, m, 1.0),
@@ -241,7 +241,7 @@ class TestModeMatrices:
         w = speed / R
         assert mat.params["omega"] == pytest.approx(w)
         # the couplings at the mill radius from the rfft route, which agrees
-        # with the direct sums to roundoff
+        # with the pair-block reference to roundoff
         R_fft, *couplings = spectra_module._ring_couplings(a, b, n, speed, np.array([m]))
         assert R_fft == R
         i1p, i1m, i2 = (float(c[0]) for c in couplings)
@@ -252,6 +252,39 @@ class TestModeMatrices:
             ]
         )
         assert np.allclose(mat.entries[2:], expect, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    @pytest.mark.parametrize("model, alpha, gamma, speed", [
+        ("flock-cs", 1.0, 0.8, 0.0), ("mill", 0.9, 1.0, 0.4),
+    ])
+    def test_reference_matches_the_rfft_tables(self, model, alpha, gamma, speed, n):
+        # the builders' pair-block route against the production blocks
+        a, b = 5.0, 1.9
+        ms = np.array([2, 3, n // 3, (n - 1) // 2])
+        S, V, *_ = spectra_module._mode_stack(model, a, b, n, ms, alpha, gamma, speed)
+        for m, tables in zip(ms, spectra_module._assemble(S, V)):
+            if model == "mill":
+                e = mill_mode_matrix(a, b, n, int(m), alpha, speed).entries
+            else:
+                e = cs_flock_mode_matrix(a, b, n, int(m), gamma).entries
+            assert np.all(np.abs(e - tables) <= 1e-12 * np.maximum(1.0, np.abs(tables)))
+
+    def test_builders_share_no_code_with_the_rfft_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reference route reached the rfft route")
+
+        for name in ("_ring_couplings", "_weight_vectors", "_chords", "_sines"):
+            monkeypatch.setattr(spectra_module, name, refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        for build in BUILDERS.values():
+            assert np.all(np.isfinite(build(5, 1.9, 64, 3).entries))
+
+    def test_reference_refuses_an_imaginary_reading(self):
+        # a lone block breaks the ring's l <-> n - l symmetry
+        blocks = np.zeros((5, 2, 2))
+        blocks[0] = np.eye(2)
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            spectra_module._mode_response(blocks, 2)
 
     def test_mill_rotation_sign_invariance(self):
         # flipping omega conjugates the matrix, so real parts are unchanged
@@ -348,10 +381,10 @@ class TestClassify:
 
 
 def assert_matches_direct(rep, mat):
-    """An envelope report against the direct-sum matrix of the same mode.
+    """An envelope report against the builder's matrix of the same mode.
 
     The eigenvalues must match eig4.  A non-rotating ring's verdict must
-    match det/trace of the direct-sum shape matrix; mode 1 judges only
+    match det/trace of the builder's shape matrix; mode 1 judges only
     I1(1), beside the structural zero I1(-1) = I2(1) = 0.  A spinning
     mill's verdict must match classify of the eig4 spectrum.
     """
@@ -738,7 +771,53 @@ class TestDetAsymptotics:
             det_asymptotics(5, 1.5, 100, [m, 3, 4])
 
 
+def loop_hessian(potential, x):
+    """The interaction Hessian by a loop over ordered pairs, one block each."""
+    n = len(x)
+    H = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        for l in range(n):
+            if l != j:
+                dx = x[j] - x[l]
+                r = float(np.hypot(dx[0], dx[1]))
+                rr = np.outer(dx / r, dx / r)
+                kd, kdd = float(potential.deriv(r)), float(potential.second_deriv(r))
+                block = (kdd * rr + (kd / r) * (np.eye(2) - rr)) / n
+                H[2 * j : 2 * j + 2, 2 * l : 2 * l + 2] = block
+                H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] -= block
+    return H
+
+
+def loop_alignment(kernel, x):
+    """The alignment matrix G by a loop over ordered pairs."""
+    n = len(x)
+    G = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        for l in range(n):
+            if l != j:
+                g = float(kernel.value(float(np.hypot(*(x[j] - x[l]))))) / n
+                for c in (0, 1):
+                    G[2 * j + c, 2 * l + c] -= g
+                    G[2 * j + c, 2 * j + c] += g
+    return G
+
+
 class TestFullSystem:
+    @pytest.mark.parametrize("potential, n, bracket", [
+        (PowerLaw(5, 1.9), 13, None), (PowerLaw(3.3, 0.7), 40, None),
+        (Morse(C_A=0.5, C_R=1.0, l_A=2.0, l_R=0.5), 12, (0.01, 10.0)),
+    ])
+    def test_dense_matrices_equal_the_pair_loops(self, potential, n, bracket, rng):
+        # the broadcast assembly adds in the loops' order and keeps their
+        # signed zeros, so the bytes are equal, on a ring and off it
+        x0 = ring_positions(solve_radius(RadiusProblem(potential=potential, n=n, bracket=bracket)))
+        for x in (x0, x0 + 1e-3 * rng.standard_normal((n, 2))):
+            H = full_hessian(potential, x)
+            assert H.tobytes() == loop_hessian(potential, x).tobytes()
+            kernel = AlignmentKernel(0.7)
+            minus_G = full_cs_jacobian(H, kernel, x)[2 * n :, 2 * n :]
+            assert minus_G.tobytes() == (-loop_alignment(kernel, x)).tobytes()
+
     def test_hessian_two_particle_hand_value(self):
         pot = PowerLaw(2, 1)
         H = full_hessian(pot, np.array([[0.0, 0.0], [1.0, 0.0]]))
