@@ -80,8 +80,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse with single-line machine-parsable errors."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(_fail(EXIT_USAGE, message))
 
 
 def _fail(code, message):
@@ -331,10 +330,10 @@ def _ring_and_state(config, ic_data):
     kind = ic_data.get("kind", "flock")
     perturbation = _perturbation_from_json(ic_data.get("perturbation"))
     ring, start = _start_ring(config, kind, ic_data.get("speed"))
-    if kind == "flock":
-        options = {"direction": ic_data.get("direction", (1.0, 0.0))}
-    else:
-        options = {"orientation": ic_data.get("orientation", 1)}
+    key, ignored = ("direction", "orientation") if kind == "flock" else ("orientation", "direction")
+    if ignored in ic_data:
+        raise ValueError(f"a {kind} ring does not take ic.{ignored}")
+    options = {key: ic_data[key]} if key in ic_data else {}
     rng = np.random.default_rng(config.seed)
     return ring, start(ring, perturbation=perturbation, rng=rng, **options)
 

@@ -160,10 +160,6 @@ def _weight_vectors(a, b, radius, n, w=None):
     return w[0], w[1]
 
 
-def _ring_radius(potential, n, speed):
-    return solve_radius(RadiusProblem(potential=potential, n=n, speed=speed)).radius
-
-
 def _ring_couplings(a, b, n, speed, ms):
     """Ring radius R and the couplings I1(m), I1(-m), I2(m) for modes ``ms``.
 
@@ -184,7 +180,8 @@ def _ring_couplings(a, b, n, speed, ms):
     rows = np.moveaxis(w, 0, -2)  # each cell's (2, n) weight rows
     for i in np.ndindex(a.shape):
         cell = float(a[i]), float(b[i])
-        R[i] = _ring_radius(PowerLaw(*cell), n, float(speed[i]))
+        problem = RadiusProblem(potential=PowerLaw(*cell), n=n, speed=float(speed[i]))
+        R[i] = solve_radius(problem).radius
         _weight_vectors(*cell, R[i], n, rows[i])
     R = R[()]
     c = _pair_rows(n, a.shape).view(complex)
@@ -441,8 +438,9 @@ def classify(eigenvalues, tol=1e-8):
     return _VERDICTS[_severity(np.max(vals.real), tol)]
 
 
-def _shape_severity(ms, n, i1p, i1m, i2):
-    """Largest shape eigenvalue mu1 and severity band of each mode in ``ms``.
+def _shape_severity(ms, n, i1p, i1m, i2, banded=True):
+    """Largest shape eigenvalue mu1 and severity band of each mode in
+    ``ms``; the bands are None unless ``banded``.
 
     A ring at rest is stable in mode m exactly when its shape matrix is
     negative definite (det > 0, trace < 0: mu1 < 0); mu1 is banded at
@@ -457,6 +455,8 @@ def _shape_severity(ms, n, i1p, i1m, i2):
     k = np.asarray(ms) % n
     k = k.reshape(k.shape + (1,) * (mu1.ndim - k.ndim))  # modes lead, cells follow
     mu1 = np.where((k == 1) | (k == n - 1), i1p + i1m, mu1)
+    if not banded:
+        return mu1, None
     norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
     return mu1, _severity(mu1, 1e-8 * norms)
 
@@ -492,15 +492,14 @@ def _mode_stack(model, a, b, n, ms, alpha, gamma, speed):
     S, V = _blocks(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
     norm = np.maximum(np.abs(S).max(axis=(0, 1)), np.abs(V).max(axis=(0, 1)))
     tol = 1e-8 * np.maximum(1.0, norm)
-    mu1, bands = _shape_severity(ms, n, i1p, i1m, i2)
-    return S, V, tol, (bands if speed == 0.0 else None), mu1
+    mu1, bands = _shape_severity(ms, n, i1p, i1m, i2, banded=speed == 0.0)
+    return S, V, tol, bands, mu1
 
 
-# unit roundoff of float64, and the relative error bounds of the
-# certificate's first two stages (see _routh_below)
+# unit roundoff of float64, and the relative error bound of the shifted
+# quartic's coefficients (see _routh_below)
 _U = 2.0**-53
 _QUARTIC_ERR = 32 * _U
-_PRODUCT_ERR = 8 * _U
 
 
 def _shifted_quartic(S, V, c, minus):
@@ -529,13 +528,26 @@ def _routh_below(S, V, c):
     """Whether every eigenvalue of A_i = [[0, I], [S_i, V_i]] has real part
     below c[i], certified; S and V are (2, 2, k) blocks.
 
-    A_i has characteristic polynomial
-    p(lambda) = det(lambda^2 I - lambda V - S).  Its roots lie left of c
-    exactly when q(mu) = p(mu + c) is Hurwitz, and, as conjugation keeps
-    real parts, exactly when the real degree-8 polynomial r = q q-bar is
-    (q-bar has the conjugate coefficients; Bilharz 1944, Frank 1946).
-    Routh's test decides r: its roots all have Re < 0 iff every
-    first-column entry of its Routh array is positive.
+    The roots of p(lambda) = det(lambda^2 I - lambda V - S), A_i's
+    characteristic polynomial, lie left of c iff the monic quartic
+    q(mu) = p(mu + c) is Hurwitz.  Routh's test runs on q itself (Bilharz
+    1944, Frank 1946).  With f(w) = q(i w) = P(w) + i Q(w), P and Q real,
+    highest power first P = [1, Im q3, -Re q2, -Im q1, Re q0] and
+    -Q = [Re q3, Im q2, -Re q1, -Im q0].  q is Hurwitz iff the chain
+    F0 = P, F1 = -Q, F(j+1) = -rem(F(j-1), F(j)) has positive pivots, the
+    coefficients of w^3, w^2, w and 1 in F1..F4:
+    - q is Hurwitz iff f's roots (q's turned by -i) lie in Im w > 0.  With
+      no real root (a common root of P and Q), arg f rises by (4 - 2j) pi
+      over the real line, j the roots in Im w < 0; as f ~ w^4 at both
+      ends, that is pi times the Cauchy index of -Q/P = -tan(arg f).  So q
+      is Hurwitz iff the index is 4; a common root leaves at most 3.
+    - By Sturm's theorem (Gantmacher, The Theory of Matrices, vol. 2,
+      XV.2-3) the index is V(-inf) - V(+inf), V counting sign changes
+      along the chain: 4 iff the chain has five members, of degrees 4 to
+      0, and V(+inf) = 0, every pivot having the sign of 1.
+    Dividing A (degree d) by B takes two Routh steps against the pivot
+    B[0]: A1 = A[1:] - (A[0] / B[0]) B[1:], B zero padded, and then
+    R = -(A1[1:] - (A1[0] / B[0]) B[1:]).
 
     True is a proof, up to an error bound carried through every stage
     (u = 2^-53; Higham, Accuracy and Stability of Numerical Algorithms,
@@ -545,56 +557,44 @@ def _routh_below(S, V, c):
       each of relative error at most 3u (a complex product's is
       sqrt(2) gamma_2), so it is off by at most
       ((1 + 3u)^9 - 1) qbar_t <= e_t = 32u qbar_t, with qbar_t the same
-      lines evaluated on moduli.
-    - r_t = sum over i + j = t of Re(q_i conj q_j).  With m = |fl(q)|, the
-      computed r_t is off by at most sum (2 m_i + e_i) e_j from q's error
-      and 8u sum m_i m_j from its own products and five-term sums.
-    - Each Routh row is a' - t b' with t = a_0 / b_0.  With bounds on a and
-      b, and b_0 above its bound, t is off by at most
-      (e(a_0) + |t| e(b_0)) / (b_0 - e(b_0)) + u |t|, and each new entry by
-      e(a') + |t| e(b') + e(t) (|b'| + e(b')) + 2u (|a'| + |t| |b'|).
-    A pivot counts as positive only above twice its bound.  The factor 2
-    covers the terms of relative size u that the bounds leave out and the
-    rounding of the bounds' own arithmetic, which adds and multiplies
-    nonnegative numbers.  A non-finite entry or bound, or a pivot not above
-    twice its bound, gives False, and the caller solves the mode.
+      lines evaluated on moduli; so is each entry of P and -Q.
+    - A Routh step a' - t b', t = a_0 / b_0, with a and b known to within
+      e(a) and e(b) and b_0 > e(b_0), has t off by at most
+      (e(a_0) + |t| e(b_0)) / (b_0 - e(b_0)) + u |t|, and each new entry
+      by e(a') + |t| e(b') + e(t) (|b'| + e(b')) + 2u (|a'| + |t| |b'|).
+    A pivot counts as positive only if finite and above twice its bound,
+    so the exact pivot exceeds b_0 - e(b_0) > 0.  The factor 2 covers the
+    terms of relative size u that the bounds leave out and the rounding
+    of the bounds' own arithmetic, on nonnegative numbers.  A non-finite
+    c or bound, or a pivot not counted positive, gives False, and the
+    caller solves the mode.
     """
     k = len(c)
     with np.errstate(all="ignore"):
-        q = _shifted_quartic(S, V, c, np.subtract)
+        # f(w) = q(i w), highest power first: rows P = Re f and -Q = -Im f,
+        # -Q zero padded to width 5, and their bounds
+        f = _shifted_quartic(S, V, c, np.subtract)[::-1] * np.array([[1], [-1j], [-1], [1j], [1]])
+        pad = np.zeros((1, k))
+        a, b = f.real.copy(), np.concatenate([-f.imag[1:], pad])
+        del f  # keep a block's peak memory down
         err = _QUARTIC_ERR * _shifted_quartic(np.abs(S), np.abs(V), np.abs(c), np.add)
         err[4] = 0.0  # the leading 1 is exact
-        # r_t = sum over i of qr_i qr_(t-i) + qi_i qi_(t-i), and its bound
-        # er_t = sum over i of (2 m_i + e_i) e_(t-i) + 8u m_i m_(t-i)
-        qr, qi, mod = q.real, q.imag, np.abs(q)
-        lead, scaled = 2.0 * mod + err, _PRODUCT_ERR * mod
-        r, er = np.zeros((2, 9, k))
-        for i in range(5):
-            r[i : i + 5] += qr[i] * qr + qi[i] * qi
-            er[i : i + 5] += lead[i] * err + scaled[i] * mod
-        del q, err, qr, qi, mod, lead, scaled  # keep a block's peak memory down
-        ok = np.isfinite(c) & np.isfinite(er).all(axis=0)
-        # Routh rows and their bounds, zero padded to width 5:
-        # [r8 r6 r4 r2 r0], [r7 r5 r3 r1 0], then row i + 2 from rows i and i + 1
-        a, ea = r[8::-2], er[8::-2]
-        b, eb = np.zeros((2, 5, k))
-        b[:4], eb[:4] = r[7::-2], er[7::-2]
-        for i in range(7):
-            w = (8 - i) // 2  # the entries of row i + 2
-            ok &= b[0] > 2.0 * eb[0]
-            t = a[0] / b[0]
-            at = np.abs(t)
-            et = (ea[0] + at * eb[0]) / (b[0] - eb[0]) + _U * at
-            a1, b1, eb1 = a[1 : w + 1], b[1 : w + 1], eb[1 : w + 1]
-            mb1 = np.abs(b1)
-            new, enew = np.zeros((2, 5, k))
-            new[:w] = a1 - t * b1
-            enew[:w] = (
-                ea[1 : w + 1] + at * (eb1 + 2.0 * _U * mb1) + et * (mb1 + eb1)
-                + 2.0 * _U * np.abs(a1)
-            )
-            a, ea, b, eb = b, eb, new, enew
-        return ok & (b[0] > 2.0 * eb[0])
+        ok = np.isfinite(c) & np.isfinite(err).all(axis=0)
+        ea, eb = err[::-1], np.concatenate([err[3::-1], pad])
+        for d in (4, 3, 2):  # divide A (degree d) by B, both of width d + 1
+            ok &= (b[0] > 2.0 * eb[0]) & (b[0] < np.inf)
+            low = b[0] - eb[0]
+            mb = np.abs(b[1:])
+            wide, slope = mb + eb[1:], eb[1:] + 2.0 * _U * mb  # factors of e(t), |t|
+            for w in (d, d - 1):  # A1 from A, then -R from A1
+                t = a[0] / b[0]
+                at = np.abs(t)
+                et = (ea[0] + at * eb[0]) / low + _U * at
+                a1 = a[1:]
+                ea = ea[1:] + at * slope[:w] + et * wide[:w] + 2.0 * _U * np.abs(a1)
+                a = a1 - t * b[1 : w + 1]
+            a, ea, b, eb = b[:d], eb[:d], np.concatenate([-a, pad]), np.concatenate([ea, pad])
+        return ok & (b[0] > 2.0 * eb[0]) & (b[0] < np.inf)
 
 
 def _require_modes(n, m_max):
@@ -656,10 +656,9 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
         np.put_along_axis(solve, mu1.argmax(axis=0)[None], True, axis=0)
         top = np.full(tol.shape, -np.inf)  # skipped modes stay at -inf, band 0
         top[solve] = _top_real(_assemble(S, V, solve))
+        edge = np.inf
         if shape_bands is None:
             edge = np.choose(_severity(top, tol).max(axis=0), (-tol, tol, np.inf))
-        else:
-            edge = np.inf
         c = np.minimum(top.max(axis=0), edge) - tol
         # the certificate reads every mode's blocks in place, the sampled
         # ones too (their answers go unread): cheaper than a masked copy

@@ -332,6 +332,22 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1 and needle in err
         assert [p.name for p in in_tmp.iterdir()] == ["config.json"]
 
+    @pytest.mark.parametrize("kind, key, value, other", [
+        ("mill", "direction", [0.0, 1.0], "flock"),
+        ("flock", "orientation", -1, "mill"),
+    ])
+    def test_ic_key_the_ring_kind_ignores_rejected(self, kind, key, value, other, in_tmp,
+                                                   capsys):
+        # both used to exit 0 and run the default, while the manifest
+        # recorded the ignored key; the ring kind that reads the key runs
+        cfg = sim_config(in_tmp, ic={"kind": kind, key: value})
+        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"ic.{key}" in err
+        assert [p.name for p in in_tmp.iterdir()] == ["config.json"]
+        cfg = sim_config(in_tmp, ic={"kind": other, key: value})
+        assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 0
+
     def test_deterministic_metrics_bytes(self, in_tmp):
         cfg = sim_config(in_tmp, ic={"kind": "mill",
                                      "perturbation": {"kind": "noise",

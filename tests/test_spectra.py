@@ -714,20 +714,46 @@ class TestWorstModeCertificate:
         assert spectra_module._routh_below(*split(A), c + 1e-3).all()
 
     def test_never_certifies_below_a_solved_root(self):
-        # random complex and real mode matrices spanning six decades of scale;
-        # for a real matrix r = q^2 holds a complex pair near the axis four
-        # times, so the certificate needs a wider gap there
+        # random complex and real mode matrices spanning six decades of scale
         rng = np.random.default_rng(3)
         scale = 10.0 ** rng.uniform(-3, 3, size=(800, 1, 1))
         A = np.zeros((800, 4, 4), dtype=complex)
         A[:, 0, 2] = A[:, 1, 3] = 1.0
         A[:, 2:] = rng.standard_normal((800, 2, 4)) * scale
         A[:400, 2:] += 1j * rng.standard_normal((400, 2, 4)) * scale[:400]
-        for stack, gap in ((A[:400], 1e-6), (A[400:].real.copy(), 1e-3)):
+        for stack in (A[:400], A[400:].real.copy()):
             top = np.linalg.eigvals(stack).real.max(axis=1)
             norm = np.maximum(1.0, np.abs(stack).max(axis=(1, 2)))
             assert not spectra_module._routh_below(*split(stack), top - 1e-12 * norm).any()
-            assert spectra_module._routh_below(*split(stack), top + gap * norm).mean() > 0.99
+            assert spectra_module._routh_below(*split(stack), top + 1e-6 * norm).mean() > 0.99
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_decides_random_quartics_by_their_roots(self, real):
+        # seeded quartics over six decades of scale, every root's real part
+        # at least 1e-6 scale from c on either side: one root (for a real
+        # quartic, its conjugate too) from 1e-6 to 1 scale, log-uniform, the
+        # others from 1e-3 to 1 scale.  Two complex roots both within about
+        # 1e-5 scale of c can fall below the bound; the caller then solves it
+        rng = np.random.default_rng(27)
+        k = 2000
+        scale = 10.0 ** rng.uniform(-3, 3, k)
+        c = scale * rng.uniform(-1, 1, k)
+        gap = rng.uniform(1e-3, 1, (k, 4))
+        gap[:, 0] = 10.0 ** rng.uniform(-6, 0, k)
+        side = np.where(rng.random((k, 4)) < 0.85, -1.0, 1.0)
+        re = c[:, None] + side * scale[:, None] * gap
+        roots = re + 1j * scale[:, None] * rng.uniform(-1, 1, (k, 4))
+        if real:  # two conjugate pairs or four real roots
+            pairs = rng.random(k)[:, None] < 0.5
+            roots[:, 1::2] = np.where(pairs, roots[:, ::2].conj(), re[:, 1::2])
+            roots[:, ::2] = np.where(pairs, roots[:, ::2], re[:, ::2])
+        A = block_stack([((r1, r2), (r3, r4)) for r1, r2, r3, r4 in roots])
+        if real:
+            assert not A.imag.any()
+            A = A.real.copy()
+        left = (roots.real < c[:, None]).all(axis=1)
+        assert 0.3 < left.mean() < 0.7
+        np.testing.assert_array_equal(spectra_module._routh_below(*split(A), c), left)
 
 
 class TestCsReduction:
