@@ -6,7 +6,10 @@ blocks: consecutive cells at one speed, at most _BLOCK_MODES modes per
 block and at least one block per pool thread, whose modes go through
 every stage as one stack.  A cell gives the same bytes in any block, so
 blocks are mapped over a thread pool; results are gathered in
-cell-index order and never depend on the worker count.  Cells violating
+cell-index order and never depend on the worker count.  A scan owns one
+rings._workspace per thread that runs its blocks: the blocks write their
+mode-sized arrays into its buffers, which it keeps while the block size
+stays the same and drops when the scan returns or raises.  Cells violating
 domain constraints (b >= a, a failed radius solve, a non-finite mode
 matrix) are classified invalid rather than dropped.
 
@@ -48,19 +51,22 @@ __all__ = [
 _COARSE = 9
 
 # Modes per scan block: cells per block = max(1, _BLOCK_MODES // modes per
-# cell).  Larger blocks spread each stage's per-call cost over more modes,
-# but a block's temporaries add to the peak RSS (tracemalloc peaks of a
-# spinning-mill block at n = 1000, speed 0.5: 350, 689 and 1,029 KB for
-# 1, 2 and 3 cells, about 0.68 KB per mode), and past a size that depends
-# on the heap's history glibc returns them after each block, which then
-# faults them in again.  In
-# 8-second bench/run.py scan-mill runs at n = 1000 (2 cores, numpy 2.4.6,
-# seeds 21-23, with and without PYTHONHASHSEED set) the parent read
-# 0.52-0.58 s; 1,536-mode blocks (3 cells) read 0.42-0.47 s and peaked
-# 0.5-0.9 MB higher, 2,048 (4 cells) 0.39-0.44 s and 0.8-1.4 MB higher,
-# both with 20,000-25,000 minor faults per pass.  1,024 (2 cells) read
-# 0.46-0.53 s with no faults or 18,000, as the environment flipped it.
-_BLOCK_MODES = 1536
+# cell).  A block costs about 0.46 ms of per-call overhead plus 0.23 ms per
+# cell (a least-squares fit to best-of-5 in-process passes over the
+# scan-mill grid at n = 1000, speed 0.5, with 1 to 8 cells per block; 2
+# cores, numpy 2.4.6), so fewer, larger blocks win until the peak RSS
+# grows.  The 4x4 route writes its mode-sized arrays into the scan's
+# workspace, whose buffers hold about 58 float64 per mode; a block
+# allocates about 8 more per mode.  10-second bench/run.py scan-mill runs
+# (seeds 9-10; 7-10 from 3,072 up) read wall_ref_s and peak RSS as
+# follows, with 0 minor faults per pass at every cap: 1,536 modes (3
+# cells) 0.222-0.224 s and 44.75-44.86 MB; 2,048 (4 cells) 0.192-0.194 s
+# and 44.80-44.96 MB; 3,072 (6 cells) 0.168-0.170 s and 45.29-45.41 MB;
+# 3,584 (7 cells) 0.158-0.159 s and 45.47-45.73 MB; 4,096 (8 cells)
+# 0.148-0.154 s and 45.72-45.82 MB.  Before the workspace, 1,536 modes
+# read 0.274-0.281 s and 44.57-44.74 MB with 11,305 faults per pass.
+# 3,072 is the largest cap whose peak RSS stayed within 1 MB of that.
+_BLOCK_MODES = 3072
 
 # the GridSpec.fixed keys a scan reads
 _FIXED_KEYS = ("n", "m_max", "alpha", "gamma", "speed", "a")
@@ -158,9 +164,10 @@ class RegionMap:
         return [csv_path, json_path]
 
 
-def _metadata(model, m_max, cells, seconds):
+def _metadata(model, m_max, cells, seconds, cells_per_block):
     """Sidecar metadata: versions, the top mode, the scan's wall seconds,
-    its cell count and a tally of the invalid cells' reasons."""
+    its cell count, the cap on cells per block and a tally of the invalid
+    cells' reasons."""
     from . import __version__
 
     return {
@@ -170,6 +177,7 @@ def _metadata(model, m_max, cells, seconds):
         "m_max": m_max,
         "seconds": seconds,
         "cells": len(cells),
+        "cells_per_block": cells_per_block,
         "invalid_reasons": dict(Counter(c.error for c in cells if c.error is not None)),
     }
 
@@ -187,6 +195,8 @@ def map_stacks(fn, items, cap, workers, key=lambda item: None):
 
     A stack holds items of one key, at most ``cap`` of them but few enough
     that each pool thread gets one, and fn returns one output per item.
+    Thread t of the pool runs stacks t, t + threads, ... inside one
+    rings._workspace, which it drops when they are done or one raises.
     A bad worker count is a ValueError before fn runs.
     """
     threads = _pool_size(workers, len(items), os.cpu_count() or 1)
@@ -195,10 +205,16 @@ def map_stacks(fn, items, cap, workers, key=lambda item: None):
     for _, run in itertools.groupby(items, key):
         run = list(run)
         stacks += [run[i : i + size] for i in range(0, len(run), size)]
+
+    def share(t):
+        with _workspace():
+            return [fn(stack) for stack in stacks[t::threads]]
+
     if threads == 1:
-        return [out for stack in stacks for out in fn(stack)]
+        return [out for outs in share(0) for out in outs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return [out for outs in pool.map(fn, stacks) for out in outs]
+        shares = list(pool.map(share, range(threads)))
+    return [out for i in range(len(stacks)) for out in shares[i % threads][i // threads]]
 
 
 def _invalid(x, y, msg):
@@ -217,14 +233,17 @@ def _block(model, fixed, speed, cells):
     invalid before any work.  If the block raises, each of its cells runs
     again as a block of one, so a cell whose radius solve fails or whose
     mode matrix is not finite gets the reason it gets alone, and the other
-    cells keep their results.
+    cells keep their results.  The block runs in the open rings._workspace
+    keyed by its count of valid cells, so a workspace holds the buffers of
+    one block size at a time.
     """
     valid = [cell for cell in cells if cell[3] < cell[2]]
     _, _, a, b = np.array(valid).reshape(-1, 4).T
     try:
-        found = _worst_modes(
-            model, a, b, fixed["n"], fixed["m_max"], fixed["alpha"], fixed["gamma"], speed
-        ) if valid else []
+        with _workspace(len(valid)):
+            found = _worst_modes(
+                model, a, b, fixed["n"], fixed["m_max"], fixed["alpha"], fixed["gamma"], speed
+            ) if valid else []
     except (ValueError, ArithmeticError) as exc:
         if len(valid) == 1:
             solved = iter([_invalid(*valid[0][:2], str(exc))])
@@ -255,11 +274,13 @@ def _scan(spec, label, model, workers, a=None):
     The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
     Consecutive cells at one speed are cut into blocks of at most
-    _BLOCK_MODES modes, but at least one block per pool thread.  A fixed
-    key outside _FIXED_KEYS, a non-integer n or m_max, m_max outside
-    [2, n - 2], an alpha or gamma that is not finite and positive, a speed
-    that is not finite and nonnegative, or a bad worker count is a
-    ValueError, raised before any cell runs.
+    _BLOCK_MODES modes (the sidecar's cells_per_block), but at least one
+    block per pool thread.  The scan owns one rings._workspace per thread
+    that runs blocks (map_stacks), dropped when the scan returns or
+    raises.  A fixed key outside _FIXED_KEYS, a non-integer n or m_max,
+    m_max outside [2, n - 2], an alpha or gamma that is not finite and
+    positive, a speed that is not finite and nonnegative, or a bad worker
+    count is a ValueError, raised before any cell runs.
     """
     start = time.perf_counter()
     f = spec.fixed
@@ -278,11 +299,11 @@ def _scan(spec, label, model, workers, a=None):
         grid, speed = [(x, y, x, y) for x, y in points], lambda cell: fixed["speed"]
     else:
         grid, speed = [(x, y, a, y) for x, y in points], lambda cell: cell[0]
+    cap = max(1, _BLOCK_MODES // (fixed["m_max"] - 1))
     cells = map_stacks(
-        lambda block: _block(model, fixed, speed(block[0]), block),
-        grid, _BLOCK_MODES // (fixed["m_max"] - 1), workers, key=speed,
+        lambda block: _block(model, fixed, speed(block[0]), block), grid, cap, workers, key=speed
     )
-    metadata = _metadata(label, fixed["m_max"], cells, time.perf_counter() - start)
+    metadata = _metadata(label, fixed["m_max"], cells, time.perf_counter() - start, cap)
     return RegionMap(spec=spec, model=label, cells=cells, metadata=metadata)
 
 

@@ -26,13 +26,15 @@ Morse chord sum and every chord of the coupling weights that
 :mod:`swarmlab.spectra` builds from the radius; those weights take their
 powers from ``np.power``, so they also depend on the numpy build.
 
-Work arrays: the n-length terms of a moment and the chord, weight and
-rfft arrays of :mod:`swarmlab.spectra` come from :func:`_scratch`.  Inside
-a :func:`_workspace` (``separatrix_check`` opens one per call) it hands
-the calling thread the same buffer for the same shape every time, so a
-call's ~88 solves at n = 1e5 map their arrays once; outside one it
-returns a fresh ``np.empty``.  Either way the same ufuncs run on the same
-values in the same order, so the bytes of every result are the same.
+Work arrays: the n-length terms of a moment, the chord, weight and rfft
+arrays of :mod:`swarmlab.spectra` and the mode-sized arrays of its 4x4
+scan route come from :func:`_scratch`.  Inside a :func:`_workspace`
+(``separatrix_check`` opens one per call, a scan one per thread) it hands
+the calling thread the same buffer for the same shape and dtype every
+time, so a call's ~88 solves at n = 1e5 map their arrays once; outside
+one it returns a fresh ``np.empty``.  Either way the same ufuncs run on
+the same values in the same order, so the bytes of every result are the
+same.
 """
 
 from __future__ import annotations
@@ -125,36 +127,43 @@ class RadiusProblem:
             object.__setattr__(self, "bracket", (lo, _number("hi", hi, gt=lo)))
 
 
-# the open workspace of each thread: {shape: buffer}, or no attribute
+# the open workspace of each thread: buffers {(shape, dtype): array} and the
+# key they were made under, or no attributes
 _workspaces = threading.local()
 
 
 @contextlib.contextmanager
-def _workspace():
-    """Let :func:`_scratch` reuse one buffer per shape in this thread until
-    the outermost ``with`` exits, which drops them all; a nested one reuses
-    the open workspace."""
+def _workspace(key=None):
+    """Let :func:`_scratch` reuse one buffer per shape and dtype in this
+    thread until the outermost ``with`` exits, which drops them all.  A
+    nested one reuses the open workspace, but a nested one with a ``key``
+    other than None and than the key the buffers were made under drops them
+    first: a scan's blocks give their cell count, so its workspace holds the
+    buffers of one block size at a time."""
     if hasattr(_workspaces, "buffers"):
+        if key is not None and key != _workspaces.key:
+            _workspaces.buffers, _workspaces.key = {}, key
         yield
         return
-    _workspaces.buffers = {}
+    _workspaces.buffers, _workspaces.key = {}, key
     try:
         yield
     finally:
-        del _workspaces.buffers
+        del _workspaces.buffers, _workspaces.key
 
 
-def _scratch(shape):
-    """An uninitialized float array of this shape: the open workspace's
-    buffer for it, or a new one when none is open.  A caller may not keep
-    it past its own return, since the next caller of that shape writes
-    over it."""
+def _scratch(shape, dtype=float):
+    """An uninitialized array of this shape and dtype: the open workspace's
+    buffer for the pair, or a new one when none is open.  A caller may not
+    keep it past its own return, since the next caller of that pair writes
+    over it, and two arrays it holds at once need two different pairs."""
     buffers = getattr(_workspaces, "buffers", None)
     if buffers is None:
-        return np.empty(shape)
-    if shape not in buffers:
-        buffers[shape] = np.empty(shape)
-    return buffers[shape]
+        return np.empty(shape, dtype)
+    key = shape, np.dtype(dtype)
+    if key not in buffers:
+        buffers[key] = np.empty(shape, dtype)
+    return buffers[key]
 
 
 def _pair_rows(n, cells=()):

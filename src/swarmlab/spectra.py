@@ -23,8 +23,11 @@ is a block of one.  For flock-cs and the spinning mill it eigensolves a
 sample of modes and then only the modes that a Routh-Hurwitz certificate
 with a rigorous rounding-error bound (_routh_below) cannot place strictly
 below the sample's worst mode and band; each cell's output is that of
-solving every mode alone, bit for bit.  mode_envelope solves every mode,
-since it prints every mode.
+solving every mode alone, bit for bit.  That route writes its mode-sized
+arrays (S and V, the certificate's rows, the masks and the top rows) into
+rings._scratch buffers, so inside a rings._workspace (a scan opens one per
+thread) a block of a size seen before makes them no more.  mode_envelope
+solves every mode, since it prints every mode.
 
 The builders flock_mode_matrix, cs_flock_mode_matrix and mill_mode_matrix
 are the one public way into the reference route, _row_couplings: one mode
@@ -205,29 +208,29 @@ def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     omega^2 to the shape diagonal, -+ i omega alpha to shape rows 1/2 and
     -+ 2 i omega to the velocity diagonal.  A block's omega has one entry
     per cell, which broadcasts against the couplings' last (cell) axis.
+    S and V are the two halves of one rings._scratch buffer (2, 2, 2, ...).
     """
     if model != "flock-cs":
         alpha = _number("alpha", alpha, gt=0)
     i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
     spinning = model == "mill" and np.any(omega != 0.0)
-    S, V = np.zeros((2, 2, 2) + i1p.shape, dtype=complex if spinning else float)
+    S, V = _scratch((2, 2, 2) + i1p.shape, complex if spinning else float)
     S[0, 0] = i1p
     S[0, 1] = S[1, 0] = i2
     S[1, 1] = i1m
     if model == "flock":
         V[...] = -alpha
     elif model == "flock-cs":
-        V[0, 0] = jp
-        V[1, 1] = jm
+        V[0, 0], V[0, 1], V[1, 0], V[1, 1] = jp, 0.0, 0.0, jm
     elif model == "mill":
         V[0, 0] = V[1, 1] = -alpha
         V[0, 1] = V[1, 0] = alpha
         if spinning:
             w = omega
-            S[0, 0] = -1j * w * alpha + w * w + i1p
-            S[0, 1] = -1j * w * alpha + i2
-            S[1, 0] = 1j * w * alpha + i2
-            S[1, 1] = 1j * w * alpha + w * w + i1m
+            np.add(-1j * w * alpha + w * w, i1p, out=S[0, 0])
+            np.add(-1j * w * alpha, i2, out=S[0, 1])
+            np.add(1j * w * alpha, i2, out=S[1, 0])
+            np.add(1j * w * alpha + w * w, i1m, out=S[1, 1])
             V[0, 0] = -alpha - 2j * w
             V[1, 1] = -alpha + 2j * w
     else:
@@ -450,11 +453,17 @@ def _shape_severity(ms, n, i1p, i1m, i2, banded=True):
     special case: its undamped 4x4 pair +- i sqrt(-(I1 - I2)) is stable
     exactly when the shape matrix is negative definite.
     """
-    half_diff = 0.5 * (i1p - i1m)
-    mu1 = 0.5 * (i1p + i1m) + np.sqrt(half_diff * half_diff + i2 * i2)
+    # mu1 = 0.5 (I1(m) + I1(-m)) + sqrt(half_diff^2 + I2(m)^2), in place
+    root = np.subtract(i1p, i1m)
+    root *= 0.5
+    root *= root
+    root += np.multiply(i2, i2)
+    mu1 = np.add(i1p, i1m)
+    mu1 *= 0.5
+    mu1 += np.sqrt(root, out=root)
     k = np.asarray(ms) % n
-    k = k.reshape(k.shape + (1,) * (mu1.ndim - k.ndim))  # modes lead, cells follow
-    mu1 = np.where((k == 1) | (k == n - 1), i1p + i1m, mu1)
+    translation = np.flatnonzero((k == 1) | (k == n - 1))  # rows of mu1
+    mu1[translation] = i1p[translation] + i1m[translation]
     if not banded:
         return mu1, None
     norms = np.maximum(1.0, np.maximum(np.abs(i1p), np.maximum(np.abs(i1m), np.abs(i2))))
@@ -463,12 +472,21 @@ def _shape_severity(ms, n, i1p, i1m, i2, banded=True):
 
 def _alignment_tables(gamma, R, n, ms):
     """J+(m), J-(m) for modes ``ms`` from one cosine transform of g(d_p),
-    laid out [mode, cell] for a block's radii R."""
+    laid out [mode, cell] for a block's radii R.  g(d_p) and its transform
+    take the weight and rfft rows of _ring_couplings, which are done with
+    them by then, and J+- are the rows of a rings._scratch (2, modes, ...)."""
     R = np.asarray(R)
-    gv = np.zeros(R.shape + (n,))
-    gv[..., 1:] = AlignmentKernel(gamma).value(_chords(R[..., None], n))
-    gc = np.moveaxis(np.fft.rfft(gv).real, -1, 0) / n
-    return gc[_fold(ms + 1, n)] - gc[0], gc[_fold(ms - 1, n)] - gc[0]
+    gv = _scratch((2,) + R.shape + (n,))[0]
+    gv[..., 0] = 0.0
+    AlignmentKernel(gamma).value(_chords(R[..., None], n, out=gv[..., 1:]), out=gv[..., 1:])
+    gc = np.fft.rfft(gv, out=_pair_rows(n, R.shape).view(complex)[0]).real
+    gc /= n
+    gc = np.moveaxis(gc, -1, 0)
+    jp, jm = _scratch((2,) + ms.shape + R.shape)
+    for j, k in ((jp, ms + 1), (jm, ms - 1)):
+        np.take(gc, _fold(k, n), axis=0, out=j)
+        j -= gc[0]
+    return jp, jm
 
 
 _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
@@ -484,14 +502,18 @@ def _mode_stack(model, a, b, n, ms, alpha, gamma, speed):
     rows 3-4 of A_m = [[0, I], [S, V]]: rows 1-2 hold only 0 and 1.  Rings
     at rest take their bands from _shape_severity; the spinning mill gets
     None and bands its largest real parts at the tolerance.  mu1 is the
-    shape block's at rest, without the rotating frame's terms.
+    shape block's at rest, without the rotating frame's terms.  S and V
+    are _blocks' rings._scratch buffer; the rest are new arrays.
     """
     speed = speed if model == "mill" else 0.0
     R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
     jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
     S, V = _blocks(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
-    norm = np.maximum(np.abs(S).max(axis=(0, 1)), np.abs(V).max(axis=(0, 1)))
-    tol = 1e-8 * np.maximum(1.0, norm)
+    tol = np.abs(S[0, 0])  # the largest entry modulus, one entry at a time
+    for x in (S[0, 1], S[1, 0], S[1, 1], V[0, 0], V[0, 1], V[1, 0], V[1, 1]):
+        np.maximum(tol, np.abs(x), out=tol)
+    np.maximum(1.0, tol, out=tol)
+    tol *= 1e-8
     mu1, bands = _shape_severity(ms, n, i1p, i1m, i2, banded=speed == 0.0)
     return S, V, tol, bands, mu1
 
@@ -502,8 +524,9 @@ _U = 2.0**-53
 _QUARTIC_ERR = 32 * _U
 
 
-def _shifted_quartic(S, V, c, minus):
-    """Coefficients (5, k), constant first, of det(mu^2 I - mu V' - S').
+def _shifted_quartic(S, V, c, minus, q, tmp):
+    """Coefficients, constant first, of det(mu^2 I - mu V' - S'), written
+    into the rows q (5, k); the six rows ``tmp`` hold the terms.
 
     S and V are (2, 2, k) blocks, V' = V - 2cI and S' = S + cV - c^2 I, so
     the quartic is the characteristic polynomial
@@ -512,15 +535,25 @@ def _shifted_quartic(S, V, c, minus):
     the same lines give each coefficient's magnitude bound, every term
     counted positive.
     """
-    w0, w1 = minus(V[0, 0], c), minus(V[1, 1], c)
-    t00, t11 = S[0, 0] + c * w0, S[1, 1] + c * w1
-    t01, t10 = S[0, 1] + c * V[0, 1], S[1, 0] + c * V[1, 0]
-    u0, u1 = minus(w0, c), minus(w1, c)
-    q = np.ones((5, len(c)), dtype=np.result_type(S, c))
-    q[3] = minus(0.0, u0 + u1)
-    q[2] = minus(minus(u0 * u1, V[0, 1] * V[1, 0]), t00 + t11)
-    q[1] = minus(minus(u0 * t11 + u1 * t00, V[0, 1] * t10), V[1, 0] * t01)
-    q[0] = minus(t00 * t11, t01 * t10)
+    w0, w1, t00, t11, t01, t10 = tmp
+    minus(V[0, 0], c, out=w0)
+    minus(V[1, 1], c, out=w1)
+    for t, s, v in ((t00, S[0, 0], w0), (t11, S[1, 1], w1), (t01, S[0, 1], V[0, 1]),
+                    (t10, S[1, 0], V[1, 0])):
+        np.add(s, np.multiply(c, v, out=t), out=t)  # s + c v
+    u0, u1 = minus(w0, c, out=w0), minus(w1, c, out=w1)
+    p = q[0]  # q0 comes last, so its row holds the products until then
+    q[4] = 1.0
+    minus(0.0, np.add(u0, u1, out=q[3]), out=q[3])
+    # q2 = (u0 u1 - V01 V10) - (t00 + t11)
+    minus(np.multiply(u0, u1, out=q[2]), np.multiply(V[0, 1], V[1, 0], out=p), out=q[2])
+    minus(q[2], np.add(t00, t11, out=p), out=q[2])
+    # q1 = ((u0 t11 + u1 t00) - V01 t10) - V10 t01
+    np.add(np.multiply(u0, t11, out=q[1]), np.multiply(u1, t00, out=p), out=q[1])
+    minus(q[1], np.multiply(V[0, 1], t10, out=p), out=q[1])
+    minus(q[1], np.multiply(V[1, 0], t01, out=p), out=q[1])
+    # q0 = t00 t11 - t01 t10, with u0's row for the product
+    minus(np.multiply(t00, t11, out=q[0]), np.multiply(t01, t10, out=u0), out=q[0])
     return q
 
 
@@ -570,31 +603,98 @@ def _routh_below(S, V, c):
     caller solves the mode.
     """
     k = len(c)
+    # 30 rows of one rings._scratch buffer: the chain's A and B rows and
+    # their bounds (X and EX six rows, Y and EY five, with room for B's zero
+    # pad), the step rows T and the rows t, |t|, e(t) and b_0 - e(b_0).
+    # Before the chain, the moduli of S, V and c take rows 0-8 and the
+    # bound's terms rows 22-27 while the bound goes into EX; then q takes EY
+    # and its terms rows 0-5 while P and -Q go into X and Y.  A complex q
+    # takes rows 17-26 and its terms rows 0-9 and 27-28, two to a complex row.
+    R = _scratch((30, k))
+    X, Y, EX, EY, T = R[0:6], R[6:11], R[11:17], R[17:22], R[22:26]
+    t, at, et, low = R[26:30]
+    ok, flag = _scratch((2, k), bool)
+
+    def complex_rows(rows):
+        return rows.reshape(-1).view(complex).reshape(-1, k)
+
+    def pivot_ok(b0, eb0):  # ok &= (b0 > 2 e(b0)) & (b0 < inf)
+        np.logical_and(ok, np.greater(b0, np.multiply(eb0, 2.0, out=low), out=flag), out=ok)
+        np.logical_and(ok, np.less(b0, np.inf, out=flag), out=ok)
+
     with np.errstate(all="ignore"):
-        # f(w) = q(i w), highest power first: rows P = Re f and -Q = -Im f,
-        # -Q zero padded to width 5, and their bounds
-        f = _shifted_quartic(S, V, c, np.subtract)[::-1] * np.array([[1], [-1j], [-1], [1j], [1]])
-        pad = np.zeros((1, k))
-        a, b = f.real.copy(), np.concatenate([-f.imag[1:], pad])
-        del f  # keep a block's peak memory down
-        err = _QUARTIC_ERR * _shifted_quartic(np.abs(S), np.abs(V), np.abs(c), np.add)
-        err[4] = 0.0  # the leading 1 is exact
-        ok = np.isfinite(c) & np.isfinite(err).all(axis=0)
-        ea, eb = err[::-1], np.concatenate([err[3::-1], pad])
+        # the bounds: EX = [0, e3, e2, e1, e0] (the leading 1 is exact),
+        # later EY = [e3, e2, e1, e0, 0]
+        aS, aV, ac = R[0:4].reshape(2, 2, k), R[4:8].reshape(2, 2, k), R[8]
+        np.abs(S, out=aS)
+        np.abs(V, out=aV)
+        np.abs(c, out=ac)
+        _shifted_quartic(aS, aV, ac, np.add, EX[4::-1], R[22:28])
+        EX[:5] *= _QUARTIC_ERR
+        EX[0] = 0.0
+        np.isfinite(c, out=ok)
+        ok &= np.isfinite(EX[1:5].max(axis=0, out=low), out=flag)
+        # f(w) = q(i w), highest power first: rows P = Re f into X and
+        # -Q = -Im f, zero padded to width 5, into Y; both are sign flips
+        # of q's parts
+        if np.result_type(S, V, c).kind == "c":
+            tmp = [*complex_rows(R[0:10]), *complex_rows(R[27:29])]
+            q = _shifted_quartic(S, V, c, np.subtract, complex_rows(R[17:27]), tmp)
+            np.copyto(X[1], q[3].imag)
+            np.negative(q[1].imag, out=X[3])
+            np.copyto(Y[1], q[2].imag)
+            np.negative(q[0].imag, out=Y[3])
+        else:
+            q = _shifted_quartic(S, V, c, np.subtract, R[17:22], R[0:6])
+            X[1] = X[3] = Y[1] = Y[3] = 0.0
+        X[0], Y[4] = 1.0, 0.0
+        np.copyto(X[4], q[0].real)
+        np.negative(q[2].real, out=X[2])
+        np.copyto(Y[0], q[3].real)
+        np.negative(q[1].real, out=Y[2])
+        EY[:4], EY[4] = EX[1:5], 0.0
+        (a, ea, oa), (b, eb, ob) = (X, EX, 0), (Y, EY, 0)
         for d in (4, 3, 2):  # divide A (degree d) by B, both of width d + 1
-            ok &= (b[0] > 2.0 * eb[0]) & (b[0] < np.inf)
-            low = b[0] - eb[0]
-            mb = np.abs(b[1:])
-            wide, slope = mb + eb[1:], eb[1:] + 2.0 * _U * mb  # factors of e(t), |t|
-            for w in (d, d - 1):  # A1 from A, then -R from A1
-                t = a[0] / b[0]
-                at = np.abs(t)
-                et = (ea[0] + at * eb[0]) / low + _U * at
-                a1 = a[1:]
-                ea = ea[1:] + at * slope[:w] + et * wide[:w] + 2.0 * _U * np.abs(a1)
-                a = a1 - t * b[1 : w + 1]
-            a, ea, b, eb = b[:d], eb[:d], np.concatenate([-a, pad]), np.concatenate([ea, pad])
-        return ok & (b[0] > 2.0 * eb[0]) & (b[0] < np.inf)
+            B, EB = b[ob : ob + d + 1], eb[ob : ob + d + 1]
+            pivot_ok(B[0], EB[0])
+            np.subtract(B[0], EB[0], out=low)
+            for w in (d, d - 1):  # A1 from A, then -R from A1, in place
+                A, EA, tw = a[oa : oa + w + 1], ea[oa : oa + w + 1], T[:w]
+                Bw, EBw = B[1 : w + 1], EB[1 : w + 1]
+                np.divide(A[0], B[0], out=t)
+                np.abs(t, out=at)
+                np.add(EA[0], np.multiply(at, EB[0], out=et), out=et)
+                et /= low
+                et += np.multiply(_U, at, out=tw[0])
+                # e(A1) = e(A[1:]) + |t| slope + e(t) wide + 2u |A[1:]|, with
+                # slope = e(Bw) + 2u |Bw| and wide = |Bw| + e(Bw)
+                slope = np.add(EBw, np.multiply(np.abs(Bw, out=tw), 2.0 * _U, out=tw), out=tw)
+                EA[1:] += np.multiply(at, slope, out=tw)
+                wide = np.add(np.abs(Bw, out=tw), EBw, out=tw)
+                EA[1:] += np.multiply(et, wide, out=tw)
+                EA[1:] += np.multiply(np.abs(A[1:], out=tw), 2.0 * _U, out=tw)
+                A[1:] -= np.multiply(t, Bw, out=tw)
+                oa += 1
+            # the remainder, negated and zero padded, is the next B; B less
+            # its pad is the next A
+            a[oa + d - 1] = ea[oa + d - 1] = 0.0
+            np.negative(a[oa : oa + d - 1], out=a[oa : oa + d - 1])
+            (a, ea, oa), (b, eb, ob) = (b, eb, ob), (a, ea, oa)
+        pivot_ok(b[ob], eb[ob])
+    return ok
+
+
+# the upper edge of a band over its tolerance: -1, 1, inf (see _worst_modes)
+_EDGES = np.array([-1.0, 1.0, np.inf])
+
+
+def _worst_band(top, tol, lower, mask):
+    """_severity(top, tol).max(axis=0): each cell's worst band over its
+    modes (axis 0), with work arrays ``lower`` and ``mask`` of top's shape."""
+    band = np.ones(top.shape[1:], dtype=int)
+    band[np.less(top, np.negative(tol, out=lower), out=mask).all(axis=0)] = 0
+    band[np.greater(top, tol, out=mask).any(axis=0)] = 2
+    return band
 
 
 def _require_modes(n, m_max):
@@ -649,29 +749,39 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
     if model == "flock" or (model == "mill" and speed == 0.0):
         _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
         top, bands = _shape_severity(ms, n, i1p, i1m, i2)
+        band = bands.max(axis=0)
     else:
         S, V, tol, shape_bands, mu1 = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
-        solve = np.zeros(tol.shape, dtype=bool)
+        if tol.ndim == 1:  # a lone cell: a block of one
+            S, V, tol, mu1 = S[..., None], V[..., None], tol[:, None], mu1[:, None]
+        # rings._scratch rows laid out (modes, cells): the largest real
+        # parts, c and a work row, then the solve mask and a work mask
+        top, c, lower = _scratch((3,) + tol.shape)
+        solve, mask = _scratch((2,) + tol.shape, bool)
+        solve.fill(False)
         solve[:2] = solve[-1] = True
         np.put_along_axis(solve, mu1.argmax(axis=0)[None], True, axis=0)
-        top = np.full(tol.shape, -np.inf)  # skipped modes stay at -inf, band 0
+        top.fill(-np.inf)  # skipped modes stay at -inf, band 0
         top[solve] = _top_real(_assemble(S, V, solve))
-        edge = np.inf
-        if shape_bands is None:
-            edge = np.choose(_severity(top, tol).max(axis=0), (-tol, tol, np.inf))
-        c = np.minimum(top.max(axis=0), edge) - tol
+        # c = min(best, edge) - tol, edge = tol times -1, 1 or inf by band
+        edge = np.inf if shape_bands is not None else _EDGES[_worst_band(top, tol, lower, mask)]
+        np.minimum(top.max(axis=0), np.multiply(tol, edge, out=c), out=c)
+        c -= tol
         # the certificate reads every mode's blocks in place, the sampled
         # ones too (their answers go unread): cheaper than a masked copy
         flat = (2, 2, c.size)
-        certified = _routh_below(S.reshape(flat), V.reshape(flat), c.ravel())
-        solve = ~(solve | certified.reshape(c.shape))
+        certified = _routh_below(S.reshape(flat), V.reshape(flat), c.reshape(-1))
+        np.logical_not(np.logical_or(solve, certified.reshape(c.shape), out=solve), out=solve)
         top[solve] = _top_real(_assemble(S, V, solve))
-        bands = _severity(top, tol) if shape_bands is None else shape_bands
+        if shape_bands is None:
+            band = _worst_band(top, tol, lower, mask)
+        else:
+            band = shape_bands.max(axis=0)
     worst = top.argmax(axis=0)
     found = np.take_along_axis(top, worst[None], axis=0)[0]
     return [
         (int(ms[w]), float(x), _VERDICTS[v])
-        for w, x, v in zip(*np.atleast_1d(worst, found, bands.max(axis=0)))
+        for w, x, v in zip(*np.atleast_1d(worst, found, band))
     ]
 
 

@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,7 +19,7 @@ from swarmlab.regions import (
     scan_speed_b,
     separatrix_check,
 )
-from swarmlab import regions, spectra
+from swarmlab import regions, rings, spectra
 from swarmlab.spectra import Classification, mill_mode_matrix, mode_envelope
 
 
@@ -87,6 +89,50 @@ class TestScanFlock:
         one = scan_flock(spec, workers=1)
         four = scan_flock(spec, workers=4)
         assert one.csv_text() == four.csv_text()
+
+    @pytest.mark.parametrize("scan, axis, fixed", [
+        (scan_mill, "a", {"speed": 0.5}),
+        (scan_cs_flock, "a", {"gamma": 0.7}),
+        (scan_speed_b, "speed", {"a": 5.0}),
+    ], ids=["mill", "flock-cs", "speed-b"])
+    def test_4x4_routes_give_the_same_bytes_on_two_workers(self, scan, axis, fixed, monkeypatch):
+        # m_max = 198 caps a block at 15 cells, so each pool thread runs
+        # several blocks; the speed-b scan cuts one block per speed
+        blocks, worst_modes = [], regions._worst_modes
+
+        def recording(model, a, *args):
+            blocks.append((threading.get_ident(), len(a), id(rings._workspaces.buffers)))
+            return worst_modes(model, a, *args)
+
+        monkeypatch.setattr(regions, "_worst_modes", recording)
+        lo = 0.0 if axis == "speed" else 3.0
+        spec = GridSpec(axis, lo, lo + 4.0, 8, "b", 0.5, 2.5, 8,
+                        fixed={"n": 200, "m_max": 198, **fixed})
+        one = scan(spec, workers=1)
+        assert not hasattr(rings._workspaces, "buffers")
+        serial, blocks[:] = blocks[:], []
+        two = scan(spec, workers=2)
+        assert not hasattr(rings._workspaces, "buffers")
+        assert one.csv_text() == two.csv_text()
+        # each thread kept one workspace across its blocks of one size
+        for run in (serial, blocks):
+            for thread in {t for t, _, _ in run}:
+                mine = [(size, ws) for t, size, ws in run if t == thread]
+                assert len({ws for size, ws in mine if size == mine[0][0]}) == 1
+        assert max(len([b for b in serial if b[1] == size]) for _, size, _ in serial) > 1
+        if (os.cpu_count() or 1) > 1:
+            assert len({t for t, _, _ in blocks}) == 2
+            assert threading.get_ident() not in {t for t, _, _ in blocks}
+
+    def test_a_failing_scan_drops_its_workspaces(self, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(regions, "_worst_modes", failing)
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError, match="stop"):
+                scan_mill(small_spec(n=50, speed=0.5), workers=workers)
+            assert not hasattr(rings._workspaces, "buffers")
 
     def test_pool_size_capped_by_jobs_and_cores(self):
         # pure arithmetic: no pool is built for these requests
@@ -348,6 +394,8 @@ class TestBlocks:
         assert meta["cells"] == 16 and meta["seconds"] > 0
         assert meta["invalid_reasons"] == {"requires b < a": 2, str(solved.value): 1}
         assert clean.metadata["invalid_reasons"] == {"requires b < a": 2}
+        # the fallback's blocks of one ran in the scan's workspace, gone now
+        assert not hasattr(rings._workspaces, "buffers")
 
 
 class TestSerialization:
@@ -375,6 +423,27 @@ class TestSerialization:
         assert sidecar["metadata"]["artifact_version"]
         assert sidecar["metadata"]["m_max"] == 24  # the default (n-1)//2
         assert (tmp_path / "map.csv").read_text() == result.csv_text()
+
+    def test_sidecar_records_the_block_cap(self, tmp_path, monkeypatch):
+        # n = 50 scans modes 2..24: _BLOCK_MODES // 23 cells per block
+        spec = GridSpec("a", 3.0, 5.0, 2, "b", 1.0, 2.0, 2, fixed={"n": 50, "speed": 0.5})
+        result = scan_mill(spec)
+        assert result.metadata["cells_per_block"] == regions._BLOCK_MODES // 23
+        result.write(str(tmp_path / "map"))
+        sidecar = json.loads((tmp_path / "map.json").read_text())
+        assert sidecar["metadata"]["cells_per_block"] == regions._BLOCK_MODES // 23
+        # a cap below one cell's modes still cuts blocks of one cell
+        sizes, worst_modes = [], regions._worst_modes
+
+        def recording(model, a, *args):
+            sizes.append(len(a))
+            return worst_modes(model, a, *args)
+
+        monkeypatch.setattr(regions, "_worst_modes", recording)
+        monkeypatch.setattr(regions, "_BLOCK_MODES", 10)
+        capped = scan_mill(spec)
+        assert capped.metadata["cells_per_block"] == 1 and sizes == [1] * 4
+        assert capped.csv_text() == result.csv_text()
 
     def test_classification_grid_shape(self):
         result = scan_flock(small_spec(n=50))

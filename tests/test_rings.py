@@ -150,6 +150,28 @@ class TestWorkspace:
                 assert rings._scratch((3,)) is x
             assert rings._scratch((3,)) is x
             assert rings._scratch((2, 3)) is not x
+            # a complex buffer of the same shape is another buffer
+            z = rings._scratch((3,), complex)
+            assert z.dtype == complex and z is not x
+            assert rings._scratch((3,), complex) is z
+            assert rings._scratch((3,), float) is x
+        assert not hasattr(rings._workspaces, "buffers")
+        assert rings._scratch((3,), complex) is not rings._scratch((3,), complex)
+        assert rings._scratch((3,), complex).dtype == complex
+
+    def test_a_keyed_workspace_holds_one_key_at_a_time(self):
+        with rings._workspace():
+            x = rings._scratch((3,))
+            with rings._workspace():  # no key: the open buffers stay
+                assert rings._scratch((3,)) is x
+            with rings._workspace(6):  # a new key drops them
+                y = rings._scratch((3,))
+                assert y is not x
+            with rings._workspace(6):  # the same key keeps them
+                assert rings._scratch((3,)) is y
+            assert rings._scratch((3,)) is y
+            with rings._workspace(4):
+                assert rings._scratch((3,)) is not y
         assert not hasattr(rings._workspaces, "buffers")
 
     def test_moments_keep_their_bytes_in_a_workspace(self):

@@ -141,6 +141,24 @@ class TestWorkspace:
             spectra_module._ring_couplings(3.3, 1.2, 1001, 0.0, self.ms)
             assert self.raw(*first) == kept
 
+    @pytest.mark.parametrize("model", ["mill", "flock-cs"])
+    def test_block_cells_and_reports_do_not_alias_the_workspace(self, model):
+        # a second block of the same shape writes over every buffer the
+        # first one used; what the first returned keeps its bytes
+        fixed = {"n": 200, "m_max": 99, "alpha": 1.0, "gamma": 0.7, "speed": 0.5}
+        cells = [[(a, b, a, b) for a, b in ((4.0, 1.0), (5.5, 2.2))],
+                 [(a, b, a, b) for a, b in ((3.2, 0.7), (6.5, 1.4))]]
+        with rings._workspace():
+            first = _block(model, fixed, fixed["speed"], cells[0])
+            kept = repr(first)
+            assert repr(_block(model, fixed, fixed["speed"], cells[1])) != kept
+            assert repr(first) == kept
+            envelope = mode_envelope(model, 4.0, 1.0, 200, gamma=0.7, speed=0.5)
+            kept = repr(envelope)
+            assert repr(mode_envelope(model, 3.2, 0.7, 200, gamma=0.7, speed=0.5)) != kept
+            assert repr(envelope) == kept
+        assert repr(envelope) == repr(mode_envelope(model, 4.0, 1.0, 200, gamma=0.7, speed=0.5))
+
     def test_repeat_solves_allocate_no_n_length_array(self):
         # after the first solve, a cell with a new b (its moment summed
         # afresh) writes every n-length array into the workspace's buffers
@@ -155,6 +173,27 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
         assert peak < 8 * n
+
+    def test_repeat_blocks_allocate_little_per_mode(self):
+        # a second spinning-mill block of the same shape writes the 4x4
+        # route's mode-sized arrays (S and V, the certificate's rows, the
+        # masks and the top rows) into the workspace's buffers: what it still
+        # allocates (the couplings, tolerances and mu1, about 8 float64 per
+        # mode) stays under 12 float64 per mode, where a block outside a
+        # workspace takes about 56
+        n, cells = 1000, 3
+        modes = ((n - 1) // 2 - 1) * cells
+        a, b = np.linspace(3.2, 6.8, cells), np.linspace(0.6, 2.4, cells)
+        with rings._workspace():
+            _worst_modes("mill", a, b, n, (n - 1) // 2, speed=0.5)
+            rings._moment.cache_clear()
+            tracemalloc.start()
+            try:
+                _worst_modes("mill", a + 0.05, b + 0.05, n, (n - 1) // 2, speed=0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 12 * 8 * modes
 
 
 class TestShapeMatrix:
