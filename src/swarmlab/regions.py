@@ -2,8 +2,8 @@
 
 Each grid cell records the worst mode in range and its verdict through
 spectra._worst_modes, which builds no per-mode reports.  Cells run in
-blocks: consecutive cells at one speed, at most _BLOCK_MODES modes per
-block and at least one block per pool thread, whose modes go through
+blocks: consecutive valid cells at one speed, at most _BLOCK_MODES modes
+per block and at least one block per pool thread, whose modes go through
 every stage as one stack.  A cell gives the same bytes in any block, so
 blocks are mapped over a thread pool; results are gathered in
 cell-index order and never depend on the worker count.  A scan owns one
@@ -51,22 +51,28 @@ __all__ = [
 _COARSE = 9
 
 # Modes per scan block: cells per block = max(1, _BLOCK_MODES // modes per
-# cell).  A block costs about 0.46 ms of per-call overhead plus 0.23 ms per
-# cell (a least-squares fit to best-of-5 in-process passes over the
-# scan-mill grid at n = 1000, speed 0.5, with 1 to 8 cells per block; 2
-# cores, numpy 2.4.6), so fewer, larger blocks win until the peak RSS
-# grows.  The 4x4 route writes its mode-sized arrays into the scan's
-# workspace, whose buffers hold about 58 float64 per mode; a block
-# allocates about 8 more per mode.  10-second bench/run.py scan-mill runs
-# (seeds 9-10; 7-10 from 3,072 up) read wall_ref_s and peak RSS as
-# follows, with 0 minor faults per pass at every cap: 1,536 modes (3
-# cells) 0.222-0.224 s and 44.75-44.86 MB; 2,048 (4 cells) 0.192-0.194 s
-# and 44.80-44.96 MB; 3,072 (6 cells) 0.168-0.170 s and 45.29-45.41 MB;
-# 3,584 (7 cells) 0.158-0.159 s and 45.47-45.73 MB; 4,096 (8 cells)
-# 0.148-0.154 s and 45.72-45.82 MB.  Before the workspace, 1,536 modes
-# read 0.274-0.281 s and 44.57-44.74 MB with 11,305 faults per pass.
-# 3,072 is the largest cap whose peak RSS stayed within 1 MB of that.
-_BLOCK_MODES = 3072
+# cell), a cell counting at least the (n - 1)//2 - 1 modes of the default
+# range (see _scan).  A spinning-mill block at n = 1000 costs about 0.54 ms
+# of per-call overhead plus 0.16 ms per cell (a least-squares fit to the
+# best of 40 calls in a workspace, 1 to 16 cells; 2 cores, numpy 2.4.6), so
+# fewer, larger blocks win until the peak RSS grows.  The 4x4 route writes
+# its mode-sized arrays into the scan's workspace, whose buffers hold about
+# 45 float64 per mode (a spinning mill's velocity block is per cell, and the
+# two transforms share one rfft row); a block allocates about 7 more per
+# mode.  10-second bench/run.py scan-mill runs (seeds 71-72) read wall_ref_s
+# and peak RSS as follows, with 0 minor faults per pass at every cap: 3,072
+# modes (6 cells) 0.161-0.165 s and 44.78 MB; 4,096 (8 cells) 0.144-0.146 s
+# and 45.43-45.61 MB; 5,120 (10) 0.133 s and 45.66-45.80 MB; 6,144 (12)
+# 0.134-0.135 s and 46.12 MB; 7,168 (14) 0.124-0.126 s and 46.66-46.72 MB;
+# 8,192 (16) 0.116-0.122 s and 46.98-47.03 MB.  With per-mode velocity
+# blocks and two rfft rows (about 58 float64 per mode), 3,072 modes read
+# 0.162-0.163 s and 45.26-45.36 MB.  In 30-second runs alternating with that
+# layout (45.16-45.48 MB), 5,120 modes read 0.140-0.141 s and 45.86-45.88
+# MB, 5,632 (11 cells) 0.135-0.138 s and 45.93-45.98 MB, and 6,144
+# 0.128-0.136 s but 46.14-46.45 MB, 0.8-1.3 MB above the runs beside it
+# (medians 0.92 and 0.98 MB above): 5,632 is the largest cap whose peak RSS
+# stayed within 1 MB.
+_BLOCK_MODES = 5632
 
 # the GridSpec.fixed keys a scan reads
 _FIXED_KEYS = ("n", "m_max", "alpha", "gamma", "speed", "a")
@@ -224,18 +230,25 @@ def _invalid(x, y, msg):
     )
 
 
+def _with_invalid(cells, solved):
+    """The RegionCells ``solved`` gives for the cells (x, y, a, b) with
+    b < a, in order, with an invalid one for each other cell."""
+    solved = iter(solved)
+    return [next(solved) if b < a else _invalid(x, y, "requires b < a") for x, y, a, b in cells]
+
+
 def _block(model, fixed, speed, cells):
     """RegionCells of a block of grid cells (x, y, a, b) at one speed.
 
     spectra._worst_modes decides the route: max_real is the largest shape
     eigenvalue for the flock and the mill at speed 0, and the largest 4x4
     real part for flock-cs and the spinning mill.  A cell with b >= a is
-    invalid before any work.  If the block raises, each of its cells runs
-    again as a block of one, so a cell whose radius solve fails or whose
-    mode matrix is not finite gets the reason it gets alone, and the other
-    cells keep their results.  The block runs in the open rings._workspace
-    keyed by its count of valid cells, so a workspace holds the buffers of
-    one block size at a time.
+    invalid before any work (a scan's blocks hold none).  If the block
+    raises, each of its cells runs again as a block of one, so a cell whose
+    radius solve fails or whose mode matrix is not finite gets the reason
+    it gets alone, and the other cells keep their results.  The block runs
+    in the open rings._workspace keyed by its count of valid cells, so a
+    workspace holds the buffers of one block size at a time.
     """
     valid = [cell for cell in cells if cell[3] < cell[2]]
     _, _, a, b = np.array(valid).reshape(-1, 4).T
@@ -254,7 +267,7 @@ def _block(model, fixed, speed, cells):
             RegionCell(x=x, y=y, classification=verdict, max_real=max_real, critical_mode=m)
             for (x, y, _, _), (m, max_real, verdict) in zip(valid, found)
         )
-    return [next(solved) if b < a else _invalid(x, y, "requires b < a") for x, y, a, b in cells]
+    return _with_invalid(cells, solved)
 
 
 def _resolve_m_max(n, m_max):
@@ -273,14 +286,16 @@ def _scan(spec, label, model, workers, a=None):
 
     The axes are (a, b), or (speed, b) at the fixed exponent ``a`` when
     one is given; unset fixed entries take n=1000, alpha=gamma=1, speed 0.
-    Consecutive cells at one speed are cut into blocks of at most
-    _BLOCK_MODES modes (the sidecar's cells_per_block), but at least one
-    block per pool thread.  The scan owns one rings._workspace per thread
-    that runs blocks (map_stacks), dropped when the scan returns or
-    raises.  A fixed key outside _FIXED_KEYS, a non-integer n or m_max,
-    m_max outside [2, n - 2], an alpha or gamma that is not finite and
-    positive, a speed that is not finite and nonnegative, or a bad worker
-    count is a ValueError, raised before any cell runs.
+    Cells with b >= a are invalid before any work; the others, consecutive
+    at one speed, are cut into blocks of at most _BLOCK_MODES modes (the
+    sidecar's cells_per_block), but at least one block per pool thread, so
+    every block but a speed's last has the same size.  The scan owns one
+    rings._workspace per thread that runs blocks (map_stacks), dropped when
+    the scan returns or raises.  A fixed key outside _FIXED_KEYS, a
+    non-integer n or m_max, m_max outside [2, n - 2], an alpha or gamma
+    that is not finite and positive, a speed that is not finite and
+    nonnegative, or a bad worker count is a ValueError, raised before any
+    cell runs.
     """
     start = time.perf_counter()
     f = spec.fixed
@@ -299,10 +314,14 @@ def _scan(spec, label, model, workers, a=None):
         grid, speed = [(x, y, x, y) for x, y in points], lambda cell: fixed["speed"]
     else:
         grid, speed = [(x, y, a, y) for x, y in points], lambda cell: cell[0]
-    cap = max(1, _BLOCK_MODES // (fixed["m_max"] - 1))
-    cells = map_stacks(
-        lambda block: _block(model, fixed, speed(block[0]), block), grid, cap, workers, key=speed
+    # a cell also holds three n-length weight and rfft rows, so it counts as
+    # at least the default range's modes: a small m_max adds no cells
+    cap = max(1, _BLOCK_MODES // (max(fixed["m_max"], (n - 1) // 2) - 1))
+    solved = map_stacks(
+        lambda block: _block(model, fixed, speed(block[0]), block),
+        [cell for cell in grid if cell[3] < cell[2]], cap, workers, key=speed,
     )
+    cells = _with_invalid(grid, solved)
     metadata = _metadata(label, fixed["m_max"], cells, time.perf_counter() - start, cap)
     return RegionMap(spec=spec, model=label, cells=cells, metadata=metadata)
 

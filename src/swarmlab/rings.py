@@ -166,11 +166,19 @@ def _scratch(shape, dtype=float):
     return buffers[key]
 
 
-def _pair_rows(n, cells=()):
-    """A (2,) + cells + (2 (n//2 + 1),) scratch buffer: two rows of n
-    terms per cell, or (viewed as complex) of the n//2 + 1 bins of an rfft
-    of length n."""
-    return _scratch((2,) + cells + (2 * (n // 2 + 1),))
+def _pair_rows(n, rows=2):
+    """A (rows, 2 (n//2 + 1)) scratch buffer: rows of n terms (two: a
+    moment's terms and work row, or a cell's chords and powers), or (viewed
+    as complex) of the n//2 + 1 bins of an rfft of length n, one per cell."""
+    return _scratch((rows, 2 * (n // 2 + 1)))
+
+
+def _rfft_rows(n, shape):
+    """Complex rows (shape + (n//2 + 1,)) for one rfft of length n per cell:
+    :func:`_pair_rows` with a row per cell, at least two, so a lone cell's
+    transform takes the first of the rows its solve and weights used."""
+    cells = math.prod(shape)
+    return _pair_rows(n, max(2, cells))[:cells].view(complex).reshape(shape + (-1,))
 
 
 @functools.lru_cache(maxsize=2)

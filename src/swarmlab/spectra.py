@@ -24,7 +24,7 @@ sample of modes and then only the modes that a Routh-Hurwitz certificate
 with a rigorous rounding-error bound (_routh_below) cannot place strictly
 below the sample's worst mode and band; each cell's output is that of
 solving every mode alone, bit for bit.  That route writes its mode-sized
-arrays (S and V, the certificate's rows, the masks and the top rows) into
+arrays (S, the certificate's rows, the masks and the top rows) into
 rings._scratch buffers, so inside a rings._workspace (a scan opens one per
 thread) a block of a size seen before makes them no more.  mode_envelope
 solves every mode, since it prints every mode.
@@ -51,7 +51,8 @@ from enum import Enum
 import numpy as np
 
 from .potentials import AlignmentKernel, Morse, PowerLaw, Propulsion, _number
-from .rings import RadiusProblem, _pair_rows, _scratch, _sines, ring_positions, solve_radius
+from .rings import (RadiusProblem, _pair_rows, _rfft_rows, _scratch, _sines, ring_positions,
+                    solve_radius)
 
 __all__ = [
     "Classification",
@@ -173,9 +174,9 @@ def _ring_couplings(a, b, n, speed, ms):
     the cosine sums c[k] = sum_p w_p cos(2 pi p k / n); then
     I1(m) = c1[0] - c1[fold(m+1)] and I2(m) = c2[fold(m)] - c2[1].  Agrees
     with the pair-block reference route to roundoff (tested).  The weight rows
-    and rfft outputs are rings._scratch buffers (for one cell, the rfft
-    writes over the _pair_rows the solve and the weights used); R and the
-    couplings are new arrays.
+    are a rings._scratch buffer; the w2 transform writes over the w1
+    transform's rows (_rfft_rows) once I1(+-m) are read from them.  R and
+    the couplings are new arrays.
     """
     a, b, speed = np.broadcast_arrays(a, b, speed)
     R = np.empty(a.shape)
@@ -187,19 +188,18 @@ def _ring_couplings(a, b, n, speed, ms):
         R[i] = solve_radius(problem).radius
         _weight_vectors(*cell, R[i], n, rows[i])
     R = R[()]
-    c = _pair_rows(n, a.shape).view(complex)
-    for wk, ck in zip(w, c):
-        np.fft.rfft(wk, out=ck)
-    c1, c2 = (ck.real.T for ck in c)
-    i1_plus = c1[0] - c1[_fold(ms + 1, n)]
-    i1_minus = c1[0] - c1[_fold(ms - 1, n)]
-    i2 = c2[_fold(ms, n)] - c2[1]
+    c = _rfft_rows(n, a.shape)
+    ck = np.fft.rfft(w[0], out=c).real.T  # c1, then (a view of c) c2
+    i1_plus = ck[0] - ck[_fold(ms + 1, n)]
+    i1_minus = ck[0] - ck[_fold(ms - 1, n)]
+    np.fft.rfft(w[1], out=c)
+    i2 = ck[_fold(ms, n)] - ck[1]
     return R, i1_plus, i1_minus, i2
 
 
 def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
-    """Shape and velocity blocks S, V (2, 2, ...) of rows 3-4 of the mode
-    matrices, from coupling arrays (...).
+    """Shape and velocity blocks S, V of rows 3-4 of the mode matrices, from
+    coupling arrays (...).
 
     S is the shape block [[I1(m), I2(m)], [I2(m), I1(-m)]] and V the
     velocity block: flock [[-alpha, -alpha], [-alpha, -alpha]], flock-cs
@@ -207,14 +207,18 @@ def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     omega != 0 the mill blocks are complex: the rotating frame adds
     omega^2 to the shape diagonal, -+ i omega alpha to shape rows 1/2 and
     -+ 2 i omega to the velocity diagonal.  A block's omega has one entry
-    per cell, which broadcasts against the couplings' last (cell) axis.
-    S and V are the two halves of one rings._scratch buffer (2, 2, 2, ...).
+    per cell, broadcasting against the couplings' last (cell) axis.  S is
+    a (2, 2, ...) rings._scratch buffer; only flock-cs's V depends on m,
+    S's twin in one (2, 2, 2, ...) buffer, and any other is a new (2, 2) +
+    omega's shape array with no mode axis.
     """
     if model != "flock-cs":
         alpha = _number("alpha", alpha, gt=0)
     i1p, i1m, i2 = np.atleast_1d(i1p, i1m, i2)
     spinning = model == "mill" and np.any(omega != 0.0)
-    S, V = _scratch((2, 2, 2) + i1p.shape, complex if spinning else float)
+    dtype = complex if spinning else float
+    S, V = _scratch((2, 2, 2) + i1p.shape) if model == "flock-cs" else (
+        _scratch((2, 2) + i1p.shape, dtype), np.empty((2, 2) + np.shape(omega), dtype))
     S[0, 0] = i1p
     S[0, 1] = S[1, 0] = i2
     S[1, 1] = i1m
@@ -225,12 +229,12 @@ def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
     elif model == "mill":
         V[0, 0] = V[1, 1] = -alpha
         V[0, 1] = V[1, 0] = alpha
-        if spinning:
+        if spinning:  # in place: S's entries are the couplings cast to complex
             w = omega
-            np.add(-1j * w * alpha + w * w, i1p, out=S[0, 0])
-            np.add(-1j * w * alpha, i2, out=S[0, 1])
-            np.add(1j * w * alpha, i2, out=S[1, 0])
-            np.add(1j * w * alpha + w * w, i1m, out=S[1, 1])
+            S[0, 0] += -1j * w * alpha + w * w
+            S[0, 1] += -1j * w * alpha
+            S[1, 0] += 1j * w * alpha
+            S[1, 1] += 1j * w * alpha + w * w
             V[0, 0] = -alpha - 2j * w
             V[1, 1] = -alpha + 2j * w
     else:
@@ -239,15 +243,18 @@ def _blocks(model, i1p, i1m, i2, alpha=1.0, jp=0.0, jm=0.0, omega=0.0):
 
 
 def _assemble(S, V, solve=None):
-    """Mode matrices [[0, I], [S, V]] of blocks S, V (2, 2, ...): a (..., 4,
-    4) stack, or (k, 4, 4) of the k modes where the mask ``solve`` is True.
-    Rows 1-2 are [0 0 1 0], [0 0 0 1]."""
+    """Mode matrices [[0, I], [S, V]] of blocks S (2, 2, ...) and V, whose
+    trailing dims broadcast against S's (a per-cell V has no mode axis): a
+    (..., 4, 4) stack, or (k, 4, 4) of the k modes where the mask ``solve``
+    is True.  Rows 1-2 are [0 0 1 0], [0 0 0 1]."""
+    S, V = (np.moveaxis(X, (0, 1), (-2, -1)) for X in (S, V))
+    V = np.broadcast_to(V, S.shape)
     if solve is not None:
-        S, V = S[:, :, solve], V[:, :, solve]
-    A = np.zeros(S.shape[2:] + (4, 4), dtype=np.result_type(S, V))
+        S, V = S[solve], V[solve]
+    A = np.zeros(S.shape[:-2] + (4, 4), dtype=np.result_type(S, V))
     A[..., 0, 2] = A[..., 1, 3] = 1.0
-    A[..., 2:, :2] = np.moveaxis(S, (0, 1), (-2, -1))
-    A[..., 2:, 2:] = np.moveaxis(V, (0, 1), (-2, -1))
+    A[..., 2:, :2] = S
+    A[..., 2:, 2:] = V
     return A
 
 
@@ -346,11 +353,8 @@ def flock_mode_matrix(a, b, n, m, prop):
     m, pot, ring = _reference_ring(a, b, n, m)
     al = prop.alpha
     entries = _assemble(*_blocks("flock", *_row_couplings(pot, ring, m), alpha=al))[0]
-    return ModeMatrix(
-        entries=entries,
-        model="flock",
-        params={"a": a, "b": b, "n": n, "m": m, "radius": ring.radius, "alpha": al},
-    )
+    return ModeMatrix(entries, "flock", {"a": a, "b": b, "n": n, "m": m, "radius": ring.radius,
+                                         "alpha": al})
 
 
 def cs_flock_mode_matrix(a, b, n, m, gamma):
@@ -365,11 +369,8 @@ def cs_flock_mode_matrix(a, b, n, m, gamma):
     m, pot, ring = _reference_ring(a, b, n, m)
     i1p, i1m, i2, jp, jm = _row_couplings(pot, ring, m, kernel)
     entries = _assemble(*_blocks("flock-cs", i1p, i1m, i2, jp=jp, jm=jm))[0]
-    return ModeMatrix(
-        entries=entries,
-        model="flock-cs",
-        params={"a": a, "b": b, "n": n, "m": m, "radius": ring.radius, "gamma": kernel.gamma},
-    )
+    return ModeMatrix(entries, "flock-cs", {"a": a, "b": b, "n": n, "m": m,
+                                            "radius": ring.radius, "gamma": kernel.gamma})
 
 
 def mill_mode_matrix(a, b, n, m, alpha, speed):
@@ -383,16 +384,10 @@ def mill_mode_matrix(a, b, n, m, alpha, speed):
     [[-alpha, alpha], [alpha, -alpha]].
     """
     m, pot, ring = _reference_ring(a, b, n, m, speed)
-    R = ring.radius
-    w = speed / R
-    blocks = _blocks("mill", *_row_couplings(pot, ring, m), alpha=alpha, omega=w)
-    entries = _assemble(*blocks)[0]
-    return ModeMatrix(
-        entries=entries,
-        model="mill",
-        params={"a": a, "b": b, "n": n, "m": m, "radius": R, "alpha": alpha, "speed": speed,
-                "omega": w},
-    )
+    w = speed / ring.radius
+    entries = _assemble(*_blocks("mill", *_row_couplings(pot, ring, m), alpha=alpha, omega=w))[0]
+    return ModeMatrix(entries, "mill", {"a": a, "b": b, "n": n, "m": m, "radius": ring.radius,
+                                        "alpha": alpha, "speed": speed, "omega": w})
 
 
 def eig4(mat):
@@ -457,8 +452,9 @@ def _shape_severity(ms, n, i1p, i1m, i2, banded=True):
     root = np.subtract(i1p, i1m)
     root *= 0.5
     root *= root
-    root += np.multiply(i2, i2)
-    mu1 = np.add(i1p, i1m)
+    mu1 = np.multiply(i2, i2)
+    root += mu1
+    np.add(i1p, i1m, out=mu1)
     mu1 *= 0.5
     mu1 += np.sqrt(root, out=root)
     k = np.asarray(ms) % n
@@ -479,9 +475,8 @@ def _alignment_tables(gamma, R, n, ms):
     gv = _scratch((2,) + R.shape + (n,))[0]
     gv[..., 0] = 0.0
     AlignmentKernel(gamma).value(_chords(R[..., None], n, out=gv[..., 1:]), out=gv[..., 1:])
-    gc = np.fft.rfft(gv, out=_pair_rows(n, R.shape).view(complex)[0]).real
+    gc = np.moveaxis(np.fft.rfft(gv, out=_rfft_rows(n, R.shape)).real, -1, 0)
     gc /= n
-    gc = np.moveaxis(gc, -1, 0)
     jp, jm = _scratch((2,) + ms.shape + R.shape)
     for j, k in ((jp, ms + 1), (jm, ms - 1)):
         np.take(gc, _fold(k, n), axis=0, out=j)
@@ -493,28 +488,29 @@ _ENVELOPE_MODELS = ("flock", "flock-cs", "mill")
 
 
 def _mode_stack(model, a, b, n, ms, alpha, gamma, speed):
-    """Blocks S, V (2, 2, k) of modes ``ms``, their tolerances, shape bands
-    and largest shape eigenvalues mu1.
+    """Blocks S (2, 2, k) and V of modes ``ms`` (_blocks'), their
+    tolerances, shape bands and largest shape eigenvalues mu1.
 
     For a block (arrays a and b at one speed) the modes lead and the cells
-    follow: S and V are (2, 2, k, B), the rest (k, B).  The tolerance of
-    mode m is 1e-8 max(1, |A_m|), classify's rule, taken over S and V, the
-    rows 3-4 of A_m = [[0, I], [S, V]]: rows 1-2 hold only 0 and 1.  Rings
-    at rest take their bands from _shape_severity; the spinning mill gets
-    None and bands its largest real parts at the tolerance.  mu1 is the
-    shape block's at rest, without the rotating frame's terms.  S and V
-    are _blocks' rings._scratch buffer; the rest are new arrays.
+    follow: S is (2, 2, k, B), V (2, 2, k, B) for flock-cs and else
+    (2, 2, B), the rest (k, B).  The tolerance of mode m is 1e-8 max(1,
+    |A_m|), classify's rule, taken over S and V, the rows 3-4 of A_m =
+    [[0, I], [S, V]]: rows 1-2 hold only 0 and 1.  Rings at rest take their
+    bands from _shape_severity; the spinning mill gets None and bands its
+    largest real parts at the tolerance.  mu1 is the shape block's at rest,
+    without the rotating frame's terms.  The rest are new arrays.
     """
     speed = speed if model == "mill" else 0.0
     R, i1p, i1m, i2 = _ring_couplings(a, b, n, speed, ms)
     jp, jm = _alignment_tables(gamma, R, n, ms) if model == "flock-cs" else (0.0, 0.0)
     S, V = _blocks(model, i1p, i1m, i2, alpha=alpha, jp=jp, jm=jm, omega=speed / R)
+    mu1, bands = _shape_severity(ms, n, i1p, i1m, i2, banded=speed == 0.0)
+    del i1p, i1m, i2  # done with: free their memory before tol's
     tol = np.abs(S[0, 0])  # the largest entry modulus, one entry at a time
     for x in (S[0, 1], S[1, 0], S[1, 1], V[0, 0], V[0, 1], V[1, 0], V[1, 1]):
         np.maximum(tol, np.abs(x), out=tol)
     np.maximum(1.0, tol, out=tol)
     tol *= 1e-8
-    mu1, bands = _shape_severity(ms, n, i1p, i1m, i2, banded=speed == 0.0)
     return S, V, tol, bands, mu1
 
 
@@ -526,14 +522,14 @@ _QUARTIC_ERR = 32 * _U
 
 def _shifted_quartic(S, V, c, minus, q, tmp):
     """Coefficients, constant first, of det(mu^2 I - mu V' - S'), written
-    into the rows q (5, k); the six rows ``tmp`` hold the terms.
+    into the rows q (5,) + c.shape; the six rows ``tmp`` hold the terms.
 
-    S and V are (2, 2, k) blocks, V' = V - 2cI and S' = S + cV - c^2 I, so
-    the quartic is the characteristic polynomial
-    p(lambda) = det(lambda^2 I - lambda V - S) of [[0, I], [S, V]] at
-    lambda = mu + c.  With moduli for S, V and c and np.add for ``minus``
-    the same lines give each coefficient's magnitude bound, every term
-    counted positive.
+    S and V are (2, 2, ...) blocks whose trailing dims broadcast against
+    c's; V' = V - 2cI and S' = S + cV - c^2 I, so the quartic is the
+    characteristic polynomial p(lambda) = det(lambda^2 I - lambda V - S)
+    of [[0, I], [S, V]] at lambda = mu + c.  With moduli for S, V and c
+    and np.add for ``minus`` the same lines give each coefficient's
+    magnitude bound, every term counted positive.
     """
     w0, w1, t00, t11, t01, t10 = tmp
     minus(V[0, 0], c, out=w0)
@@ -545,8 +541,9 @@ def _shifted_quartic(S, V, c, minus, q, tmp):
     p = q[0]  # q0 comes last, so its row holds the products until then
     q[4] = 1.0
     minus(0.0, np.add(u0, u1, out=q[3]), out=q[3])
-    # q2 = (u0 u1 - V01 V10) - (t00 + t11)
-    minus(np.multiply(u0, u1, out=q[2]), np.multiply(V[0, 1], V[1, 0], out=p), out=q[2])
+    # q2 = (u0 u1 - V01 V10) - (t00 + t11), V01 V10 formed at V's size
+    np.copyto(p, V[0, 1] * V[1, 0])
+    minus(np.multiply(u0, u1, out=q[2]), p, out=q[2])
     minus(q[2], np.add(t00, t11, out=p), out=q[2])
     # q1 = ((u0 t11 + u1 t00) - V01 t10) - V10 t01
     np.add(np.multiply(u0, t11, out=q[1]), np.multiply(u1, t00, out=p), out=q[1])
@@ -559,7 +556,8 @@ def _shifted_quartic(S, V, c, minus, q, tmp):
 
 def _routh_below(S, V, c):
     """Whether every eigenvalue of A_i = [[0, I], [S_i, V_i]] has real part
-    below c[i], certified; S and V are (2, 2, k) blocks.
+    below c[i], certified; S and V are (2, 2, ...) blocks whose trailing
+    dims broadcast against c's (a per-cell V has no mode axis).
 
     The roots of p(lambda) = det(lambda^2 I - lambda V - S), A_i's
     characteristic polynomial, lie left of c iff the monic quartic
@@ -602,21 +600,23 @@ def _routh_below(S, V, c):
     c or bound, or a pivot not counted positive, gives False, and the
     caller solves the mode.
     """
-    k = len(c)
-    # 30 rows of one rings._scratch buffer: the chain's A and B rows and
-    # their bounds (X and EX six rows, Y and EY five, with room for B's zero
-    # pad), the step rows T and the rows t, |t|, e(t) and b_0 - e(b_0).
+    shape = c.shape
+    # 28 rows of c's shape in one rings._scratch buffer: the chain's A and B
+    # rows and their bounds (X and EX six rows, Y and EY five, with room for
+    # the zero pads), the step rows T and the rows |t| and b_0 - e(b_0); t
+    # and e(t) overwrite A[0] and its bound, which no step reads again.
     # Before the chain, the moduli of S, V and c take rows 0-8 and the
-    # bound's terms rows 22-27 while the bound goes into EX; then q takes EY
-    # and its terms rows 0-5 while P and -Q go into X and Y.  A complex q
-    # takes rows 17-26 and its terms rows 0-9 and 27-28, two to a complex row.
-    R = _scratch((30, k))
+    # bound's terms rows 22-27 while the bound goes into EX; then q takes
+    # rows 16-20 and its terms rows 0-5 while P and -Q go into X and Y.  A
+    # complex q takes rows 16-25, its terms rows 0-11 and c rows 26-27, two
+    # to a complex row, leaving EX's bounds in rows 12-15.
+    R = _scratch((28,) + shape)
     X, Y, EX, EY, T = R[0:6], R[6:11], R[11:17], R[17:22], R[22:26]
-    t, at, et, low = R[26:30]
-    ok, flag = _scratch((2, k), bool)
+    at, low = R[26:28]
+    ok, flag = _scratch((2, c.size), bool).reshape((2,) + shape)
 
     def complex_rows(rows):
-        return rows.reshape(-1).view(complex).reshape(-1, k)
+        return rows.reshape(-1).view(complex).reshape((-1,) + shape)
 
     def pivot_ok(b0, eb0):  # ok &= (b0 > 2 e(b0)) & (b0 < inf)
         np.logical_and(ok, np.greater(b0, np.multiply(eb0, 2.0, out=low), out=flag), out=ok)
@@ -625,29 +625,31 @@ def _routh_below(S, V, c):
     with np.errstate(all="ignore"):
         # the bounds: EX = [0, e3, e2, e1, e0] (the leading 1 is exact),
         # later EY = [e3, e2, e1, e0, 0]
-        aS, aV, ac = R[0:4].reshape(2, 2, k), R[4:8].reshape(2, 2, k), R[8]
+        aS, ac = R[0:4].reshape((2, 2) + shape), R[8]
+        aV = R[4:8].reshape(-1)[: V.size].reshape(V.shape)
         np.abs(S, out=aS)
         np.abs(V, out=aV)
         np.abs(c, out=ac)
         _shifted_quartic(aS, aV, ac, np.add, EX[4::-1], R[22:28])
         EX[:5] *= _QUARTIC_ERR
-        EX[0] = 0.0
         np.isfinite(c, out=ok)
         ok &= np.isfinite(EX[1:5].max(axis=0, out=low), out=flag)
         # f(w) = q(i w), highest power first: rows P = Re f into X and
         # -Q = -Im f, zero padded to width 5, into Y; both are sign flips
         # of q's parts
         if np.result_type(S, V, c).kind == "c":
-            tmp = [*complex_rows(R[0:10]), *complex_rows(R[27:29])]
-            q = _shifted_quartic(S, V, c, np.subtract, complex_rows(R[17:27]), tmp)
+            cz = complex_rows(R[26:28])[0]  # c cast once, not in every product
+            np.copyto(cz, c)
+            q = _shifted_quartic(S, V, cz, np.subtract, complex_rows(R[16:26]),
+                                 complex_rows(R[0:12]))
             np.copyto(X[1], q[3].imag)
             np.negative(q[1].imag, out=X[3])
             np.copyto(Y[1], q[2].imag)
             np.negative(q[0].imag, out=Y[3])
         else:
-            q = _shifted_quartic(S, V, c, np.subtract, R[17:22], R[0:6])
+            q = _shifted_quartic(S, V, c, np.subtract, R[16:21], R[0:6])
             X[1] = X[3] = Y[1] = Y[3] = 0.0
-        X[0], Y[4] = 1.0, 0.0
+        X[0], Y[4], EX[0] = 1.0, 0.0, 0.0
         np.copyto(X[4], q[0].real)
         np.negative(q[2].real, out=X[2])
         np.copyto(Y[0], q[3].real)
@@ -661,9 +663,9 @@ def _routh_below(S, V, c):
             for w in (d, d - 1):  # A1 from A, then -R from A1, in place
                 A, EA, tw = a[oa : oa + w + 1], ea[oa : oa + w + 1], T[:w]
                 Bw, EBw = B[1 : w + 1], EB[1 : w + 1]
-                np.divide(A[0], B[0], out=t)
+                t = np.divide(A[0], B[0], out=A[0])
                 np.abs(t, out=at)
-                np.add(EA[0], np.multiply(at, EB[0], out=et), out=et)
+                et = np.add(EA[0], np.multiply(at, EB[0], out=tw[0]), out=EA[0])
                 et /= low
                 et += np.multiply(_U, at, out=tw[0])
                 # e(A1) = e(A[1:]) + |t| slope + e(t) wide + 2u |A[1:]|, with
@@ -754,9 +756,9 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
         S, V, tol, shape_bands, mu1 = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
         if tol.ndim == 1:  # a lone cell: a block of one
             S, V, tol, mu1 = S[..., None], V[..., None], tol[:, None], mu1[:, None]
-        # rings._scratch rows laid out (modes, cells): the largest real
-        # parts, c and a work row, then the solve mask and a work mask
-        top, c, lower = _scratch((3,) + tol.shape)
+        # rings._scratch rows (modes, cells): the largest real parts and c
+        # (also _worst_band's work row), then the solve mask and a work mask
+        top, c = _scratch((2,) + tol.shape)
         solve, mask = _scratch((2,) + tol.shape, bool)
         solve.fill(False)
         solve[:2] = solve[-1] = True
@@ -764,17 +766,15 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
         top.fill(-np.inf)  # skipped modes stay at -inf, band 0
         top[solve] = _top_real(_assemble(S, V, solve))
         # c = min(best, edge) - tol, edge = tol times -1, 1 or inf by band
-        edge = np.inf if shape_bands is not None else _EDGES[_worst_band(top, tol, lower, mask)]
+        edge = np.inf if shape_bands is not None else _EDGES[_worst_band(top, tol, c, mask)]
         np.minimum(top.max(axis=0), np.multiply(tol, edge, out=c), out=c)
         c -= tol
         # the certificate reads every mode's blocks in place, the sampled
         # ones too (their answers go unread): cheaper than a masked copy
-        flat = (2, 2, c.size)
-        certified = _routh_below(S.reshape(flat), V.reshape(flat), c.reshape(-1))
-        np.logical_not(np.logical_or(solve, certified.reshape(c.shape), out=solve), out=solve)
+        np.logical_not(np.logical_or(solve, _routh_below(S, V, c), out=solve), out=solve)
         top[solve] = _top_real(_assemble(S, V, solve))
         if shape_bands is None:
-            band = _worst_band(top, tol, lower, mask)
+            band = _worst_band(top, tol, c, mask)
         else:
             band = shape_bands.max(axis=0)
     worst = top.argmax(axis=0)

@@ -96,8 +96,9 @@ class TestScanFlock:
         (scan_speed_b, "speed", {"a": 5.0}),
     ], ids=["mill", "flock-cs", "speed-b"])
     def test_4x4_routes_give_the_same_bytes_on_two_workers(self, scan, axis, fixed, monkeypatch):
-        # m_max = 198 caps a block at 15 cells, so each pool thread runs
-        # several blocks; the speed-b scan cuts one block per speed
+        # m_max = 198 caps a block at _BLOCK_MODES // 197 cells, so each
+        # pool thread runs several blocks; the speed-b scan cuts one block
+        # per speed
         blocks, worst_modes = [], regions._worst_modes
 
         def recording(model, a, *args):
@@ -367,8 +368,48 @@ class TestBlocks:
             assert outcome(cell) == outcome(alone)
         assert any(cell.error == "requires b < a" for cell in cells)
 
+    @pytest.mark.parametrize("scan, axis, fixed", [
+        (scan_mill, "a", {"speed": 0.5}),
+        (scan_speed_b, "speed", {"a": 5.0}),
+    ], ids=["mill", "speed-b"])
+    def test_blocks_are_cut_from_valid_cells(self, scan, axis, fixed, monkeypatch):
+        # a grid that straddles b = a: blocks hold only b < a cells, so every
+        # block but each speed's last has cells_per_block of them, and the
+        # invalid rows go back in grid order, as each cell gives alone
+        blocks, worst_modes = [], regions._worst_modes
+
+        def recording(model, a, b, *args):
+            assert (np.asarray(b) < np.asarray(a)).all()
+            blocks.append((args[-1], len(a)))
+            return worst_modes(model, a, b, *args)
+
+        monkeypatch.setattr(regions, "_worst_modes", recording)
+        monkeypatch.setattr(regions, "_BLOCK_MODES", 7 * 30)  # 7 cells at n = 64
+        if axis == "speed":
+            spec = GridSpec("speed", 0.0, 0.9, 4, "b", 0.4, 7.0, 13, fixed={"n": 64, **fixed})
+        else:
+            spec = GridSpec("a", 1.5, 7.0, 6, "b", 0.4, 3.0, 7, fixed={"n": 64, **fixed})
+        result = scan(spec)
+        assert result.metadata["cells_per_block"] == 7
+        speeds = list(dict.fromkeys(speed for speed, _ in blocks))
+        assert len(speeds) == (4 if axis == "speed" else 1)
+        for speed in speeds:
+            sizes = [size for s, size in blocks if s == speed]
+            assert sizes[:-1] == [7] * (len(sizes) - 1) and 0 < sizes[-1] <= 7
+        invalid = sum(y >= fixed.get("a", x) for x in spec.x_values for y in spec.y_values)
+        assert invalid == (16 if axis == "speed" else 5)
+        assert sum(size for _, size in blocks) == len(result.cells) - invalid
+        lone = {"n": 64, "m_max": 31, "alpha": 1.0, "gamma": 1.0, "speed": fixed.get("speed")}
+        alone = [
+            regions._block("mill", lone, cell.x if axis == "speed" else lone["speed"],
+                           [(cell.x, cell.y, fixed.get("a", cell.x), cell.y)])[0]
+            for cell in result.cells
+        ]
+        assert result.csv_text() == RegionMap(spec, result.model, alone, {}).csv_text()
+        assert result.metadata["invalid_reasons"] == {"requires b < a": invalid}
+
     def test_a_poisoned_cell_leaves_its_block_alone(self, monkeypatch):
-        # one cell gets a NaN coupling; its block also holds b >= a cells
+        # one cell gets a NaN coupling; its grid also holds b >= a cells
         spec = GridSpec("a", 1.5, 6.0, 4, "b", 0.5, 2.5, 4, fixed={"n": 64, "speed": 0.5})
         clean = scan_mill(spec)
         bad = (float(spec.x_values[2]), float(spec.y_values[1]))
@@ -444,6 +485,12 @@ class TestSerialization:
         capped = scan_mill(spec)
         assert capped.metadata["cells_per_block"] == 1 and sizes == [1] * 4
         assert capped.csv_text() == result.csv_text()
+        # a cell of a small m_max still holds n-length weight and rfft rows:
+        # it counts as the default range's 23 modes, not its own 4
+        monkeypatch.setattr(regions, "_BLOCK_MODES", 3 * 23)
+        few = scan_mill(GridSpec("a", 3.0, 5.0, 2, "b", 1.0, 2.0, 2,
+                                 fixed={"n": 50, "m_max": 5, "speed": 0.5}))
+        assert few.metadata["cells_per_block"] == 3
 
     def test_classification_grid_shape(self):
         result = scan_flock(small_spec(n=50))

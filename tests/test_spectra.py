@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import swarmlab.spectra as spectra_module
-from swarmlab import rings
+from swarmlab import regions, rings
 from swarmlab.potentials import AlignmentKernel, Morse, PowerLaw, Propulsion
 from swarmlab.regions import _block
 from swarmlab.rings import (
@@ -176,11 +176,11 @@ class TestWorkspace:
 
     def test_repeat_blocks_allocate_little_per_mode(self):
         # a second spinning-mill block of the same shape writes the 4x4
-        # route's mode-sized arrays (S and V, the certificate's rows, the
-        # masks and the top rows) into the workspace's buffers: what it still
-        # allocates (the couplings, tolerances and mu1, about 8 float64 per
+        # route's mode-sized arrays (S, the certificate's rows, the masks
+        # and the top rows) into the workspace's buffers: what it still
+        # allocates (the couplings, tolerances and mu1, about 7 float64 per
         # mode) stays under 12 float64 per mode, where a block outside a
-        # workspace takes about 56
+        # workspace takes about 46
         n, cells = 1000, 3
         modes = ((n - 1) // 2 - 1) * cells
         a, b = np.linspace(3.2, 6.8, cells), np.linspace(0.6, 2.4, cells)
@@ -194,6 +194,28 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
         assert peak < 12 * 8 * modes
+
+    @pytest.mark.parametrize("model, bound", [("mill", 46), ("flock-cs", 58)])
+    def test_a_scan_block_holds_few_float64_per_mode(self, model, bound, monkeypatch):
+        # the workspace of one scan block at n = 1000 (the cap's cells):
+        # the certificate's 28 rows, S, the weight and rfft rows, top and c;
+        # a spinning mill's velocity block is per cell, with no mode axis
+        n, m_max = 1000, 499
+        cells = regions._BLOCK_MODES // (m_max - 1)
+        a, b = np.linspace(3.2, 6.8, cells), np.linspace(0.6, 2.4, cells)
+        velocity, blocks = [], spectra_module._blocks
+
+        def recording(*args, **kwargs):
+            S, V = blocks(*args, **kwargs)
+            velocity.append(V.shape)
+            return S, V
+
+        monkeypatch.setattr(spectra_module, "_blocks", recording)
+        with rings._workspace():
+            _worst_modes(model, a, b, n, m_max, gamma=0.7, speed=0.5)
+            held = sum(x.nbytes for x in rings._workspaces.buffers.values())
+        assert held <= bound * 8 * (m_max - 1) * cells
+        assert velocity == [(2, 2, cells) if model == "mill" else (2, 2, m_max - 1, cells)]
 
 
 class TestShapeMatrix:
@@ -714,14 +736,15 @@ class TestWorstModeCertificate:
     @pytest.mark.parametrize("model", ["mill", "flock-cs"])
     def test_a_non_finite_mode_outside_the_sample_is_solved(self, model, bad, monkeypatch):
         # a non-finite coupling makes its own mu1 the argmax, so the test
-        # above samples it; a non-finite velocity entry leaves mu1 finite,
-        # so the certificate must refuse the mode and eigvals reject it
+        # above samples it; a non-finite velocity entry (a shape entry for
+        # the mill, whose velocity block has no mode axis) leaves mu1
+        # finite, so the certificate must refuse the mode and eigvals reject it
         stack, index = spectra_module._mode_stack, 10
 
         def poisoned(*args):
             S, V, tol, bands, mu1 = stack(*args)
             assert np.argmax(mu1) != index
-            V[0, 1, index] = bad
+            (V if model == "flock-cs" else S)[0, 1, index] = bad
             return S, V, tol, bands, mu1
 
         monkeypatch.setattr(spectra_module, "_mode_stack", poisoned)
@@ -793,6 +816,48 @@ class TestWorstModeCertificate:
         left = (roots.real < c[:, None]).all(axis=1)
         assert 0.3 < left.mean() < 0.7
         np.testing.assert_array_equal(spectra_module._routh_below(*split(A), c), left)
+
+
+class TestPerCellVelocity:
+    """A velocity block per cell (no mode axis) gives the bytes of the same
+    block repeated for every mode, inf and NaN entries included."""
+
+    @staticmethod
+    def block(rng, real):
+        modes, cells = 40, 5
+        def draw(*shape):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+            return x if real else x + 1j * rng.standard_normal(shape)
+        S, V, c = draw(2, 2, modes, cells), draw(2, 2, cells), draw(modes, cells).real
+        for x in (S, V, c):
+            x.reshape(-1)[rng.choice(x.size, max(1, x.size // 20), replace=False)] = (
+                rng.choice([0.0, np.inf, -np.inf, np.nan], max(1, x.size // 20)))
+        return S, V, c, np.repeat(V[:, :, None], modes, axis=2)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_same_bytes_as_a_velocity_block_per_mode(self, real):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            S, V, c, per_mode = self.block(rng, real)
+            got = spectra_module._routh_below(S, V, c)
+            assert got.shape == c.shape and got.tobytes() == (
+                spectra_module._routh_below(S, per_mode, c).tobytes())
+            flat = (2, 2, c.size)
+            assert got.tobytes() == spectra_module._routh_below(
+                S.reshape(flat), per_mode.reshape(flat), c.reshape(-1)).tobytes()
+            quartics = []
+            for blocks in ((S, V), (S, per_mode)):
+                dtype = np.result_type(S, V)
+                q, tmp = np.empty((5,) + c.shape, dtype), np.empty((6,) + c.shape, dtype)
+                with np.errstate(all="ignore"):
+                    spectra_module._shifted_quartic(*blocks, c, np.subtract, q, tmp)
+                quartics.append(q.tobytes())
+            assert quartics[0] == quartics[1]
+            solve = rng.random(c.shape) < 0.3
+            for mask in (None, solve):
+                assert spectra_module._assemble(S, V, mask).tobytes() == (
+                    spectra_module._assemble(S, per_mode, mask).tobytes())
+        assert got.any() and not got.all()
 
 
 class TestCsReduction:
