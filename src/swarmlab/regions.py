@@ -33,7 +33,7 @@ import numpy as np
 
 from .potentials import _check_fields, _number
 from .rings import _workspace
-from .spectra import Classification, _require_modes, _worst_modes, mode_envelope
+from .spectra import Classification, _mode_range, _worst_modes, mode_envelope
 
 __all__ = [
     "GridSpec",
@@ -55,23 +55,13 @@ _COARSE = 9
 # range (see _scan).  A spinning-mill block at n = 1000 costs about 0.54 ms
 # of per-call overhead plus 0.16 ms per cell (a least-squares fit to the
 # best of 40 calls in a workspace, 1 to 16 cells; 2 cores, numpy 2.4.6), so
-# fewer, larger blocks win until the peak RSS grows.  The 4x4 route writes
-# its mode-sized arrays into the scan's workspace, whose buffers hold about
-# 45 float64 per mode (a spinning mill's velocity block is per cell, and the
-# two transforms share one rfft row); a block allocates about 7 more per
-# mode.  10-second bench/run.py scan-mill runs (seeds 71-72) read wall_ref_s
-# and peak RSS as follows, with 0 minor faults per pass at every cap: 3,072
-# modes (6 cells) 0.161-0.165 s and 44.78 MB; 4,096 (8 cells) 0.144-0.146 s
-# and 45.43-45.61 MB; 5,120 (10) 0.133 s and 45.66-45.80 MB; 6,144 (12)
-# 0.134-0.135 s and 46.12 MB; 7,168 (14) 0.124-0.126 s and 46.66-46.72 MB;
-# 8,192 (16) 0.116-0.122 s and 46.98-47.03 MB.  With per-mode velocity
-# blocks and two rfft rows (about 58 float64 per mode), 3,072 modes read
-# 0.162-0.163 s and 45.26-45.36 MB.  In 30-second runs alternating with that
-# layout (45.16-45.48 MB), 5,120 modes read 0.140-0.141 s and 45.86-45.88
-# MB, 5,632 (11 cells) 0.135-0.138 s and 45.93-45.98 MB, and 6,144
-# 0.128-0.136 s but 46.14-46.45 MB, 0.8-1.3 MB above the runs beside it
-# (medians 0.92 and 0.98 MB above): 5,632 is the largest cap whose peak RSS
-# stayed within 1 MB.
+# fewer, larger blocks win until the peak RSS grows: the 4x4 route writes
+# its mode-sized arrays into the scan's workspace, about 45 float64 per
+# mode, and a block allocates about 7 more per mode.  In 30-second
+# bench/run.py scan-mill runs alternating with reference runs, 5,632 modes
+# (11 cells) read 0.135-0.138 s and 45.93-45.98 MB, and 6,144 (12 cells)
+# 0.128-0.136 s but 46.14-46.45 MB: 5,632 is the largest cap whose peak
+# RSS stayed within 1 MB of the reference runs beside it.
 _BLOCK_MODES = 5632
 
 # the GridSpec.fixed keys a scan reads
@@ -270,17 +260,6 @@ def _block(model, fixed, speed, cells):
     return _with_invalid(cells, solved)
 
 
-def _resolve_m_max(n, m_max):
-    """The top mode of a scan, (n-1)//2 by default; modes run from 2 to n - 2.
-
-    A bool or non-integer n or m_max is a ValueError that names it.
-    """
-    n = _number("n", n, integer=True)
-    m_max = _number("m_max", (n - 1) // 2 if m_max is None else m_max, ge=2, integer=True)
-    _require_modes(n, m_max)
-    return m_max
-
-
 def _scan(spec, label, model, workers, a=None):
     """Map _block over the grid in x-major order.
 
@@ -291,8 +270,8 @@ def _scan(spec, label, model, workers, a=None):
     sidecar's cells_per_block), but at least one block per pool thread, so
     every block but a speed's last has the same size.  The scan owns one
     rings._workspace per thread that runs blocks (map_stacks), dropped when
-    the scan returns or raises.  A fixed key outside _FIXED_KEYS, a
-    non-integer n or m_max, m_max outside [2, n - 2], an alpha or gamma
+    the scan returns or raises.  A fixed key outside _FIXED_KEYS, an n
+    or m_max that spectra._mode_range refuses (m_min 2), an alpha or gamma
     that is not finite and positive, a speed that is not finite and
     nonnegative, or a bad worker count is a ValueError, raised before any
     cell runs.
@@ -302,9 +281,9 @@ def _scan(spec, label, model, workers, a=None):
     unknown = sorted(set(f) - set(_FIXED_KEYS))
     if unknown:
         raise ValueError(f"unknown fixed keys {unknown}; allowed: {', '.join(_FIXED_KEYS)}")
-    n = f.get("n", 1000)
+    n, m_max = _mode_range(f.get("n", 1000), 2, f.get("m_max"))
     fixed = {
-        "n": n, "m_max": _resolve_m_max(n, f.get("m_max")),
+        "n": n, "m_max": m_max,
         "alpha": _number("alpha", f.get("alpha", 1.0), gt=0),
         "gamma": _number("gamma", f.get("gamma", 1.0), gt=0),
         "speed": _number("speed", f.get("speed", 0.0), ge=0),
@@ -373,13 +352,13 @@ def separatrix_check(a_values, n, m_max=None, steps=40):
     point, then bisect ``steps`` times on the stable/unstable transition
     below it.  Returns rows (a, b_boundary, a/(a-1), gap) with signed
     gap = b_boundary - a/(a-1); nan boundary when no stable b exists in
-    the window.  A non-integer n or m_max, an m_max (default (n-1)//2)
-    outside [2, n - 2], any a that is not finite and > 1 (no limit curve)
-    or steps that is not an integer >= 0 is a ValueError, raised before
-    any solve.  Each call's solves share one rings._workspace, dropped on
+    the window.  An n or m_max (default (n-1)//2) that
+    spectra._mode_range refuses (m_min 2), any a that is not finite and
+    > 1 (no limit curve) or steps that is not an integer >= 0 is a
+    ValueError, raised before any solve.  Each call's solves share one rings._workspace, dropped on
     return.
     """
-    m_max = _resolve_m_max(n, m_max)
+    n, m_max = _mode_range(n, 2, m_max)
     a_values = [_number("a", a, gt=1) for a in a_values]
     steps = _number("steps", steps, ge=0, integer=True)
     rows = []

@@ -13,8 +13,8 @@ the shape).  For the power-law potential the left side collapses to
 (2R)^(a-1) S_a - (2R)^(b-1) S_b with the moments S_alpha computed by
 :func:`trig_moment`, which is what makes large-N scans cheap.
 
-As N grows, S_alpha tends to an integral expressible through the Beta
-function, giving closed continuum radii (:func:`continuum_radius`).
+As N grows, S_alpha tends to B((alpha+1)/2, 1/2) / pi, and the continuum
+radius (:func:`continuum_radius`) is the same solve with those limits.
 
 Reproducibility: every radius rests on libm ``sin``, ``pow`` and ``exp``
 and on correctly rounded sums, so two machines with the same C library
@@ -253,6 +253,22 @@ def trig_moment(n, alpha):
 _moment = functools.lru_cache(maxsize=32)(trig_moment)
 
 
+def _power_residual(potential, s_a, s_b, s2):
+    """The power-law balance (2R)^(a-1) s_a - (2R)^(b-1) s_b - s2 / R and
+    its derivative in R, for moments s_a and s_b (discrete or limit)."""
+    ea, eb = potential.a - 1.0, potential.b - 1.0
+
+    def residual(R):
+        d = 2.0 * R
+        return d**ea * s_a - d**eb * s_b - s2 / R
+
+    def residual_deriv(R):
+        d = 2.0 * R
+        return 2.0 * ea * d ** (ea - 1.0) * s_a - 2.0 * eb * d ** (eb - 1.0) * s_b + s2 / (R * R)
+
+    return residual, residual_deriv
+
+
 def _residual_fn(potential, n, speed):
     """Build a cheap scalar residual R -> balance defect.
 
@@ -261,18 +277,7 @@ def _residual_fn(potential, n, speed):
     """
     s2 = speed * speed
     if isinstance(potential, PowerLaw):
-        s_a, s_b = _moment(n, potential.a), _moment(n, potential.b)
-        ea, eb = potential.a - 1.0, potential.b - 1.0
-
-        def residual(R):
-            d = 2.0 * R
-            return d**ea * s_a - d**eb * s_b - s2 / R
-
-        def residual_deriv(R):
-            d = 2.0 * R
-            return 2.0 * ea * d ** (ea - 1.0) * s_a - 2.0 * eb * d ** (eb - 1.0) * s_b + s2 / (R * R)
-
-        return residual, residual_deriv
+        return _power_residual(potential, _moment(n, potential.a), _moment(n, potential.b), s2)
 
     sines = _sines(n)[1:].tolist()
 
@@ -463,30 +468,16 @@ def sine_moment_limit(alpha):
 def continuum_radius(a, b, speed=0.0):
     """Ring radius in the infinite-particle limit of the power-law model.
 
-    At speed 0 the balance psi_a R^(a-1) = psi_b R^(b-1) has the closed
-    form R = (1/2) (B((b+1)/2,1/2) / B((a+1)/2,1/2))^(1/(a-b)); with a
-    centrifugal term the unique root is found numerically.
+    The discrete balance of :func:`solve_radius` with each moment S_alpha
+    replaced by its limit B((alpha+1)/2, 1/2) / pi, solved the same way; at
+    speed 0 the root is R = (1/2) (B((b+1)/2,1/2) / B((a+1)/2,1/2))^(1/(a-b)).
     """
     potential = PowerLaw(a, b)
-    a, b, speed = potential.a, potential.b, _number("speed", speed, ge=0)
-    if speed == 0.0:
-        ratio = beta_fn(0.5 * (b + 1.0), 0.5) / beta_fn(0.5 * (a + 1.0), 0.5)
-        return 0.5 * ratio ** (1.0 / (a - b))
-    psi_a, psi_b = sine_moment_limit(a), sine_moment_limit(b)
-    s2 = speed * speed
-
-    def residual(R):
-        return psi_a * R ** (a - 1.0) - psi_b * R ** (b - 1.0) - s2 / R
-
-    def residual_deriv(R):
-        return (
-            psi_a * (a - 1.0) * R ** (a - 2.0)
-            - psi_b * (b - 1.0) * R ** (b - 2.0)
-            + s2 / (R * R)
-        )
-
+    speed = _number("speed", speed, ge=0)
+    s_a, s_b = (sine_moment_limit(x) / 2.0 ** (x - 1.0) for x in (potential.a, potential.b))
+    residual, residual_deriv = _power_residual(potential, s_a, s_b, speed * speed)
     lo, hi, f_lo = _expand_bracket(residual, "the continuum radius")
-    return _refine(residual, residual_deriv, lo, hi, f_lo, 1e-12)
+    return _refine(residual, residual_deriv, lo, hi, f_lo, _TOLERANCE)
 
 
 def ring_positions(ring):

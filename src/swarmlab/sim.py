@@ -393,7 +393,7 @@ def _default_guard(config, x0):
 def rhs(state, config):
     """Time derivatives (dx, dv) of the chosen model at the given state.
 
-    Each call builds and binds a one-member _Kernel, whose set-up is a
+    Each call builds one one-member _Kernel, whose set-up is a
     share of the call's time that grows as n shrinks (integrate builds one
     kernel per run).
     """

@@ -690,22 +690,16 @@ def _routh_below(S, V, c):
 _EDGES = np.array([-1.0, 1.0, np.inf])
 
 
-def _worst_band(top, tol, lower, mask):
-    """_severity(top, tol).max(axis=0): each cell's worst band over its
-    modes (axis 0), with work arrays ``lower`` and ``mask`` of top's shape."""
-    band = np.ones(top.shape[1:], dtype=int)
-    band[np.less(top, np.negative(tol, out=lower), out=mask).all(axis=0)] = 0
-    band[np.greater(top, tol, out=mask).any(axis=0)] = 2
-    return band
-
-
-def _require_modes(n, m_max):
-    """Refuse n < 3 or a top mode past n - 2 before any mode array is made:
-    modes n - 1 and n fold onto the translation and the uniform mode."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+def _mode_range(n, m_min, m_max):
+    """n and the top mode m_max, default (n - 1)//2, of the modes m_min..m_max,
+    checked before any mode array is made: n an integer >= 3 and m_max an
+    integer in [m_min, n - 2], since modes n - 1 and n fold onto the
+    translation and the uniform mode.  A bad one is a ValueError naming it."""
+    n = _number("n", n, ge=3, integer=True)
+    m_max = _number("m_max", (n - 1) // 2 if m_max is None else m_max, ge=m_min, integer=True)
     if m_max > n - 2:
         raise ValueError(f"need m_max <= n - 2, got m_max={m_max} for n={n}")
+    return n, m_max
 
 
 def _top_real(A):
@@ -756,27 +750,24 @@ def _worst_modes(model, a, b, n, m_max, alpha=1.0, gamma=1.0, speed=0.0):
         S, V, tol, shape_bands, mu1 = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
         if tol.ndim == 1:  # a lone cell: a block of one
             S, V, tol, mu1 = S[..., None], V[..., None], tol[:, None], mu1[:, None]
-        # rings._scratch rows (modes, cells): the largest real parts and c
-        # (also _worst_band's work row), then the solve mask and a work mask
+        # rings._scratch rows (modes, cells): the largest real parts and c,
+        # then the solve mask
         top, c = _scratch((2,) + tol.shape)
-        solve, mask = _scratch((2,) + tol.shape, bool)
+        solve = _scratch(tol.shape, bool)
         solve.fill(False)
         solve[:2] = solve[-1] = True
         np.put_along_axis(solve, mu1.argmax(axis=0)[None], True, axis=0)
         top.fill(-np.inf)  # skipped modes stay at -inf, band 0
         top[solve] = _top_real(_assemble(S, V, solve))
         # c = min(best, edge) - tol, edge = tol times -1, 1 or inf by band
-        edge = np.inf if shape_bands is not None else _EDGES[_worst_band(top, tol, c, mask)]
+        edge = np.inf if shape_bands is not None else _EDGES[_severity(top, tol).max(axis=0)]
         np.minimum(top.max(axis=0), np.multiply(tol, edge, out=c), out=c)
         c -= tol
         # the certificate reads every mode's blocks in place, the sampled
         # ones too (their answers go unread): cheaper than a masked copy
         np.logical_not(np.logical_or(solve, _routh_below(S, V, c), out=solve), out=solve)
         top[solve] = _top_real(_assemble(S, V, solve))
-        if shape_bands is None:
-            band = _worst_band(top, tol, c, mask)
-        else:
-            band = shape_bands.max(axis=0)
+        band = (_severity(top, tol) if shape_bands is None else shape_bands).max(axis=0)
     worst = top.argmax(axis=0)
     found = np.take_along_axis(top, worst[None], axis=0)[0]
     return [
@@ -798,14 +789,13 @@ def mode_envelope(
     n - m mirrors mode m, so the default m_max = (n-1)//2 leaves out only
     the self-conjugate mode n/2 of an even ring.  m_min = 1 takes in the
     translation mode, whose structural zero the cosine tables give exactly.
-    A non-integer m_min or m_max, m_min < 1, m_max < m_min, n < 3 or an
-    m_max past n - 2 is a ValueError.
+    A non-integer n, m_min or m_max, m_min < 1, m_max < m_min, n < 3 or an
+    m_max past n - 2 is a ValueError (see _mode_range).
     """
     if model not in _ENVELOPE_MODELS:
         raise ValueError(f"model must be one of {_ENVELOPE_MODELS}")
     m_min = _number("m_min", m_min, ge=1, integer=True)
-    m_max = _number("m_max", (n - 1) // 2 if m_max is None else m_max, ge=m_min, integer=True)
-    _require_modes(n, m_max)
+    n, m_max = _mode_range(n, m_min, m_max)
     ms = np.arange(m_min, m_max + 1)
     S, V, tol, severity, _ = _mode_stack(model, a, b, n, ms, alpha, gamma, speed)
     vals = _sorted_eigs(np.linalg.eigvals(_assemble(S, V)))
@@ -828,11 +818,14 @@ def det_asymptotics(a, b, n, m_values):
     Returns (table, slope) with table rows (m, det).  The determinant
     decays like a power of m with exponent 1-b for b in (1,2), so there
     is no spectral gap at large mode numbers.  A mode that is not an
-    integer (2.7, 3.0, True) or lies outside [2, n-2] is a ValueError.
+    integer (2.7, 3.0, True) or lies outside [2, n-2], an n that is not an
+    integer >= 3 or no mode at all is a ValueError.
     """
-    ms = np.asarray(sorted(_number("m", m, integer=True) for m in m_values))
-    if np.any(ms < 2) or np.any(ms > n - 2):
-        raise ValueError("modes must lie in [2, n-2]")
+    ms = sorted(_number("m", m, ge=2, integer=True) for m in m_values)
+    if not ms:
+        raise ValueError("need at least one mode, got an empty m_values")
+    n, _ = _mode_range(n, 2, ms[-1])
+    ms = np.asarray(ms)
     _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)
     dets = i1p * i1m - i2 * i2
     slope = float(np.polyfit(np.log(ms), np.log(np.abs(dets)), 1)[0])

@@ -444,7 +444,7 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
 
 # one bad input per row: exit 2, one ``error:`` line naming the fault, no files
 @pytest.mark.parametrize("argv, needle", [
-    pytest.param(["separatrix", "--a-list", "3", "--n", "2"], "m_max", id="separatrix-n2"),
+    pytest.param(["separatrix", "--a-list", "3", "--n", "2"], "n >= 3", id="separatrix-n2"),
     pytest.param(["gamma-sweep", "--a", "3", "--b", "2.5", "--n", "2", "--m", "3",
                   "--gamma-list", "1"], "n >= 3", id="gamma-sweep-n2"),
     pytest.param(["region", "--model", "speed-b", *SPEED_GRID, "--fixed", "n=50"],

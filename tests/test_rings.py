@@ -400,6 +400,15 @@ class TestContinuum:
         # beta-function ratio collapses to (4/3)^(1/2)/2 = 3^(-1/2)
         assert continuum_radius(4, 2) == pytest.approx(3.0**-0.5, rel=1e-14)
 
+    def test_matches_beta_closed_form(self):
+        # the discrete solve with limit moments against the speed-0 root
+        # (1/2) (B((b+1)/2, 1/2) / B((a+1)/2, 1/2))^(1/(a-b)) on 27 x 30 (a, b)
+        for a in np.linspace(1.2, 9.0, 27):
+            for b in a * np.linspace(0.05, 0.95, 30):
+                ratio = beta_fn(0.5 * (b + 1.0), 0.5) / beta_fn(0.5 * (a + 1.0), 0.5)
+                closed = 0.5 * ratio ** (1.0 / (a - b))
+                assert continuum_radius(a, b) == pytest.approx(closed, rel=1e-14, abs=0.0)
+
     def test_discrete_converges_to_continuum(self):
         target = continuum_radius(3, 1.5)
         errors = []

@@ -881,6 +881,19 @@ class TestCsReduction:
         assert decisive >= 60
 
 
+# a bad n or an empty mode list is a ValueError naming it: these used to
+# name m_max (the first two), or raise a TypeError or an IndexError
+@pytest.mark.parametrize("call, needle", [
+    (lambda: mode_envelope("flock", 5, 1.9, 10.0), "got n=10.0"),
+    (lambda: mode_envelope("flock", 5, 1.9, True), "got n=True"),
+    (lambda: det_asymptotics(5, 1.9, 10.0, [2, 3]), "got n=10.0"),
+    (lambda: det_asymptotics(5, 1.9, 64, []), "at least one mode"),
+], ids=["envelope-n-float", "envelope-n-bool", "det-n-float", "det-no-modes"])
+def test_bad_mode_range_is_named(call, needle):
+    with pytest.raises(ValueError, match=needle):
+        call()
+
+
 class TestDetAsymptotics:
     def test_table_matches_shape_matrices(self):
         table, _ = det_asymptotics(5, 1.5, 64, [2, 5, 11, 30])
