@@ -99,11 +99,14 @@ def _ufunc_fingerprint():
     Simulations rest on np.hypot, np.power (whose scalar exponents 0.5, 2
     and -1 take their own loops) and np.exp, ring radii on np.float_power;
     each is evaluated on a fixed probe, so two builds that give one result
-    for this probe agree on it to the last bit.
+    for this probe agree on it to the last bit.  The pair kernel passes
+    every other exponent as a (rows, 1) column, one np.power call per run
+    of members, so the probe holds such a call too.
     """
     x = np.geomspace(1e-3, 1e3, 1001)
     results = [np.hypot(x, x[::-1]), np.float_power(x, 1.7), np.exp(-x / 8)]
     results += [np.power(x, e) for e in (0.5, 2.0, -1.0, 1.7)]
+    results.append(np.power(x, np.array([[1.7], [-0.3], [4.0]])))
     return hashlib.sha256(b"".join(r.tobytes() for r in results)).hexdigest()
 
 

@@ -94,8 +94,11 @@ class PowerLaw:
     def deriv(self, r):
         """k'(r) = r^(a-1) - r^(b-1), exact analytic form.
 
-        Two np.power calls with scalar exponents, as the simulator's pair
-        kernel makes them.
+        Two np.power calls with scalar exponents.  The simulator's pair
+        kernel gives each member these bits: it passes a - 1 and b - 1 as
+        scalars when they are 2, 0.5 or -1, which numpy computes in loops of
+        their own, and otherwise in one call with a column of exponents,
+        which matches the scalar calls bit for bit.
         """
         r = np.asarray(r, dtype=float)
         return np.power(r, self.a - 1.0) - np.power(r, self.b - 1.0)

@@ -32,8 +32,12 @@ add.reduce over l, which is never the innermost axis), and the step-size
 control stays per-member Python float arithmetic (libm pow, not
 np.power).  The kernel lays the full offsets and weights out as
 [component, l, member, j], so its multiply and sum run on K*n-long inner
-loops, and it calls np.power once per run of members that share an
-exponent value, always with a scalar exponent, as PowerLaw.deriv does.
+loops.  It calls np.power once per run of consecutive members: a run that
+shares the exponent 2, 0.5 or -1, which numpy computes in loops of their
+own, with that scalar, as PowerLaw.deriv does, and any other run with a
+(rows, 1) exponent column, which gives each row the bits of its own scalar
+call (a numpy fact that tests/test_sim.py checks and the CLI manifest's
+ufunc fingerprint probes).
 
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
@@ -247,31 +251,50 @@ def _groups(values):
     return groups
 
 
+# The scalar exponents that np.power has its own loops for.  On numpy 2.4.6
+# a call with a (rows, 1) exponent column gave each row the bits of its own
+# scalar call for 2,000 of 2,000 random exponents in [-3, 5] and for 0, 1,
+# 3, 4, -0.5 and -2, and differed only at these three.
+_SCALAR_POWERS = (2.0, 0.5, -1.0)
+
+
+def _power_plan(exponents):
+    """(rows, exponent) of one np.power call per run of consecutive members:
+    a run that shares one of _SCALAR_POWERS takes it as a scalar, as
+    PowerLaw.deriv does, and a run of other exponents takes them as a
+    (rows, 1) column.  Each row gets the bits of its own scalar call."""
+    return [(rows, np.array(exponents[rows])[:, None] if scalar is None else scalar)
+            for rows, scalar in _groups([e if e in _SCALAR_POWERS else None for e in exponents])]
+
+
 class _Kernel:
     """The pair kernel of a stack of K runs of n particles, one per config.
 
     One call takes the states (K, 4n) of its members, each its positions
     then its velocities flattened, and writes their derivatives.  The full
     offsets and weights are laid out [component, l, member, j]:
-    offsets[c, l, k, j] = u_l - u_j of member k and weights[l, k, j].  So
-    the multiply and the add.reduce over l run on K*n-long inner loops, and
-    l, never the innermost axis, is summed in index order for each
-    particle.  The member axis is not innermost ([c, l, j, k]): that made
-    the subtract's inner loops K long and lost where K is small (713-745
-    against 537-554 us per evaluation at K = 3, n = 100 Cucker-Smale),
-    and it was no faster at K = 32, n = 32 (773 against 737-752 us).  The
-    offsets hold the positions, then under Cucker-Smale the velocities.
-    Distances and weights are evaluated once per pair l < j, packed in row
-    order per member, and mirrored into the symmetric weights (see the
-    module docstring for why this is bit for bit).  The potential weights
-    take one np.power call per run of consecutive members with equal a - 1
-    and one per run with equal b - 1, each with the scalar exponent
-    PowerLaw.deriv passes (numpy has separate loops for some scalar
-    exponents, so per-row exponents would change results), then one
-    subtract and one divide over the stack.  The alignment kernels take
-    one value call per run of equal kernels.  Every array entry is written
-    before it is read, so no result depends on earlier calls or on the
-    other members.  A stack whose members change builds a new kernel.
+    offsets[c, l, k, j] = u_l - u_j of member k and weights[l, k, j].  The
+    offsets come from a contiguous (2, K, n) copy of the members' x and y
+    rows: the buffer is filled with each u_l and the u_j rows are
+    subtracted in place, the same subtraction as from the strided states
+    but on contiguous K*n-long inner loops.  The multiply and the
+    add.reduce over l run on K*n-long inner loops too, and l, never the
+    innermost axis, is summed in index order for each particle.  The
+    member axis is not innermost ([c, l, j, k]): that made the subtract's
+    inner loops K long and lost where K is small (713-745 against 537-554
+    us per evaluation at K = 3, n = 100 Cucker-Smale), and it was no
+    faster at K = 32, n = 32 (773 against 737-752 us).  The offsets hold
+    the positions, then under Cucker-Smale the velocities.  Distances and
+    weights are evaluated once per pair l < j, packed in row order per
+    member (the potential weights in the first packed row, the alignment
+    weights in the second), and mirrored into the symmetric weights (see
+    the module docstring for why this is bit for bit).  The potential
+    weights take one np.power call per entry of the power plans of a - 1
+    and b - 1 (_power_plan), then one subtract and one divide over the
+    stack.  The alignment kernels take one value call per run of equal
+    kernels.  Every array entry is written before it is read, so no result
+    depends on earlier calls or on the other members.  A stack whose
+    members change builds a new kernel.
     """
 
     def __init__(self, configs, guards):
@@ -281,8 +304,8 @@ class _Kernel:
         self.upper, self.pair = _triangle(n)
         m = self.upper.size
         self.guard = np.array(guards, dtype=float)
-        self.powers = (_groups([c.potential.a - 1.0 for c in configs]),
-                       _groups([c.potential.b - 1.0 for c in configs]))
+        self.powers = (_power_plan([c.potential.a - 1.0 for c in configs]),
+                       _power_plan([c.potential.b - 1.0 for c in configs]))
         if self.propulsion:
             self.alpha = np.array([[c.propulsion.alpha] for c in configs])
             self.beta = np.array([[c.propulsion.beta] for c in configs])
@@ -293,6 +316,7 @@ class _Kernel:
         # the potential and the alignment weights), distances (with an inf
         # slot, so that one particle finds no pair) and pair sums
         self.offsets, self.weights = np.empty((2, n, k, n)), np.empty((n, k, n))
+        self.coords = np.empty((2, k, n))
         self.pairs, self.dist = np.empty((2, k, m + 1)), np.empty((k, m + 1))
         self.sums = np.empty((1 if self.propulsion else 2, 2, k, n))
         # take's indices: new, writeable arrays, since np.take copies a
@@ -313,14 +337,16 @@ class _Kernel:
 
     def _offsets(self, u):
         """Write the offsets of the (K, n, 2) points u into the buffer."""
-        np.subtract(u.transpose(2, 1, 0)[..., None], u.transpose(2, 0, 1)[:, None],
-                    out=self.offsets)
+        coords, offsets = self.coords, self.offsets
+        coords[...] = u.transpose(2, 0, 1)
+        offsets[...] = coords.transpose(0, 2, 1)[..., None]
+        offsets -= coords[:, None]
 
-    def _pair_sum(self, out):
+    def _pair_sum(self, row, out):
         """out[c, k, j] = sum over l, in index order, of w_lj offsets[c, l, k, j],
-        with the weights w mirrored from the first row of the packed pairs."""
+        with the weights w mirrored from the packed pairs' ``row``."""
         # mode="clip" (the indices are in range) lets take write straight into out
-        self.pairs.take(self.mirror, out=self.weights.reshape(-1), mode="clip")
+        self.pairs[row].take(self.mirror, out=self.weights.reshape(-1), mode="clip")
         np.multiply(self.weights, self.offsets, out=self.offsets)
         np.add.reduce(self.offsets, axis=1, out=out)
 
@@ -340,11 +366,10 @@ class _Kernel:
         d = dist[:, :-1]
         np.hypot(w, work, out=d)
         dist[:, -1] = np.inf
-        nearest = dist.argmin(axis=1)
-        dmin = dist[np.arange(k), nearest]
+        dmin = dist.min(axis=1)
         failed = {}
         for r in np.flatnonzero(dmin < self.guard):
-            j, l = divmod(int(self.upper[nearest[r]]), n)
+            j, l = divmod(int(self.upper[dist[r].argmin()]), n)
             failed[int(r)] = SimulationError(
                 f"particles {j} and {l} at distance {dmin[r]:.3e} "
                 f"below the guard {self.guard[r]:.3e}"
@@ -364,11 +389,10 @@ class _Kernel:
         # all n^2 entries puts k'(1)/1 = 1 - 1 = 0.0 or g(1) > 0 there, so
         # its diagonal products are +0.0 too, and a zero slot is bit for bit.
         pairs[:, :, -1] = 0.0
-        self._pair_sum(sums[0])
+        self._pair_sum(0, sums[0])
         if not self.propulsion:
-            pairs[0] = pairs[1]  # the alignment weights, where the mirror reads
             self._offsets(y[:, 2 * n :].reshape(k, n, 2))
-            self._pair_sum(sums[1])
+            self._pair_sum(1, sums[1])
         sums /= n
         # the velocities and accelerations, component first: [c, k, j]
         v = y[:, 2 * n :].reshape(k, n, 2).transpose(2, 0, 1)
@@ -877,18 +901,20 @@ _SWEEP_METRICS = {"cluster": "mu_rel", "fatten": "eta_rel",
                   "polarization": "polarization", "angular_momentum": "angular_momentum"}
 
 
-# A sweep stack holds at most this many pair entries, members times n^2.
-# Per member, one Cucker-Smale evaluation took (2 cores, numpy 2.4.6, best
-# of interleaved rounds) 45 us alone and 14-16 us in stacks of 14-56 at
-# n = 24; 51 us alone, 22, 24, 25 and 29 us in stacks of 16, 32, 64 and 128
-# at n = 32; 79 us alone and 50-52 us (7-14 members) at n = 48; 107 us
-# alone, 87 us (4-8) and 94 us (16) at n = 64.  At n = 100, propulsion took
-# 149 us alone and 133, 125 and 147 us in stacks of 3, 6 and 12.  Whole
-# sweeps agree: 64 Cucker-Smale members at n = 32 took 0.97 s under this
-# cap (two stacks of 32) and 1.06 and 1.03 s under 2^16 and 2^17, while 12
-# propulsion members at n = 100 took 0.87 s (stacks of 3) against 0.72 and
-# 0.65 s.  A larger cap would slow n = 32, so the cap stays where small n
-# is fastest.  At the cap the kernel arrays and indices take about 1.5 MiB.
+# A sweep stack holds at most this many pair entries, members times n^2:
+# 32 members at n = 32, 8 at n = 64, 3 at n = 100 and 1 from n = 129 up.
+# Per member, one evaluation took (2 cores, numpy 2.4.6, best of 5
+# interleaved rounds; Cucker-Smale / propulsion) 53 / 42 us alone and
+# 21 / 15 us in stacks of 16-64 at n = 32; 104 / 78 us alone, 77-81 / 56-60
+# us in stacks of 3-8 and 97 / 68 us in a stack of 64 at n = 64; 189 / 138 us
+# alone, 158-163 / 120-121 us in stacks of 3-6 and 179 / 132 us in a stack
+# of 12 at n = 100; at n = 200, 653 / 466 us alone, 651 / 474 us in a
+# stack of 2 and more in larger ones.  At each n the cap's stack is within
+# 5% of the cheapest in that table, so the cap stays.  Whole sweeps agree:
+# 12 members at n = 100 (t = 10, min of 4 rounds) took 0.50, 0.48 and
+# 0.50 s (propulsion) and 0.60, 0.62 and 0.72 s (Cucker-Smale) in stacks
+# of 3, 6 and 12.  At the cap the kernel arrays and indices take about
+# 1.5 MiB.
 _STACK_ENTRIES = 2**15
 
 

@@ -819,11 +819,14 @@ def det_asymptotics(a, b, n, m_values):
     decays like a power of m with exponent 1-b for b in (1,2), so there
     is no spectral gap at large mode numbers.  A mode that is not an
     integer (2.7, 3.0, True) or lies outside [2, n-2], an n that is not an
-    integer >= 3 or no mode at all is a ValueError.
+    integer >= 3, no mode at all or fewer than two distinct modes (a slope
+    needs two points) is a ValueError.
     """
     ms = sorted(_number("m", m, ge=2, integer=True) for m in m_values)
     if not ms:
         raise ValueError("need at least one mode, got an empty m_values")
+    if ms[0] == ms[-1]:
+        raise ValueError(f"need two distinct modes for a slope, got only the modes {[ms[0]]}")
     n, _ = _mode_range(n, 2, ms[-1])
     ms = np.asarray(ms)
     _, i1p, i1m, i2 = _ring_couplings(a, b, n, 0.0, ms)

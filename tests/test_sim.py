@@ -146,6 +146,26 @@ class TestRhs:
         m = n * (n - 1) // 2
         assert sizes == {"deriv": [], "value": [m], "power": [m, m, m]}
 
+    def test_power_column_equals_scalar_calls(self):
+        # the kernel's power plan rests on this numpy fact: one np.power call
+        # with a (rows, 1) exponent column gives each row the bits of its own
+        # scalar call, on rows strided like the kernel's distances.  The
+        # scalar exponents 2, 0.5 and -1 take numpy's own loops, so the plan
+        # gives them scalar calls
+        rng = np.random.default_rng(31)
+        d = rng.uniform(1e-3, 10.0, (32, 998))[:, :-1]
+        exponents = np.concatenate([rng.uniform(-3.0, 5.0, 32 * 62),
+                                    [0.0, 1.0, 3.0, 4.0, -0.5, -2.0] * 32])
+        out = np.empty_like(d)
+        for column in exponents.reshape(-1, 32, 1):
+            np.power(d, column, out=out)
+            for row, e in enumerate(column[:, 0]):
+                assert out[row].tobytes() == np.power(d[row], e).tobytes(), e
+        plan = sim_module._power_plan([1.5, 2.0, 2.0, 0.5, -1.0, 3.0, 0.75, 2.0])
+        assert [(rows.start, rows.stop, e if np.ndim(e) == 0 else e[:, 0].tolist())
+                for rows, e in plan] == [
+            (0, 1, [1.5]), (1, 3, 2.0), (3, 4, 0.5), (4, 5, -1.0), (5, 7, [3.0, 0.75]), (7, 8, 2.0)]
+
     @pytest.mark.parametrize("model, pot", [
         ("propulsion", PowerLaw(5, 1.25)),
         ("cucker-smale", PowerLaw(5, 1.25)),
@@ -173,7 +193,8 @@ class TestRhs:
         y = np.array([np.concatenate([xs.ravel(), vs.ravel()]) for xs, vs in states])
         for rows in ([0], [1, 0]):
             kernel = sim_module._Kernel([cfg] * len(rows), [0.0] * len(rows))
-            for array in (kernel.offsets, kernel.weights, kernel.pairs, kernel.dist, kernel.sums):
+            for array in (kernel.coords, kernel.offsets, kernel.weights, kernel.pairs, kernel.dist,
+                          kernel.sums):
                 array.fill(np.nan)
             out = np.full((len(rows), 4 * n), np.nan)
             kernel(y[rows], out)
@@ -697,12 +718,15 @@ class TestBifurcationSweep:
         cfg = SimConfig(model="cucker-smale", potential=PowerLaw(a, 1.2), n=32, t_final=6.0,
                         alignment=AlignmentKernel(1.0), seed=5, sample_every=1.5)
         inputs = sweep_inputs(cfg, "b", values, "flock", ic_speed=0.8)
-        # one np.power call per run of equal a - 1 and per run of equal b - 1
+        # one np.power call per run of a - 1 and per run of b - 1: a run that
+        # shares 2, 0.5 or -1 takes it as a scalar, any other run a column
         kernel = sim_module._Kernel([member for member, _, _ in inputs], [0.0] * len(values))
-        first, second = kernel.powers
-        assert [(rows.start, rows.stop) for rows, _ in first] == [(0, 6)]
-        assert [(rows.start, rows.stop) for rows, _ in second] == [
-            (0, 1), (1, 2), (2, 3), (3, 5), (5, 6)]
+        first, second = [[(rows.start, rows.stop, e if np.ndim(e) == 0 else e[:, 0].tolist())
+                          for rows, e in plan] for plan in kernel.powers]
+        assert first == ([(0, 6, [4.0] * 6)] if a == 5 else [(0, 6, 2.0)])
+        b = [v - 1.0 for v in values]
+        assert second == [(0, 1, 0.5), (1, 2, b[1:2]), (2, 3, 0.5)] + (
+            [(3, 5, 2.0), (5, 6, b[5:])] if a == 5 else [(3, 6, b[3:])])
         alone = assert_stack_equals_separate_runs(inputs)
         rows = bifurcation_sweep(cfg, "b", values, metric="polarization", ic_speed=0.8)
         assert rows == [(v, res.metrics.polarization[-1]) for v, res in zip(values, alone)]
@@ -713,6 +737,18 @@ class TestBifurcationSweep:
         cfg = propulsion_config(PowerLaw(5, 1.5), 64, 3.0, alpha=1.0, beta=4.0, seed=8,
                                 sample_every=1.0)
         assert_stack_equals_separate_runs(sweep_inputs(cfg, "b", [1.5, 1.25, 1.5], "flock"))
+
+    def test_propulsion_b_stack_with_scalar_exponents_equals_separate_runs(self):
+        # a - 1 = 2 takes np.power's own loop, and b = 1.5 gives b - 1 = 0.5
+        # between members whose b - 1 goes into exponent columns
+        cfg = propulsion_config(PowerLaw(3, 1.5), 24, 3.0, alpha=1.0, beta=4.0, seed=13,
+                                sample_every=1.0)
+        values = [1.2, 1.5, 1.8, 1.5, 1.35]
+        inputs = sweep_inputs(cfg, "b", values, "flock")
+        kernel = sim_module._Kernel([member for member, _, _ in inputs], [0.0] * len(values))
+        assert [(rows.start, rows.stop, np.ndim(e)) for plan in kernel.powers for rows, e in plan] == [
+            (0, 5, 0), (0, 1, 2), (1, 2, 0), (2, 3, 2), (3, 4, 0), (4, 5, 2)]
+        assert_stack_equals_separate_runs(inputs)
 
     def test_mill_speed_stack_equals_separate_runs(self, monkeypatch):
         cfg = propulsion_config(PowerLaw(5, 1.25), 20, 4.0, alpha=1.0, beta=4.0, seed=4,

@@ -888,7 +888,10 @@ class TestCsReduction:
     (lambda: mode_envelope("flock", 5, 1.9, True), "got n=True"),
     (lambda: det_asymptotics(5, 1.9, 10.0, [2, 3]), "got n=10.0"),
     (lambda: det_asymptotics(5, 1.9, 64, []), "at least one mode"),
-], ids=["envelope-n-float", "envelope-n-bool", "det-n-float", "det-no-modes"])
+    (lambda: det_asymptotics(5, 1.9, 64, [5]), r"two distinct modes.*\[5\]"),
+    (lambda: det_asymptotics(5, 1.9, 64, [5, 5]), r"two distinct modes.*\[5\]"),
+], ids=["envelope-n-float", "envelope-n-bool", "det-n-float", "det-no-modes",
+        "det-one-mode", "det-one-distinct-mode"])
 def test_bad_mode_range_is_named(call, needle):
     with pytest.raises(ValueError, match=needle):
         call()
