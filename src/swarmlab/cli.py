@@ -96,12 +96,14 @@ def _now():
 def _ufunc_fingerprint():
     """sha256 of the elementwise ufuncs that bit-for-bit results rest on.
 
-    Simulations rest on np.hypot, np.power (whose scalar exponents 0.5, 2
-    and -1 take their own loops) and np.exp, ring radii on np.float_power;
-    each is evaluated on a fixed probe, so two builds that give one result
-    for this probe agree on it to the last bit.  The pair kernel passes
-    every other exponent as a (rows, 1) column, one np.power call per run
-    of members, so the probe holds such a call too.
+    The simulation's pair kernel rests on np.power (whose scalar exponents
+    0.5, 2 and -1 take their own loops) and calls no np.hypot; the
+    simulation metrics and the default guard distance still call np.hypot,
+    Morse potentials np.exp, and ring radii np.float_power.  Each is
+    evaluated on a fixed probe, so two builds that give one result for this
+    probe agree on it to the last bit.  The pair kernel passes every other
+    exponent as a (rows, 1) column, one np.power call per run of members,
+    so the probe holds such a call too.
     """
     x = np.geomspace(1e-3, 1e3, 1001)
     results = [np.hypot(x, x[::-1]), np.float_power(x, 1.7), np.exp(-x / 8)]

@@ -95,10 +95,9 @@ class PowerLaw:
         """k'(r) = r^(a-1) - r^(b-1), exact analytic form.
 
         Two np.power calls with scalar exponents.  The simulator's pair
-        kernel gives each member these bits: it passes a - 1 and b - 1 as
-        scalars when they are 2, 0.5 or -1, which numpy computes in loops of
-        their own, and otherwise in one call with a column of exponents,
-        which matches the scalar calls bit for bit.
+        kernel does not call it: it takes k'(r)/r as powers of the squared
+        distance, d2^((a-2)/2) - d2^((b-2)/2), which agree with
+        deriv(r)/r to roundoff, not bit for bit.
         """
         r = np.asarray(r, dtype=float)
         return np.power(r, self.a - 1.0) - np.power(r, self.b - 1.0)

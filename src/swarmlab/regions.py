@@ -66,16 +66,22 @@ _COARSE = 9
 # RSS stayed within 1 MB of the reference runs beside it.
 _BLOCK_MODES = 5632
 
-# the GridSpec.fixed keys a scan reads
-_FIXED_KEYS = ("n", "m_max", "alpha", "gamma", "speed", "a")
+# the GridSpec.fixed keys each scan reads, by scan label
+_FIXED_KEYS = {
+    "flock": ("n", "m_max"),
+    "flock-cs": ("n", "m_max", "gamma"),
+    "mill": ("n", "m_max", "alpha", "speed"),
+    "mill-speed-b": ("n", "m_max", "a", "alpha"),
+}
 
 
 @dataclass(frozen=True)
 class GridSpec:
     """Axes and fixed parameters of a scan.
 
-    ``fixed`` holds whatever the model needs beyond the two axes, from
-    n, m_max, alpha, gamma and whichever of speed and a is not an axis.
+    ``fixed`` holds whatever the model needs beyond the two axes: n and
+    m_max, and gamma for flock-cs, alpha and speed for the mill, a and
+    alpha for speed-b.
     """
 
     x_name: str
@@ -263,21 +269,23 @@ def _scan(spec, label, model, workers, axes=("a", "b")):
     cells_per_block), but at least one block per pool thread, so every
     block but a speed's last has one size: map_stacks runs each run of equal
     blocks in one rings._workspace.  Other axis names, a fixed value for an
-    axis, a fixed key outside _FIXED_KEYS, an n or m_max that
-    spectra._mode_range refuses (m_min 2; n defaults to 1000), an alpha,
-    gamma (both default 1) or a that is not finite and positive, a speed
-    that is not finite and nonnegative, or a bad worker count is a
-    ValueError, and a missing a a KeyError, raised before any cell runs.
+    axis, a fixed key that the scan does not read (_FIXED_KEYS, by
+    ``label``), an n or m_max that spectra._mode_range refuses (m_min 2; n
+    defaults to 1000), an alpha, gamma (both default 1) or a that is not
+    finite and positive, a speed that is not finite and nonnegative, or a
+    bad worker count is a ValueError, and a missing a a KeyError, raised
+    before any cell runs.
     """
     start = time.perf_counter()
     if (spec.x_name, spec.y_name) != axes:
         raise ValueError(f"a {label} scan has axes {axes}, got {(spec.x_name, spec.y_name)}")
     f = spec.fixed
-    unknown = sorted(set(f) - set(_FIXED_KEYS))
-    if unknown:
-        raise ValueError(f"unknown fixed keys {unknown}; allowed: {', '.join(_FIXED_KEYS)}")
     if set(f) & set(axes):
         raise ValueError(f"fixed keys {sorted(set(f) & set(axes))} name axes of a {label} scan")
+    unread = sorted(set(f) - set(_FIXED_KEYS[label]))
+    if unread:
+        raise ValueError(f"a {label} scan does not read the fixed keys {unread}; "
+                         f"it reads {', '.join(_FIXED_KEYS[label])}")
     n, m_max = _mode_range(f.get("n", 1000), 2, f.get("m_max"))
     fixed = {
         "n": n, "m_max": m_max,

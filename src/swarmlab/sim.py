@@ -9,16 +9,20 @@ trajectories are sampled on an exact uniform time grid independent of
 the adaptive steps.
 
 Each particle's pair terms are added left to right in particle index, so
-a run is reproducible bit for bit given the elementwise hypot, pow and
-exp of the numpy build (which the CLI manifest records).  The pair
-kernel evaluates hypot, k'(r)/r and g(r) once per unordered pair and
-mirrors the weights into a symmetric (n, n) matrix.  That this matches
-an evaluation over all n^2 entries bit for bit rests on the exact
-antisymmetry of IEEE subtraction (x_l - x_j = -(x_j - x_l)), on hypot
-being even, and on elementwise ufunc results that do not depend on an
-element's position in the array.  A stack builds one kernel for its
-members and a new one whenever a member leaves (``rhs`` builds one per
-call); every entry of a kernel's arrays is written before it is read.
+a run is reproducible bit for bit given the numpy build's elementwise
+ufuncs (the kernel's pow, the metrics' hypot; the CLI manifest
+fingerprints them).  The pair kernel
+evaluates the squared distance d2 = dx*dx + dy*dy, the potential weight
+k'(r)/r = d2^((a - 2)/2) - d2^((b - 2)/2) and the alignment weight g(r) =
+(1 + d2)^(-gamma) once per unordered pair, with no hypot, square root or
+divide, and mirrors the weights into a symmetric (n, n) matrix.  That
+this matches an evaluation over all n^2 entries bit for bit rests on the
+exact antisymmetry of IEEE subtraction (x_l - x_j = -(x_j - x_l)), on
+(-x)*(-x) = x*x exactly, and on elementwise ufunc results that do not
+depend on an element's position in the array.  A stack builds one kernel
+for its members and a new one whenever a member leaves (``rhs`` builds
+one per call); every entry of a kernel's arrays is written before it is
+read.
 
 Runs are integrated as stacks that step in lockstep: ``integrate`` is a
 stack of one, and a seeded ensemble (``_sweep``, which bifurcation_sweep
@@ -32,12 +36,13 @@ add.reduce over l, which is never the innermost axis), and the step-size
 control stays per-member Python float arithmetic (libm pow, not
 np.power).  The kernel lays the full offsets and weights out as
 [component, l, member, j], so its multiply and sum run on K*n-long inner
-loops.  It calls np.power once per run of consecutive members: a run that
-shares the exponent 2, 0.5 or -1, which numpy computes in loops of their
-own, with that scalar, as PowerLaw.deriv does, and any other run with a
-(rows, 1) exponent column, which gives each row the bits of its own scalar
-call (a numpy fact that tests/test_sim.py checks and the CLI manifest's
-ufunc fingerprint probes).
+loops.  It calls np.power once per run of consecutive members and
+exponent family ((a - 2)/2, (b - 2)/2 and -gamma): a run that shares the
+exponent 2, 0.5 or -1, which numpy computes in loops of their own, with
+that scalar, and any other run with a (rows, 1) exponent column, which
+gives each row the bits of its own scalar call (a numpy fact that
+tests/test_sim.py checks and the CLI manifest's ufunc fingerprint
+probes).
 
 Order parameters: cluster error (sorted angular-gap deviation), fatten
 error (mean-radius deviation), speed deviation, polarization, and
@@ -260,9 +265,9 @@ _SCALAR_POWERS = (2.0, 0.5, -1.0)
 
 def _power_plan(exponents):
     """(rows, exponent) of one np.power call per run of consecutive members:
-    a run that shares one of _SCALAR_POWERS takes it as a scalar, as
-    PowerLaw.deriv does, and a run of other exponents takes them as a
-    (rows, 1) column.  Each row gets the bits of its own scalar call."""
+    a run that shares one of _SCALAR_POWERS takes it as a scalar, and a
+    run of other exponents takes them as a (rows, 1) column.  Each row
+    gets the bits of its own scalar call."""
     return [(rows, np.array(exponents[rows])[:, None] if scalar is None else scalar)
             for rows, scalar in _groups([e if e in _SCALAR_POWERS else None for e in exponents])]
 
@@ -284,16 +289,19 @@ class _Kernel:
     inner loops K long and lost where K is small (713-745 against 537-554
     us per evaluation at K = 3, n = 100 Cucker-Smale), and it was no
     faster at K = 32, n = 32 (773 against 737-752 us).  The offsets hold
-    the positions, then under Cucker-Smale the velocities.  Distances and
-    weights are evaluated once per pair l < j, packed in row order per
-    member (the potential weights in the first packed row, the alignment
-    weights in the second), and mirrored into the symmetric weights (see
-    the module docstring for why this is bit for bit).  The potential
-    weights take one np.power call per entry of the power plans of a - 1
-    and b - 1 (_power_plan), then one subtract and one divide over the
-    stack.  The alignment kernels take one value call per run of equal
-    kernels.  Every array entry is written before it is read, so no result
-    depends on earlier calls or on the other members.  A stack whose
+    the positions, then under Cucker-Smale the velocities.  Squared
+    distances and weights are evaluated once per pair l < j, packed in row
+    order per member (the potential weights in the first packed row, the
+    alignment weights in the second), and mirrored into the symmetric
+    weights (see the module docstring for why this is bit for bit).  The
+    squared distances d2 = dx*dx + dy*dy take no hypot: the guard compares
+    the smallest d2 with guard^2 and reports its square root.  The potential
+    weights d2^((a - 2)/2) - d2^((b - 2)/2) take one np.power call per entry
+    of the power plans of (a - 2)/2 and (b - 2)/2 (_power_plan) and one
+    subtract over the stack, with no divide by d; the alignment weights
+    (1 + d2)^(-gamma) take one add and one np.power call per entry of the
+    plan of -gamma.  Every array entry is written before it is read, so no
+    result depends on earlier calls or on the other members.  A stack whose
     members change builds a new kernel.
     """
 
@@ -304,17 +312,21 @@ class _Kernel:
         self.upper, self.pair = _triangle(n)
         m = self.upper.size
         self.guard = np.array(guards, dtype=float)
-        self.powers = (_power_plan([c.potential.a - 1.0 for c in configs]),
-                       _power_plan([c.potential.b - 1.0 for c in configs]))
+        self.guard2 = self.guard * self.guard
+        # the exponents of d2 in k'(r)/r = d2^((a - 2)/2) - d2^((b - 2)/2)
+        # and g(r) = (1 + d2)^(-gamma)
+        families = [[(c.potential.a - 2.0) / 2.0 for c in configs],
+                    [(c.potential.b - 2.0) / 2.0 for c in configs]]
         if self.propulsion:
             self.alpha = np.array([[c.propulsion.alpha] for c in configs])
             self.beta = np.array([[c.propulsion.beta] for c in configs])
         else:
-            self.alignments = _groups([c.alignment for c in configs])
+            families.append([-c.alignment.gamma for c in configs])
+        self.powers = [_power_plan(exponents) for exponents in families]
         # the offsets, weights, packed pairs (per member a value for each
         # pair and a slot for the diagonal, in two rows: dx and dy, then
-        # the potential and the alignment weights), distances (with an inf
-        # slot, so that one particle finds no pair) and pair sums
+        # the potential and the alignment weights), squared distances (with
+        # an inf slot, so that one particle finds no pair) and pair sums
         self.offsets, self.weights = np.empty((2, n, k, n)), np.empty((n, k, n))
         self.coords = np.empty((2, k, n))
         self.pairs, self.dist = np.empty((2, k, m + 1)), np.empty((k, m + 1))
@@ -363,31 +375,35 @@ class _Kernel:
         for c in range(2):
             self.offsets[c].take(self.gather, out=pairs[c].reshape(-1), mode="clip")
         w, work = pairs[0, :, :-1], pairs[1, :, :-1]
-        d = dist[:, :-1]
-        np.hypot(w, work, out=d)
+        d2 = dist[:, :-1]
+        np.multiply(w, w, out=d2)
+        np.multiply(work, work, out=work)
+        d2 += work
         dist[:, -1] = np.inf
-        dmin = dist.min(axis=1)
+        d2min = dist.min(axis=1)
+        dmin = np.sqrt(d2min)
         failed = {}
-        for r in np.flatnonzero(dmin < self.guard):
+        for r in np.flatnonzero(d2min < self.guard2):
             j, l = divmod(int(self.upper[dist[r].argmin()]), n)
             failed[int(r)] = SimulationError(
                 f"particles {j} and {l} at distance {dmin[r]:.3e} "
                 f"below the guard {self.guard[r]:.3e}"
             )
-            d[r] = 1.0
+            d2[r] = 1.0
         for rows, exponent in self.powers[0]:
-            np.power(d[rows], exponent, out=w[rows])
+            np.power(d2[rows], exponent, out=w[rows])
         for rows, exponent in self.powers[1]:
-            np.power(d[rows], exponent, out=work[rows])
+            np.power(d2[rows], exponent, out=work[rows])
         np.subtract(w, work, out=w)
-        w /= d
         if not self.propulsion:
-            for rows, alignment in self.alignments:
-                alignment.value(d[rows], out=work[rows])
+            d2 += 1.0
+            for rows, exponent in self.powers[2]:
+                np.power(d2[rows], exponent, out=work[rows])
         # The diagonal's weight only multiplies u_j - u_j, which is +0.0 for
         # finite u and NaN whatever the weight otherwise.  An evaluation on
-        # all n^2 entries puts k'(1)/1 = 1 - 1 = 0.0 or g(1) > 0 there, so
-        # its diagonal products are +0.0 too, and a zero slot is bit for bit.
+        # all n^2 entries with d2 = 1 there puts 1 - 1 = 0.0 or g(1) > 0
+        # there, so its diagonal products are +0.0 too, and a zero slot is
+        # bit for bit.
         pairs[:, :, -1] = 0.0
         self._pair_sum(0, sums[0])
         if not self.propulsion:

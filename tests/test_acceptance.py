@@ -353,8 +353,9 @@ def test_criterion_12_pattern_switching():
     # seeded runs (0.10) end as flocks.  Seed 4 is a pinned minority
     # realization, so this half shows that the switch exists, not how
     # often it happens.  Which attractor seed 4 reaches depends on the
-    # numpy build, named by the ufunc fingerprint below, and on the
-    # in-order pair summation that
+    # numpy build, named by the ufunc fingerprint below, and on the pair
+    # kernel's form (powers of the squared distance) and in-order pair
+    # summation, which
     # tests/test_sim.py::TestRhs::test_pair_terms_summed_left_to_right pins.
     cfg_a = SimConfig(model="propulsion", potential=PowerLaw(4, 0.0005), n=100,
                       t_final=2000.0, propulsion=Propulsion(1.0, 1.0 / 0.01 ** 2),

@@ -515,8 +515,23 @@ SPEED_GRID = ["--grid", "speed:0:1:3", "b:0.5:2:3"]
     # dropped the fixed speed without a word
     pytest.param(["region", "--model", "speed-b", *SPEED_GRID, "--fixed", "n=50", "a=3",
                   "speed=0.7"], "fixed keys ['speed'] name axes", id="speed-b-fixed-speed"),
+    # a flock scan reads no alpha; it used to check the value and drop it
     pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "alpha=-1"],
-                 "need finite alpha > 0, got alpha=-1.0", id="flock-negative-alpha"),
+                 "a flock scan does not read the fixed keys ['alpha']", id="flock-negative-alpha"),
+    pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=50", "speed=0.5", "alpha=-1"],
+                 "need finite alpha > 0, got alpha=-1.0", id="mill-negative-alpha"),
+    # these keys were dropped without a word, and the CSV was the one without them
+    pytest.param(["region", "--model", "flock", *GRID, "--fixed", "n=50", "gamma=3", "alpha=7",
+                  "speed=0.4"], "a flock scan does not read the fixed keys ['alpha', 'gamma', "
+                 "'speed']; it reads n, m_max", id="flock-unread-keys"),
+    pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "speed=0.5",
+                  "alpha=3"], "a flock-cs scan does not read the fixed keys ['alpha', 'speed']",
+                 id="flock-cs-unread-keys"),
+    pytest.param(["region", "--model", "mill", *GRID, "--fixed", "n=50", "speed=0.5", "gamma=2"],
+                 "a mill scan does not read the fixed keys ['gamma']", id="mill-unread-gamma"),
+    pytest.param(["region", "--model", "speed-b", *SPEED_GRID, "--fixed", "n=50", "a=3",
+                  "gamma=2"], "a mill-speed-b scan does not read the fixed keys ['gamma']",
+                 id="speed-b-unread-gamma"),
     pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "gamma=-1"],
                  "need finite gamma > 0, got gamma=-1.0", id="flock-cs-negative-gamma"),
     pytest.param(["region", "--model", "flock-cs", *GRID, "--fixed", "n=50", "gamma=inf"],

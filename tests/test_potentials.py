@@ -174,10 +174,9 @@ def pair_distances(n, rng):
 
 
 class TestOutArrays:
-    # deriv must give exactly the two scalar-exponent np.power calls that the
-    # pair kernel makes, and the kernel's in-place alignment path exactly the
-    # plain expression; exponents 2.0, 0.5 and 1.0 are where numpy has fast
-    # paths
+    # deriv must give exactly its two scalar-exponent np.power calls, and the
+    # in-place alignment path (the spectral coupling rows) exactly the plain
+    # expression; exponents 2.0, 0.5 and 1.0 are where numpy has fast paths
     @pytest.mark.parametrize("a, b", [(3.0, 1.5), (2.0, 1.5), (3.0, 2.0),
                                       (5.0, 1.25), (4, 0.0005)])
     def test_power_law_deriv(self, a, b, rng):

@@ -159,9 +159,10 @@ class TestScanFlock:
             raise AssertionError("a block ran")
 
         monkeypatch.setattr(regions, "_block", no_block)
-        for scan in (scan_flock, scan_mill):
+        for scan, fixed in ((scan_flock, {}), (scan_mill, {"speed": 0.5})):
+            spec = small_spec(n=50, **fixed)
             with pytest.raises(ValueError, match=re.escape(f"got workers={workers!r}")):
-                scan(small_spec(n=50, speed=0.5), workers=workers)
+                scan(spec, workers=workers)
         with pytest.raises(ValueError, match=re.escape(
                 f"need an integer workers >= 1, got workers={workers!r}")):
             _pool_size(workers, 10, 2)
@@ -189,8 +190,8 @@ class TestScanFlock:
     # 2.5 bisected three times, a true gamma ran gamma 1 and a true grid
     # bound spanned the axis from 1
     @pytest.mark.parametrize("run, needle", [
-        (lambda: scan_flock(GridSpec("a", 4, 5, 2, "b", 1.5, 2, 2,
-                                     fixed={"n": 20, "alpha": True, "speed": True})), "alpha=True"),
+        (lambda: scan_mill(GridSpec("a", 4, 5, 2, "b", 1.5, 2, 2,
+                                    fixed={"n": 20, "alpha": True, "speed": True})), "alpha=True"),
         (lambda: scan_speed_b(GridSpec("speed", 0, 1, 2, "b", 1.5, 2, 2,
                                        fixed={"n": 20, "a": True})), "a=True"),
         (lambda: separatrix_check([3.0], 40, steps=2.5), "steps=2.5"),
@@ -285,6 +286,43 @@ class TestScanVariants:
         with pytest.raises(ValueError, match=re.escape(needle)):
             scan(spec)
 
+    # flock with gamma, alpha and speed, and flock-cs with speed and alpha,
+    # used to write the CSV they wrote without those keys
+    @pytest.mark.parametrize("scan, spec, label, unread", [
+        (scan_flock, small_spec(n=32, gamma=3.0, alpha=7.0, speed=0.4), "flock",
+         ["alpha", "gamma", "speed"]),
+        (scan_cs_flock, small_spec(n=32, speed=0.5, alpha=3.0), "flock-cs", ["alpha", "speed"]),
+        (scan_mill, small_spec(n=32, speed=0.5, gamma=2.0), "mill", ["gamma"]),
+        (scan_speed_b, GridSpec("speed", 0.0, 0.9, 3, "b", 0.5, 2.5, 3,
+                                fixed={"n": 32, "a": 5.0, "gamma": 2.0}),
+         "mill-speed-b", ["gamma"]),
+        (scan_flock, small_spec(n=32, speeed=0.5), "flock", ["speeed"]),
+    ], ids=["flock", "flock-cs", "mill", "speed-b", "unknown-key"])
+    def test_unread_fixed_keys_are_refused(self, scan, spec, label, unread, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(regions, "_block", no_block)
+        with pytest.raises(ValueError, match=re.escape(
+                f"a {label} scan does not read the fixed keys {unread}; "
+                f"it reads {', '.join(regions._FIXED_KEYS[label])}")):
+            scan(spec)
+
+    @pytest.mark.parametrize("scan, axis, fixed, key, other", [
+        (scan_cs_flock, "a", {}, "gamma", 3.0),
+        (scan_mill, "a", {"speed": 0.5}, "alpha", 2.0),
+        (scan_mill, "a", {}, "speed", 0.5),
+        (scan_speed_b, "speed", {"a": 5.0}, "alpha", 2.0),
+        (scan_speed_b, "speed", {"a": 5.0}, "a", 4.0),
+    ], ids=["flock-cs-gamma", "mill-alpha", "mill-speed", "speed-b-alpha", "speed-b-a"])
+    def test_every_fixed_key_a_scan_takes_moves_its_csv(self, scan, axis, fixed, key, other):
+        # n and m_max set the mode range of every scan; each other key that a
+        # scan takes changes its cells
+        lo = 0.1 if axis == "speed" else 3.0
+        spec = lambda **f: GridSpec(axis, lo, lo + 1.0, 2, "b", 1.0, 2.0, 2, fixed={"n": 32, **f})
+        assert key in regions._FIXED_KEYS[scan(spec(**fixed)).model]
+        assert scan(spec(**fixed)).csv_text() != scan(spec(**{**fixed, key: other})).csv_text()
+
 
 class TestSpectrumAgreement:
     """mode_envelope (spectrum) and the region scans give one verdict."""
@@ -342,8 +380,8 @@ class TestSpectrumAgreement:
             raise AssertionError("SpectralReport built")
 
         monkeypatch.setattr(spectra, "SpectralReport", no_report)
-        spec = GridSpec("a", 3.0, 5.0, 2, "b", 1.0, 2.0, 2, fixed={"n": 60, "speed": 0.5})
-        for scan in (scan_flock, scan_cs_flock, scan_mill):
+        for scan, fixed in ((scan_flock, {}), (scan_cs_flock, {}), (scan_mill, {"speed": 0.5})):
+            spec = GridSpec("a", 3.0, 5.0, 2, "b", 1.0, 2.0, 2, fixed={"n": 60, **fixed})
             cells = scan(spec).cells
             assert all(c.classification is not Classification.INVALID for c in cells)
         speed_b = GridSpec("speed", 0.0, 0.5, 2, "b", 1.0, 2.0, 2, fixed={"n": 60, "a": 5.0})
